@@ -1,13 +1,13 @@
 //! The simulation main loop.
 
 use crate::config::ClusterConfig;
-use crate::farm::{ServerFarm, SweepTiming, SHARD};
+use crate::farm::{FarmState, ServerFarm, SweepTiming, SHARD};
 use crate::index::ClusterIndex;
 use crate::metrics::{Heatmap, SimulationResult};
 use crate::scheduler::{DecisionDetail, PlacementProbe, Scheduler};
 use crate::server::Server;
 use crate::server::ServerId;
-use crate::snapshot::{Snapshot, SnapshotError};
+use crate::snapshot::{Departures, JobIds, Snapshot, SnapshotError};
 use crate::telemetry::{EngineTelemetry, PhaseClock};
 use crate::topology::ZoneCooling;
 use rand::seq::SliceRandom;
@@ -595,16 +595,19 @@ impl Simulation {
         for (slot, &used) in occupancy.iter_mut().zip(&self.occupancy) {
             *slot = used as u64;
         }
-        let departures = self
-            .departures
-            .iter()
-            .enumerate()
-            .filter(|(_, bucket)| !bucket.is_empty())
-            .map(|(t, bucket)| {
-                let entries = bucket.iter().map(|&(id, server)| (id.0, server)).collect();
-                (t as u64, entries)
-            })
-            .collect();
+        let mut departures = Departures::default();
+        for (t, bucket) in self.departures.iter().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            departures.ticks.push(t as u64);
+            // A bucket holds at most every running job, far below u32.
+            departures.lens.push(bucket.len() as u32);
+            departures
+                .servers
+                .extend(bucket.iter().map(|&(_, server)| server));
+        }
+        departures.jobs = JobIds::from_ids(self.departures.iter().flatten().map(|&(id, _)| id.0))?;
         Ok(Snapshot {
             config: self.config.clone(),
             trace,
@@ -688,6 +691,7 @@ impl Simulation {
         snapshot: &Snapshot,
         mut scheduler: Box<dyn Scheduler>,
     ) -> Result<Self, SnapshotError> {
+        snapshot.check_columns()?;
         scheduler.restore_state(&snapshot.scheduler)?;
         if let Some(spec) = &snapshot.config.topology {
             if !spec.is_valid() {
@@ -728,38 +732,48 @@ impl Simulation {
             )));
         }
         let tick = snapshot.tick as usize;
-        for (slot, &used) in sim.occupancy.iter_mut().zip(&snapshot.occupancy) {
-            *slot = usize::try_from(used)
-                .map_err(|_| SnapshotError::Corrupt("occupancy overflows usize".to_owned()))?;
+        // Each departure decrements its kind's occupancy, so every kind
+        // must count exactly the running jobs of that kind.
+        let mut running = [0u64; 5];
+        for &kind in &snapshot.farm.job_kinds {
+            running[kind as usize] += 1;
         }
-        let occupancy_total: u64 = snapshot.occupancy.iter().sum();
-        let farm_used: u64 = (0..sim.farm.len())
-            .map(|i| u64::from(sim.farm.used_cores(i)))
-            .sum();
-        if occupancy_total != farm_used {
+        if running != snapshot.occupancy {
             return Err(SnapshotError::Corrupt(format!(
-                "occupancy counts {occupancy_total} busy cores, the farm holds {farm_used}"
+                "occupancy {:?} disagrees with the farm's running jobs {running:?}",
+                snapshot.occupancy
             )));
         }
+        for (slot, &used) in sim.occupancy.iter_mut().zip(&running) {
+            *slot = used as usize;
+        }
+        check_departures(&snapshot.farm, &snapshot.departures)?;
         sim.departures.resize_with(ticks, Vec::new);
-        let servers = sim.farm.len();
-        for &(when, ref bucket) in &snapshot.departures {
-            let slot = usize::try_from(when)
-                .ok()
-                .filter(|&w| w < ticks)
-                .ok_or_else(|| {
-                    SnapshotError::Corrupt(format!(
-                        "departure bucket at tick {when} beyond the {ticks}-tick horizon"
-                    ))
-                })?;
-            if let Some(&(_, server)) = bucket.iter().find(|&&(_, s)| s as usize >= servers) {
+        let departures = &snapshot.departures;
+        let base = departures.jobs.base;
+        let mut next_entry = 0;
+        let mut next_free = snapshot.tick;
+        for (&when, &len) in departures.ticks.iter().zip(&departures.lens) {
+            if when >= ticks as u64 {
                 return Err(SnapshotError::Corrupt(format!(
-                    "departure names server {server} in a {servers}-server farm"
+                    "departure bucket at tick {when} beyond the {ticks}-tick horizon"
                 )));
             }
-            sim.departures[slot] = bucket
+            // Buckets before the snapshot tick have drained already, and
+            // each tick owns at most one bucket.
+            if when < next_free {
+                return Err(SnapshotError::Corrupt(format!(
+                    "departure bucket at tick {when} is out of order or precedes tick {}",
+                    snapshot.tick
+                )));
+            }
+            next_free = when + 1;
+            let entries = next_entry..next_entry + len as usize;
+            next_entry = entries.end;
+            sim.departures[when as usize] = departures.jobs.deltas[entries.clone()]
                 .iter()
-                .map(|&(id, server)| (JobId(id), server))
+                .zip(&departures.servers[entries])
+                .map(|(&delta, &server)| (JobId(base + u64::from(delta)), server))
                 .collect();
         }
         sim.next_job_id = snapshot.next_job_id;
@@ -783,12 +797,13 @@ impl Simulation {
                 "hot-group series disagree with snapshot tick".to_owned(),
             ));
         }
+        let servers = sim.farm.len();
         let stride = sim.config.heatmap_stride.max(1);
         let heatmap_rows = ticks.div_ceil(stride);
         let rows_written = tick.div_ceil(stride);
         let row_interval = sim.config.tick.get() * sim.config.heatmap_stride as f64;
         let expand = |map: &Heatmap| -> Result<Heatmap, SnapshotError> {
-            if map.rows.len() != rows_written || map.rows.iter().any(|r| r.len() != servers) {
+            if map.rows.len() != rows_written {
                 return Err(SnapshotError::Corrupt(format!(
                     "heatmap shape disagrees with snapshot tick {tick}"
                 )));
@@ -1079,6 +1094,80 @@ impl Simulation {
         self.batch = batch;
         self.outcomes = outcomes;
     }
+}
+
+/// Rejects a departure calendar that names a job its server does not
+/// run, or lets a job depart twice — either would panic the drain that
+/// reaches it. Jobs that outlive the horizon have no entry, so a server
+/// may run more jobs than depart from it.
+///
+/// A sequential join: a counting sort groups the entries by server, then
+/// one pass over the farm image merges each server's sorted group into
+/// its sorted live row (at most `cores` entries).
+fn check_departures(farm: &FarmState, departures: &Departures) -> Result<(), SnapshotError> {
+    let servers = farm.job_counts.len();
+    let not_running = |id: u64, server: usize| {
+        SnapshotError::Corrupt(format!(
+            "departure names {}, which {} does not run",
+            JobId(id),
+            ServerId(server)
+        ))
+    };
+    let mut start = vec![0u32; servers + 1];
+    for &server in &departures.servers {
+        start[server as usize + 1] += 1;
+    }
+    for i in 0..servers {
+        start[i + 1] += start[i];
+    }
+    // Grouped ids are deltas against the live rows' base; an id outside
+    // that window is no running job at all.
+    let base = farm.job_ids.base;
+    let mut grouped = vec![0u32; departures.servers.len()];
+    let mut cursor = start[..servers].to_vec();
+    for (id, &server) in departures.jobs.iter().zip(&departures.servers) {
+        let server = server as usize;
+        let delta = id
+            .checked_sub(base)
+            .and_then(|d| u32::try_from(d).ok())
+            .ok_or_else(|| not_running(id, server))?;
+        grouped[cursor[server] as usize] = delta;
+        cursor[server] += 1;
+    }
+    let mut row_start = 0;
+    let mut live = Vec::new();
+    for server in 0..servers {
+        let row = &farm.job_ids.deltas[row_start..row_start + farm.job_counts[server] as usize];
+        row_start += row.len();
+        let leaving = &mut grouped[start[server] as usize..start[server + 1] as usize];
+        if leaving.is_empty() {
+            continue;
+        }
+        live.clear();
+        live.extend_from_slice(row);
+        live.sort_unstable();
+        leaving.sort_unstable();
+        let mut next = 0;
+        for &delta in leaving.iter() {
+            while next < live.len() && live[next] < delta {
+                next += 1;
+            }
+            if next == live.len() || live[next] != delta {
+                let id = base + u64::from(delta);
+                return Err(if row.contains(&delta) {
+                    SnapshotError::Corrupt(format!(
+                        "{} departs {} twice",
+                        JobId(id),
+                        ServerId(server)
+                    ))
+                } else {
+                    not_running(id, server)
+                });
+            }
+            next += 1;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@ use crate::config::{ClusterConfig, WaxSpec};
 use crate::index::ClusterIndex;
 use crate::pool::TickPool;
 use crate::server::{Server, ServerId};
+use crate::snapshot::JobIds;
 use std::cell::UnsafeCell;
 use vmt_pcm::{PcmMaterial, WaxKernel, WaxPack, WaxStateEstimator};
 use vmt_power::ServerPowerModel;
@@ -324,11 +325,16 @@ impl FarmWax {
 /// Serializable image of a farm's per-server state arrays.
 ///
 /// Captures exactly the fields that evolve during a run — thermal and
-/// wax arrays plus the running-job slab. Config-derived parts (power
+/// wax arrays plus the running jobs. Config-derived parts (power
 /// model, air stream, wax design) are *not* here; a restore rebuilds
 /// them from [`ClusterConfig`] and then overwrites the arrays with
 /// [`ServerFarm::apply_state`], which makes the image independent of
 /// how those parts are represented internally.
+///
+/// Jobs are held live-only and server-major, exactly as the snapshot
+/// container stores them: server `i`'s jobs, in table order, are the
+/// `job_counts[i]` entries that follow the first
+/// `job_counts[..i].iter().sum()` entries of `job_ids` and `job_kinds`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FarmState {
     /// Per-server inlet temperature (°C).
@@ -343,17 +349,69 @@ pub struct FarmState {
     pub est_temp_c: Vec<f64>,
     /// Per-server estimator melt-fraction state.
     pub est_fraction: Vec<f64>,
-    /// Flat running-job slab (`num_servers × cores` slots). Rows
-    /// written by [`ServerFarm::state`] are dense — the first
-    /// `job_counts[i]` slots of row `i` hold that server's jobs in
-    /// table order, the rest are zero — but a restore only ever reads
-    /// the first `job_counts[i]` slots, so archives from writers that
-    /// left stale bytes past the count keep restoring identically.
-    pub job_ids: Vec<u64>,
-    /// Workload index byte of each slab slot.
-    pub job_kinds: Vec<u8>,
-    /// Occupied slot count per server.
+    /// Running jobs per server (= used cores).
     pub job_counts: Vec<u32>,
+    /// Ids of the running jobs, delta-encoded against the smallest.
+    pub job_ids: JobIds,
+    /// Workload index byte of each running job, parallel to `job_ids`.
+    pub job_kinds: Vec<u8>,
+}
+
+impl FarmState {
+    /// Checks the image against a farm of `servers` servers with `cores`
+    /// cores each: one value per server in every per-server array, no
+    /// server above its core count, one id and one known workload kind
+    /// per counted job, and ids that fit `u64`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`](crate::SnapshotError::Corrupt) naming
+    /// the first disagreement.
+    pub(crate) fn check(
+        &self,
+        servers: usize,
+        cores: u32,
+    ) -> Result<(), crate::snapshot::SnapshotError> {
+        let corrupt = crate::snapshot::SnapshotError::Corrupt;
+        let lengths = [
+            self.inlet_c.len(),
+            self.at_wax_c.len(),
+            self.active_power_w.len(),
+            self.enthalpy_j.len(),
+            self.est_temp_c.len(),
+            self.est_fraction.len(),
+            self.job_counts.len(),
+        ];
+        if lengths.iter().any(|&len| len != servers) {
+            return Err(corrupt(format!(
+                "farm arrays hold {lengths:?} values for {servers} servers"
+            )));
+        }
+        if let Some(i) = self.job_counts.iter().position(|&c| c > cores) {
+            return Err(corrupt(format!(
+                "server {i} claims {} jobs on {cores} cores",
+                self.job_counts[i]
+            )));
+        }
+        let jobs: u64 = self.job_counts.iter().map(|&c| u64::from(c)).sum();
+        if jobs != self.job_ids.deltas.len() as u64
+            || self.job_kinds.len() != self.job_ids.deltas.len()
+        {
+            return Err(corrupt(format!(
+                "job counts sum to {jobs}, the farm holds {} ids and {} kinds",
+                self.job_ids.deltas.len(),
+                self.job_kinds.len()
+            )));
+        }
+        if let Some(&kind) = self
+            .job_kinds
+            .iter()
+            .find(|&&k| k as usize >= WorkloadKind::ALL.len())
+        {
+            return Err(corrupt(format!("unknown workload kind {kind}")));
+        }
+        self.job_ids.check("running job")
+    }
 }
 
 /// All servers' physical state in structure-of-arrays form.
@@ -627,21 +685,29 @@ impl ServerFarm {
     }
 
     /// Captures every evolving per-server array as a serializable
-    /// [`FarmState`] image. Job rows are emitted dense — the first
-    /// `job_counts[i]` slots of each row hold that server's jobs in
-    /// table order, the rest zero — independent of how the pooled
-    /// table arranges them internally.
+    /// [`FarmState`] image: live jobs only, server by server in table
+    /// order, ids re-anchored at the smallest live id — independent of
+    /// how the pooled table arranges them internally.
     pub fn state(&self) -> FarmState {
-        let n = self.len();
-        let stride = self.cores() as usize;
-        let mut job_ids = vec![0u64; n * stride];
-        let mut job_kinds = vec![0u8; n * stride];
-        for i in 0..n {
-            let row = i * stride;
-            for (j, (id, kind)) in self.job_row(i).enumerate() {
-                job_ids[row + j] = id.0;
-                job_kinds[row + j] = kind.index() as u8;
+        let live: usize = self.job_counts.iter().map(|&c| c as usize).sum();
+        let mut deltas = Vec::with_capacity(live);
+        let mut kinds = Vec::with_capacity(live);
+        for i in 0..self.len() {
+            let pool = &self.pools[i / SHARD];
+            let mut page = self.job_heads[i];
+            let mut left = self.job_counts[i] as usize;
+            while left > 0 {
+                let slot = page as usize * JOB_PAGE;
+                let take = left.min(JOB_PAGE);
+                deltas.extend_from_slice(&pool.ids[slot..slot + take]);
+                kinds.extend_from_slice(&pool.kinds[slot..slot + take]);
+                left -= take;
+                page = pool.next[page as usize];
             }
+        }
+        let min = deltas.iter().copied().min().unwrap_or(0);
+        for delta in &mut deltas {
+            *delta -= min;
         }
         FarmState {
             inlet_c: self.inlet_c.clone(),
@@ -650,9 +716,16 @@ impl ServerFarm {
             enthalpy_j: self.enthalpy_j.clone(),
             est_temp_c: self.est_temp_c.clone(),
             est_fraction: self.est_fraction.clone(),
-            job_ids,
-            job_kinds,
             job_counts: self.job_counts.clone(),
+            job_ids: JobIds {
+                base: if live == 0 {
+                    0
+                } else {
+                    self.id_base + u64::from(min)
+                },
+                deltas,
+            },
+            job_kinds: kinds,
         }
     }
 
@@ -661,56 +734,14 @@ impl ServerFarm {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Corrupt`] when any array length disagrees with
-    /// this farm's shape; the farm is left untouched in that case.
+    /// [`SnapshotError::Corrupt`] when the image does not fit this farm's
+    /// shape (array lengths, counts above the core count, ids and kinds
+    /// that disagree with the counts, unknown kinds); the farm is left
+    /// untouched in that case.
     ///
     /// [`SnapshotError::Corrupt`]: crate::SnapshotError::Corrupt
     pub fn apply_state(&mut self, state: &FarmState) -> Result<(), crate::snapshot::SnapshotError> {
-        let n = self.len();
-        let stride = self.cores() as usize;
-        let slab = n * stride;
-        let per_server_ok = state.inlet_c.len() == n
-            && state.at_wax_c.len() == n
-            && state.active_power_w.len() == n
-            && state.enthalpy_j.len() == n
-            && state.est_temp_c.len() == n
-            && state.est_fraction.len() == n
-            && state.job_counts.len() == n;
-        let slab_ok = state.job_ids.len() == slab && state.job_kinds.len() == slab;
-        if !per_server_ok || !slab_ok {
-            return Err(crate::snapshot::SnapshotError::Corrupt(format!(
-                "farm state shaped for {} servers / {} slots, farm has {n} / {slab}",
-                state.job_counts.len(),
-                state.job_ids.len(),
-            )));
-        }
-        if let Some(i) = (0..n).find(|&i| state.job_counts[i] as usize > stride) {
-            return Err(crate::snapshot::SnapshotError::Corrupt(format!(
-                "server {i} claims {} jobs on {stride} cores",
-                state.job_counts[i]
-            )));
-        }
-        // Delta-anchor the incoming ids; only the first `job_counts[i]`
-        // slots of each row are live (older writers left stale bytes
-        // past the count, which a restore must keep ignoring).
-        let mut id_base = u64::MAX;
-        let mut max_id = 0u64;
-        let mut any = false;
-        for i in 0..n {
-            let row = i * stride;
-            for &id in &state.job_ids[row..row + state.job_counts[i] as usize] {
-                id_base = id_base.min(id);
-                max_id = max_id.max(id);
-                any = true;
-            }
-        }
-        let id_base = if any { id_base } else { 0 };
-        if max_id - id_base > u32::MAX as u64 {
-            return Err(crate::snapshot::SnapshotError::Corrupt(format!(
-                "live job-id span {} exceeds u32 range",
-                max_id - id_base
-            )));
-        }
+        state.check(self.len(), self.cores())?;
         self.inlet_c.clone_from(&state.inlet_c);
         self.at_wax_c.clone_from(&state.at_wax_c);
         self.active_power_w.clone_from(&state.active_power_w);
@@ -718,7 +749,9 @@ impl ServerFarm {
         self.est_temp_c.clone_from(&state.est_temp_c);
         self.est_fraction.clone_from(&state.est_fraction);
         self.job_counts.clone_from(&state.job_counts);
-        self.id_base = id_base;
+        // The image keeps ids as u32 deltas from a base, as the pooled
+        // table does, so they drop in unchanged.
+        self.id_base = state.job_ids.base;
         for pool in &mut self.pools {
             pool.ids.clear();
             pool.kinds.clear();
@@ -727,16 +760,17 @@ impl ServerFarm {
         }
         self.job_heads.fill(NO_PAGE);
         self.job_tails.fill(NO_PAGE);
-        for i in 0..n {
-            let row = i * stride;
-            for j in 0..state.job_counts[i] as usize {
+        let mut jobs = state.job_ids.deltas.iter().zip(&state.job_kinds);
+        for i in 0..self.len() {
+            for (j, (&delta, &kind)) in jobs.by_ref().take(state.job_counts[i] as usize).enumerate()
+            {
                 append_job(
                     &mut self.pools[i / SHARD],
                     &mut self.job_heads[i],
                     &mut self.job_tails[i],
                     j,
-                    (state.job_ids[row + j] - id_base) as u32,
-                    state.job_kinds[row + j],
+                    delta,
+                    kind,
                 );
             }
         }
@@ -1841,19 +1875,21 @@ mod tests {
     }
 
     #[test]
-    fn state_rows_are_dense_and_restore_identically() {
+    fn state_holds_live_rows_and_restores_identically() {
         let mut farm = loaded_farm(12);
         // Punch a hole mid-row so the swap-remove order is non-trivial.
         farm.end_job(5, JobId(502));
         let state = farm.state();
-        let stride = farm.cores() as usize;
-        for i in 0..farm.len() {
-            let row = &state.job_ids[i * stride..(i + 1) * stride];
-            let count = state.job_counts[i] as usize;
-            let live: Vec<u64> = farm.job_row(i).map(|(id, _)| id.0).collect();
-            assert_eq!(&row[..count], &live[..], "row {i}");
-            assert!(row[count..].iter().all(|&id| id == 0), "row {i} tail");
-        }
+        let live: Vec<u64> = (0..farm.len())
+            .flat_map(|i| farm.job_row(i).map(|(id, _)| id.0).collect::<Vec<_>>())
+            .collect();
+        assert_eq!(state.job_ids.iter().collect::<Vec<_>>(), live);
+        assert_eq!(state.job_ids.base, live.iter().copied().min().unwrap());
+        assert_eq!(state.job_kinds.len(), live.len());
+        assert_eq!(
+            state.job_counts.iter().map(|&c| c as usize).sum::<usize>(),
+            live.len()
+        );
         let mut restored = ServerFarm::from_config(&ClusterConfig::paper_default(12));
         restored.apply_state(&state).unwrap();
         for i in 0..farm.len() {

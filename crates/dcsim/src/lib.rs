@@ -68,7 +68,8 @@ pub use replay::{
 pub use scheduler::{DecisionCandidate, DecisionDetail, FirstFit, PlacementProbe, Scheduler};
 pub use server::{Server, ServerId};
 pub use snapshot::{
-    SavedState, Snapshot, SnapshotError, SnapshotState, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    Departures, JobIds, SavedState, Snapshot, SnapshotError, SnapshotState, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
 };
 pub use topology::{
     PlacementMap, RackId, RackLayout, RackPowerStats, ZoneCooling, ZoneLayout, ZoneSpec,

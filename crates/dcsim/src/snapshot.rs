@@ -20,30 +20,66 @@
 //!   tick refresh before any placement, so only genuinely cross-tick
 //!   fields travel.
 //!
-//! On disk a snapshot is a one-line header plus a JSON payload:
+//! On disk a snapshot is a `VMTSNAP v2` container: the line
+//! `VMTSNAP v2`, a little-endian `u32` block count, then sixteen blocks
+//! in a fixed order, each framed as
 //!
 //! ```text
-//! VMTSNAP v1 digest=0x<fnv1a of payload> bytes=<payload length>
-//! {"config":…}
+//! tag: 4 bytes | length: u64 | data: length bytes | digest: u64
 //! ```
 //!
-//! [`Snapshot::decode`] validates magic, version, length, and digest in
-//! that order and returns a typed [`SnapshotError`] — a malformed or
-//! truncated container is rejected, never panicked on.
+//! where the digest is FNV-1a over tag, length and data. The first block
+//! is JSON holding the small self-describing parts (config, trace,
+//! scheduler state, RNGs, occupancy, per-tick series, zone
+//! temperatures); every other block is a raw little-endian column sized
+//! by servers or jobs. [`Snapshot::decode`] also reads the JSON
+//! `VMTSNAP v1` containers of earlier builds. Every malformed,
+//! truncated or inconsistent container is a typed [`SnapshotError`],
+//! never a panic.
 //!
 //! [`Simulation`]: crate::Simulation
 
 use crate::config::ClusterConfig;
 use crate::farm::FarmState;
-use crate::metrics::SimulationResult;
+use crate::metrics::{Heatmap, SimulationResult};
+use std::io::{self, Write};
 use vmt_telemetry::replay::StateHasher;
+use vmt_thermal::CoolingLoadSeries;
+use vmt_units::{Celsius, Joules, Seconds};
 use vmt_workload::TraceDescriptor;
 
 /// Magic token opening every snapshot container.
 pub const SNAPSHOT_MAGIC: &str = "VMTSNAP";
 
 /// Container format version written by [`Snapshot::encode`].
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// The first line of every v2 container.
+const V2_HEADER: &[u8] = b"VMTSNAP v2\n";
+
+/// Number of blocks in a v2 container.
+const BLOCK_COUNT: usize = 16;
+
+/// The v2 block table in container order: each block's tag and the
+/// column it carries.
+const BLOCKS: [(&[u8; 4], &str); BLOCK_COUNT] = [
+    (b"META", "metadata"),
+    (b"INLT", "inlet_c"),
+    (b"AWAX", "at_wax_c"),
+    (b"APWR", "active_power_w"),
+    (b"ENTH", "enthalpy_j"),
+    (b"ETMP", "est_temp_c"),
+    (b"EFRC", "est_fraction"),
+    (b"JCNT", "job_counts"),
+    (b"JIDS", "job_ids"),
+    (b"JKND", "job_kinds"),
+    (b"DTCK", "departure ticks"),
+    (b"DLEN", "departure bucket lengths"),
+    (b"DIDS", "departing job ids"),
+    (b"DSRV", "departure servers"),
+    (b"HTMP", "temperature heatmap"),
+    (b"HMLT", "melt heatmap"),
+];
 
 /// Error raised while encoding, decoding, or restoring a snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,22 +88,26 @@ pub enum SnapshotError {
     BadMagic,
     /// The container declares a version this build cannot read.
     UnsupportedVersion(String),
-    /// The payload is shorter or longer than the header declares.
+    /// The container holds fewer bytes than a declared length needs
+    /// (or, for v1, a payload of a different length than declared).
     Truncated {
-        /// Payload length the header promised.
+        /// Length the container declares.
         expected: usize,
-        /// Payload length actually present.
+        /// Bytes actually present.
         actual: usize,
     },
-    /// The payload does not hash to the header's digest.
+    /// A block (or the v1 payload) does not hash to its digest.
     DigestMismatch {
-        /// Digest the header carries.
+        /// The block whose digest failed (`payload` for v1).
+        block: &'static str,
+        /// Digest the container carries.
         expected: u64,
         /// Digest of the bytes actually present.
         actual: u64,
     },
-    /// The payload parsed but describes an inconsistent state (bad JSON,
-    /// mismatched array lengths, out-of-range ticks).
+    /// The container is well framed but describes an inconsistent state
+    /// (bad JSON, misplaced blocks, column shapes that disagree with the
+    /// config, a departure calendar the farm cannot drain).
     Corrupt(String),
     /// A [`SavedState`]'s kind tag does not match the component asked to
     /// restore from it.
@@ -89,15 +129,22 @@ impl core::fmt::Display for SnapshotError {
         match self {
             SnapshotError::BadMagic => write!(f, "not a snapshot container (bad magic)"),
             SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v:?} (this build reads v1)")
+                write!(
+                    f,
+                    "unsupported snapshot version {v:?} (this build reads v1 and v2)"
+                )
             }
             SnapshotError::Truncated { expected, actual } => write!(
                 f,
-                "payload length mismatch: header declares {expected} bytes, found {actual}"
+                "length mismatch: container declares {expected} bytes, found {actual}"
             ),
-            SnapshotError::DigestMismatch { expected, actual } => write!(
+            SnapshotError::DigestMismatch {
+                block,
+                expected,
+                actual,
+            } => write!(
                 f,
-                "payload digest mismatch: header declares {expected:#018x}, payload hashes to {actual:#018x}"
+                "{block} digest mismatch: container declares {expected:#018x}, bytes hash to {actual:#018x}"
             ),
             SnapshotError::Corrupt(reason) => write!(f, "corrupt snapshot: {reason}"),
             SnapshotError::KindMismatch { expected, found } => write!(
@@ -115,6 +162,10 @@ impl core::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+fn corrupt(reason: String) -> SnapshotError {
+    SnapshotError::Corrupt(reason)
+}
 
 /// A kind-tagged, serialized blob of one component's cross-tick state.
 ///
@@ -208,6 +259,83 @@ pub trait SnapshotState {
     }
 }
 
+/// Job ids as `u32` deltas from a `u64` base — how a snapshot holds ids,
+/// in memory and on the wire.
+///
+/// Engine snapshots always fit: the pooled job table keeps every live id
+/// within a `u32` span of the smallest one, and departing jobs are live
+/// jobs.
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct JobIds {
+    /// The smallest id (0 for an empty column).
+    pub base: u64,
+    /// `id − base` of each entry.
+    pub deltas: Vec<u32>,
+}
+
+impl JobIds {
+    /// Delta-encodes `ids` against their minimum.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] when the ids span more than `u32::MAX`.
+    pub(crate) fn from_ids<I>(ids: I) -> Result<Self, SnapshotError>
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: Clone,
+    {
+        let ids = ids.into_iter();
+        let (lo, hi) = ids
+            .clone()
+            .fold((u64::MAX, 0), |(lo, hi), id| (lo.min(id), hi.max(id)));
+        if lo > hi {
+            return Ok(Self::default());
+        }
+        if hi - lo > u64::from(u32::MAX) {
+            return Err(corrupt(format!(
+                "job ids span {}, beyond a u32 delta",
+                hi - lo
+            )));
+        }
+        Ok(Self {
+            base: lo,
+            deltas: ids.map(|id| (id - lo) as u32).collect(),
+        })
+    }
+
+    /// The ids in column order. Call only on a column that passed
+    /// [`JobIds::check`] (every decoded or captured one has).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.deltas.iter().map(|&d| self.base + u64::from(d))
+    }
+
+    /// Rejects a column whose `base + delta` overflows `u64`.
+    pub(crate) fn check(&self, what: &str) -> Result<(), SnapshotError> {
+        let top = self.deltas.iter().copied().max().unwrap_or(0);
+        match self.base.checked_add(u64::from(top)) {
+            Some(_) => Ok(()),
+            None => Err(corrupt(format!("{what} ids overflow u64"))),
+        }
+    }
+}
+
+/// The pending departure calendar in columnar form.
+///
+/// Non-empty buckets in ascending tick order; bucket `b` owns the next
+/// `lens[b]` entries of `jobs` and `servers`, in the order the engine
+/// drains them.
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct Departures {
+    /// Tick of each bucket.
+    pub ticks: Vec<u64>,
+    /// Entry count of each bucket, parallel to `ticks`.
+    pub lens: Vec<u32>,
+    /// Departing job of each entry, bucket after bucket.
+    pub jobs: JobIds,
+    /// Server running each departing job, parallel to `jobs`.
+    pub servers: Vec<u32>,
+}
+
 /// A complete engine checkpoint at a tick boundary.
 ///
 /// `tick` is the next tick the run will execute; everything else is the
@@ -226,14 +354,14 @@ pub struct Snapshot {
     pub scheduler: SavedState,
     /// Next tick to execute (0 = nothing has run yet).
     pub tick: u64,
-    /// Every farm state array (thermal, wax, estimator, job slab).
+    /// Every farm state array (thermal, wax, estimator, live jobs).
     pub farm: FarmState,
     /// Occupied cores per workload, by [`WorkloadKind::index`].
     ///
     /// [`WorkloadKind::index`]: vmt_workload::WorkloadKind::index
     pub occupancy: [u64; 5],
-    /// Non-empty departure buckets as `(tick, [(job id, server)])`.
-    pub departures: Vec<(u64, Vec<(u64, u32)>)>,
+    /// Pending departure buckets.
+    pub departures: Departures,
     /// Next job id the engine will stamp.
     pub next_job_id: u64,
     /// Raw state of the arrival-shuffle RNG.
@@ -245,85 +373,641 @@ pub struct Snapshot {
     /// (`ceil(tick / heatmap_stride)`).
     pub partial: SimulationResult,
     /// Per-zone CRAC supply-air temperatures when the config carries a
-    /// [`topology`](ClusterConfig::topology); `None` otherwise. Typed as
-    /// an `Option` so snapshots written before zones existed (the golden
-    /// fixture among them) keep decoding — the vendored serde derives
-    /// treat a missing field as `None`. The integrator state is
-    /// history-dependent, so it must travel for a restored zoned run to
-    /// report identical zone temperatures.
+    /// [`topology`](ClusterConfig::topology); `None` otherwise (v1
+    /// snapshots written before zones existed decode as `None`). The
+    /// integrator state is history-dependent, so it must travel for a
+    /// restored zoned run to report identical zone temperatures.
     pub zone_temps: Option<Vec<f64>>,
 }
 
-fn payload_digest(payload: &str) -> u64 {
-    let mut hasher = StateHasher::new();
-    hasher.write_bytes(payload.as_bytes());
-    hasher.finish()
+/// The JSON block: every part of a snapshot not sized by servers or
+/// jobs.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct Meta {
+    config: ClusterConfig,
+    trace: TraceDescriptor,
+    scheduler: SavedState,
+    tick: u64,
+    occupancy: [u64; 5],
+    next_job_id: u64,
+    arrival_rng: [u64; 4],
+    planner_rng: [u64; 4],
+    zone_temps: Option<Vec<f64>>,
+    scheduler_name: String,
+    cooling: CoolingLoadSeries,
+    electrical: CoolingLoadSeries,
+    avg_temp: Vec<Celsius>,
+    hot_group_temp: Vec<Celsius>,
+    hot_group_sizes: Vec<usize>,
+    stored_energy: Vec<Joules>,
+    dropped_jobs: u64,
+    placements: u64,
+    result_tick: Seconds,
+}
+
+/// One block's contents, borrowed from the snapshot being encoded.
+enum Column<'a> {
+    Bytes(&'a [u8]),
+    U32(&'a [u32]),
+    U64(&'a [u64]),
+    F64(&'a [f64]),
+    /// Base, then the deltas.
+    Ids(&'a JobIds),
+    /// Row interval, row count, then the rows back to back.
+    Heatmap(&'a Heatmap),
+}
+
+/// Bytes staged per write while streaming a column.
+const CHUNK: usize = 64 * 1024;
+
+impl Column<'_> {
+    fn byte_len(&self) -> u64 {
+        let count = |n: usize, size: u64| n as u64 * size;
+        match self {
+            Column::Bytes(b) => count(b.len(), 1),
+            Column::U32(v) => count(v.len(), 4),
+            Column::U64(v) => count(v.len(), 8),
+            Column::F64(v) => count(v.len(), 8),
+            Column::Ids(ids) => 8 + count(ids.deltas.len(), 4),
+            Column::Heatmap(map) => 16 + map.rows.iter().map(|r| count(r.len(), 8)).sum::<u64>(),
+        }
+    }
+
+    /// Writes `tag | length | data | digest` and returns the digest.
+    fn write_block(&self, tag: &[u8; 4], out: &mut impl Write) -> io::Result<u64> {
+        let mut sink = BlockSink {
+            out,
+            hasher: StateHasher::new(),
+        };
+        sink.put(tag)?;
+        sink.put(&self.byte_len().to_le_bytes())?;
+        match self {
+            Column::Bytes(b) => sink.put(b)?,
+            Column::U32(v) => sink.column(v, u32::to_le_bytes)?,
+            Column::U64(v) => sink.column(v, u64::to_le_bytes)?,
+            Column::F64(v) => sink.column(v, f64::to_le_bytes)?,
+            Column::Ids(ids) => {
+                sink.put(&ids.base.to_le_bytes())?;
+                sink.column(&ids.deltas, u32::to_le_bytes)?;
+            }
+            Column::Heatmap(map) => {
+                sink.put(&map.row_interval.to_le_bytes())?;
+                sink.put(&(map.rows.len() as u64).to_le_bytes())?;
+                for row in &map.rows {
+                    sink.column(row, f64::to_le_bytes)?;
+                }
+            }
+        }
+        let digest = sink.hasher.finish();
+        sink.out.write_all(&digest.to_le_bytes())?;
+        Ok(digest)
+    }
+}
+
+/// A writer that folds everything it writes into a block digest.
+struct BlockSink<'a, W> {
+    out: &'a mut W,
+    hasher: StateHasher,
+}
+
+impl<W: Write> BlockSink<'_, W> {
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.hasher.write_bytes(bytes);
+        self.out.write_all(bytes)
+    }
+
+    /// Streams `items` as little-endian bytes through a stack buffer.
+    fn column<T: Copy, const N: usize>(
+        &mut self,
+        items: &[T],
+        le: fn(T) -> [u8; N],
+    ) -> io::Result<()> {
+        let mut buf = [0u8; CHUNK];
+        for chunk in items.chunks(CHUNK / N) {
+            let bytes = &mut buf[..chunk.len() * N];
+            for (dst, &item) in bytes.as_chunks_mut::<N>().0.iter_mut().zip(chunk) {
+                *dst = le(item);
+            }
+            self.put(bytes)?;
+        }
+        Ok(())
+    }
+}
+
+/// Splits `N` bytes off the front of `rest`.
+fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], SnapshotError> {
+    match rest.split_first_chunk::<N>() {
+        Some((head, tail)) => {
+            *rest = tail;
+            Ok(*head)
+        }
+        None => Err(SnapshotError::Truncated {
+            expected: N,
+            actual: rest.len(),
+        }),
+    }
+}
+
+/// Parses a block of little-endian `N`-byte values.
+fn values<T, const N: usize>(
+    bytes: &[u8],
+    what: &str,
+    from_le: fn([u8; N]) -> T,
+) -> Result<Vec<T>, SnapshotError> {
+    let (values, rest) = bytes.as_chunks::<N>();
+    if !rest.is_empty() {
+        return Err(corrupt(format!(
+            "{what} block of {} bytes is not a whole number of {N}-byte values",
+            bytes.len()
+        )));
+    }
+    Ok(values.iter().map(|&v| from_le(v)).collect())
+}
+
+fn ids(mut bytes: &[u8], what: &str) -> Result<JobIds, SnapshotError> {
+    let base = u64::from_le_bytes(take(&mut bytes)?);
+    let ids = JobIds {
+        base,
+        deltas: values(bytes, what, u32::from_le_bytes)?,
+    };
+    ids.check(what)?;
+    Ok(ids)
+}
+
+fn heatmap(mut bytes: &[u8], servers: usize, what: &str) -> Result<Heatmap, SnapshotError> {
+    let row_interval = f64::from_le_bytes(take(&mut bytes)?);
+    let rows = u64::from_le_bytes(take(&mut bytes)?);
+    let values = values(bytes, what, f64::from_le_bytes)?;
+    if usize::try_from(rows)
+        .ok()
+        .and_then(|r| r.checked_mul(servers))
+        != Some(values.len())
+    {
+        return Err(corrupt(format!(
+            "{what} holds {} values, not {rows} rows of {servers} servers",
+            values.len()
+        )));
+    }
+    Ok(Heatmap {
+        row_interval,
+        rows: values.chunks(servers).map(<[f64]>::to_vec).collect(),
+    })
+}
+
+/// Writes the header, the block count and every block; returns the
+/// container digest.
+fn write_container(columns: &[Column; BLOCK_COUNT], out: &mut impl Write) -> io::Result<u64> {
+    let count = (BLOCK_COUNT as u32).to_le_bytes();
+    let mut container = StateHasher::new();
+    container.write_bytes(V2_HEADER);
+    container.write_bytes(&count);
+    out.write_all(V2_HEADER)?;
+    out.write_all(&count)?;
+    for ((tag, _), column) in BLOCKS.iter().zip(columns) {
+        container.write_u64(column.write_block(tag, out)?);
+    }
+    Ok(container.finish())
 }
 
 impl Snapshot {
-    /// FNV-1a digest of the serialized payload — the container's
-    /// integrity check, also usable as a cheap identity for a checkpoint.
+    /// The container digest: FNV-1a over the v2 header and every
+    /// block's digest, so it covers every byte [`Snapshot::encode`]
+    /// writes — an identity for a checkpoint. Computing it costs one
+    /// encode into a sink; [`Snapshot::encode_to`] returns it for free.
     pub fn digest(&self) -> u64 {
-        payload_digest(&self.payload())
+        self.encode_to(&mut io::sink())
+            .expect("encoding into a sink cannot fail")
     }
 
-    fn payload(&self) -> String {
-        serde_json::to_string(self).expect("snapshot serialization is infallible")
+    /// Serializes the snapshot into a `VMTSNAP v2` container.
+    pub fn encode(&self) -> Vec<u8> {
+        let meta = self.meta_json();
+        let columns = self.columns(&meta);
+        let len = V2_HEADER.len()
+            + 4
+            + columns
+                .iter()
+                .map(|c| 20 + c.byte_len() as usize)
+                .sum::<usize>();
+        let mut out = Vec::with_capacity(len);
+        write_container(&columns, &mut out).expect("encoding into memory cannot fail");
+        out
     }
 
-    /// Serializes the snapshot into its versioned container format.
-    pub fn encode(&self) -> String {
-        let payload = self.payload();
-        format!(
-            "{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION} digest={:#018x} bytes={}\n{payload}\n",
-            payload_digest(&payload),
-            payload.len()
-        )
-    }
-
-    /// Parses a container produced by [`Snapshot::encode`].
+    /// Streams the `VMTSNAP v2` container into `out` block by block —
+    /// nothing beyond the JSON block and a 64 KiB staging buffer is held
+    /// in memory — and returns the container digest (what
+    /// [`Snapshot::digest`] reports).
     ///
-    /// Validation order: magic, version, header fields, payload length,
-    /// payload digest, JSON structure. Every failure is a typed
+    /// # Errors
+    ///
+    /// Any error `out` raises.
+    pub fn encode_to(&self, out: &mut impl Write) -> io::Result<u64> {
+        let meta = self.meta_json();
+        write_container(&self.columns(&meta), out)
+    }
+
+    /// The JSON block.
+    fn meta_json(&self) -> String {
+        let partial = &self.partial;
+        serde_json::to_string(&Meta {
+            config: self.config.clone(),
+            trace: self.trace.clone(),
+            scheduler: self.scheduler.clone(),
+            tick: self.tick,
+            occupancy: self.occupancy,
+            next_job_id: self.next_job_id,
+            arrival_rng: self.arrival_rng,
+            planner_rng: self.planner_rng,
+            zone_temps: self.zone_temps.clone(),
+            scheduler_name: partial.scheduler_name.clone(),
+            cooling: partial.cooling.clone(),
+            electrical: partial.electrical.clone(),
+            avg_temp: partial.avg_temp.clone(),
+            hot_group_temp: partial.hot_group_temp.clone(),
+            hot_group_sizes: partial.hot_group_sizes.clone(),
+            stored_energy: partial.stored_energy.clone(),
+            dropped_jobs: partial.dropped_jobs,
+            placements: partial.placements,
+            result_tick: partial.tick,
+        })
+        .expect("JSON serialization is infallible")
+    }
+
+    /// Every block's contents, in [`BLOCKS`] order.
+    fn columns<'a>(&'a self, meta: &'a str) -> [Column<'a>; BLOCK_COUNT] {
+        let farm = &self.farm;
+        let departures = &self.departures;
+        [
+            Column::Bytes(meta.as_bytes()),
+            Column::F64(&farm.inlet_c),
+            Column::F64(&farm.at_wax_c),
+            Column::F64(&farm.active_power_w),
+            Column::F64(&farm.enthalpy_j),
+            Column::F64(&farm.est_temp_c),
+            Column::F64(&farm.est_fraction),
+            Column::U32(&farm.job_counts),
+            Column::Ids(&farm.job_ids),
+            Column::Bytes(&farm.job_kinds),
+            Column::U64(&departures.ticks),
+            Column::U32(&departures.lens),
+            Column::Ids(&departures.jobs),
+            Column::U32(&departures.servers),
+            Column::Heatmap(&self.partial.temp_heatmap),
+            Column::Heatmap(&self.partial.melt_heatmap),
+        ]
+    }
+
+    /// Parses a `VMTSNAP v2` container, or a `VMTSNAP v1` one from an
+    /// earlier build.
+    ///
+    /// v2 validation order: magic, version, block count, each block's
+    /// declared length against the bytes left (before anything is
+    /// allocated), each block's digest and tag, then the JSON block and
+    /// every column's shape against the config. Every failure is a typed
     /// [`SnapshotError`]; malformed input never panics.
-    pub fn decode(text: &str) -> Result<Self, SnapshotError> {
-        let (header, body) = match text.split_once('\n') {
-            Some((header, body)) => (header, body),
-            None => (text, ""),
-        };
-        let mut fields = header.split_ascii_whitespace();
+    pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let head = &bytes[..bytes.len().min(64)];
+        let line = head.split(|&b| b == b'\n').next().unwrap_or(head);
+        let line = String::from_utf8_lossy(line);
+        let mut fields = line.split_ascii_whitespace();
         if fields.next() != Some(SNAPSHOT_MAGIC) {
             return Err(SnapshotError::BadMagic);
         }
-        let version = fields.next().unwrap_or_default();
-        if version != "v1" {
-            return Err(SnapshotError::UnsupportedVersion(version.to_owned()));
+        match fields.next().unwrap_or_default() {
+            "v1" => v1::decode(bytes),
+            "v2" => decode_v2(bytes),
+            version => Err(SnapshotError::UnsupportedVersion(version.to_owned())),
         }
+    }
+
+    /// Checks every column against the config and against each other:
+    /// the farm image ([`FarmState::check`]), bucket lengths that sum to
+    /// the departure columns, departing servers inside the farm, and
+    /// heatmap rows of one value per server. Decoding runs it last,
+    /// restoring first.
+    pub(crate) fn check_columns(&self) -> Result<(), SnapshotError> {
+        let servers = self.config.num_servers;
+        self.farm.check(servers, self.config.power.cores())?;
+        let departures = &self.departures;
+        if departures.lens.len() != departures.ticks.len() {
+            return Err(corrupt(format!(
+                "{} departure bucket lengths for {} bucket ticks",
+                departures.lens.len(),
+                departures.ticks.len()
+            )));
+        }
+        let entries: u64 = departures.lens.iter().map(|&l| u64::from(l)).sum();
+        let ids = departures.jobs.deltas.len();
+        if entries != ids as u64 || departures.servers.len() != ids {
+            return Err(corrupt(format!(
+                "departure bucket lengths sum to {entries}, the columns hold {ids} ids and {} servers",
+                departures.servers.len()
+            )));
+        }
+        if let Some(&server) = departures.servers.iter().find(|&&s| s as usize >= servers) {
+            return Err(corrupt(format!(
+                "departure names server {server} in a {servers}-server farm"
+            )));
+        }
+        departures.jobs.check("departing job")?;
+        for (what, map) in [
+            ("temperature", &self.partial.temp_heatmap),
+            ("melt", &self.partial.melt_heatmap),
+        ] {
+            if map.rows.iter().any(|row| row.len() != servers) {
+                return Err(corrupt(format!(
+                    "{what} heatmap rows are not one value per server"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+fn decode_v2(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
+    let mut rest = bytes
+        .strip_prefix(V2_HEADER)
+        .ok_or_else(|| corrupt("v2 header line is not exactly `VMTSNAP v2`".to_owned()))?;
+    let count = u32::from_le_bytes(take(&mut rest)?);
+    if count as usize != BLOCK_COUNT {
+        return Err(corrupt(format!(
+            "container declares {count} blocks, v2 has {BLOCK_COUNT}"
+        )));
+    }
+    let mut blocks = [&[][..]; BLOCK_COUNT];
+    for (block, &(tag, name)) in blocks.iter_mut().zip(&BLOCKS) {
+        let found: [u8; 4] = take(&mut rest)?;
+        let len: [u8; 8] = take(&mut rest)?;
+        let declared = u64::from_le_bytes(len);
+        // The trailing digest must fit too.
+        let room = rest.len().saturating_sub(8);
+        let data = match usize::try_from(declared) {
+            Ok(n) if n <= room => &rest[..n],
+            _ => {
+                return Err(SnapshotError::Truncated {
+                    expected: usize::try_from(declared).unwrap_or(usize::MAX),
+                    actual: room,
+                })
+            }
+        };
+        rest = &rest[data.len()..];
+        let expected = u64::from_le_bytes(take(&mut rest)?);
+        let mut hasher = StateHasher::new();
+        hasher.write_bytes(&found);
+        hasher.write_bytes(&len);
+        hasher.write_bytes(data);
+        let actual = hasher.finish();
+        if actual != expected {
+            return Err(SnapshotError::DigestMismatch {
+                block: name,
+                expected,
+                actual,
+            });
+        }
+        if &found != tag {
+            return Err(corrupt(format!(
+                "block {:?} where the {name} block belongs",
+                String::from_utf8_lossy(&found)
+            )));
+        }
+        *block = data;
+    }
+    if !rest.is_empty() {
+        return Err(corrupt(format!(
+            "{} bytes after the last block",
+            rest.len()
+        )));
+    }
+
+    let [meta, inlet, at_wax, power, enthalpy, est_temp, est_fraction, counts, job_ids, kinds, ticks, lens, departing, servers, temp_map, melt_map] =
+        blocks;
+    let meta = std::str::from_utf8(meta)
+        .map_err(|e| corrupt(format!("metadata block: {e}")))
+        .and_then(|json| {
+            serde_json::from_str::<Meta>(json).map_err(|e| corrupt(format!("metadata block: {e}")))
+        })?;
+    let n = meta.config.num_servers;
+    if n == 0 {
+        return Err(corrupt("config has no servers".to_owned()));
+    }
+    let f64s = |bytes, what| values(bytes, what, f64::from_le_bytes);
+    let snapshot = Snapshot {
+        farm: FarmState {
+            inlet_c: f64s(inlet, "inlet_c")?,
+            at_wax_c: f64s(at_wax, "at_wax_c")?,
+            active_power_w: f64s(power, "active_power_w")?,
+            enthalpy_j: f64s(enthalpy, "enthalpy_j")?,
+            est_temp_c: f64s(est_temp, "est_temp_c")?,
+            est_fraction: f64s(est_fraction, "est_fraction")?,
+            job_counts: values(counts, "job_counts", u32::from_le_bytes)?,
+            job_ids: ids(job_ids, "job")?,
+            job_kinds: kinds.to_vec(),
+        },
+        departures: Departures {
+            ticks: values(ticks, "departure ticks", u64::from_le_bytes)?,
+            lens: values(lens, "departure bucket lengths", u32::from_le_bytes)?,
+            jobs: ids(departing, "departing job")?,
+            servers: values(servers, "departure servers", u32::from_le_bytes)?,
+        },
+        partial: SimulationResult {
+            scheduler_name: meta.scheduler_name,
+            cooling: meta.cooling,
+            electrical: meta.electrical,
+            avg_temp: meta.avg_temp,
+            hot_group_temp: meta.hot_group_temp,
+            hot_group_sizes: meta.hot_group_sizes,
+            stored_energy: meta.stored_energy,
+            temp_heatmap: heatmap(temp_map, n, "temperature heatmap")?,
+            melt_heatmap: heatmap(melt_map, n, "melt heatmap")?,
+            dropped_jobs: meta.dropped_jobs,
+            placements: meta.placements,
+            tick: meta.result_tick,
+        },
+        config: meta.config,
+        trace: meta.trace,
+        scheduler: meta.scheduler,
+        tick: meta.tick,
+        occupancy: meta.occupancy,
+        next_job_id: meta.next_job_id,
+        arrival_rng: meta.arrival_rng,
+        planner_rng: meta.planner_rng,
+        zone_temps: meta.zone_temps,
+    };
+    snapshot.check_columns()?;
+    Ok(snapshot)
+}
+
+/// The read-only `VMTSNAP v1` path: a one-line text header
+/// (`VMTSNAP v1 digest=0x<fnv1a of payload> bytes=<payload length>`)
+/// and one JSON payload with dense `servers × cores` job rows, which
+/// the reader compacts to live jobs.
+mod v1 {
+    use super::{corrupt, Departures, JobIds, Snapshot, SnapshotError};
+    use crate::config::ClusterConfig;
+    use crate::farm::FarmState;
+    use crate::metrics::SimulationResult;
+    use vmt_telemetry::replay::StateHasher;
+    use vmt_workload::TraceDescriptor;
+
+    #[derive(serde::Deserialize)]
+    struct SnapshotV1 {
+        config: ClusterConfig,
+        trace: TraceDescriptor,
+        scheduler: super::SavedState,
+        tick: u64,
+        farm: FarmV1,
+        occupancy: [u64; 5],
+        departures: Vec<(u64, Vec<(u64, u32)>)>,
+        next_job_id: u64,
+        arrival_rng: [u64; 4],
+        planner_rng: [u64; 4],
+        partial: SimulationResult,
+        zone_temps: Option<Vec<f64>>,
+    }
+
+    #[derive(serde::Deserialize)]
+    struct FarmV1 {
+        inlet_c: Vec<f64>,
+        at_wax_c: Vec<f64>,
+        active_power_w: Vec<f64>,
+        enthalpy_j: Vec<f64>,
+        est_temp_c: Vec<f64>,
+        est_fraction: Vec<f64>,
+        /// `servers × cores` slots; row `i`'s first `job_counts[i]` are
+        /// live, the rest are ignored.
+        job_ids: Vec<u64>,
+        job_kinds: Vec<u8>,
+        job_counts: Vec<u32>,
+    }
+
+    impl FarmV1 {
+        /// Keeps the live slots of each dense row.
+        fn compact(self, cores: u32) -> Result<FarmState, SnapshotError> {
+            let stride = cores as usize;
+            let servers = self.job_counts.len();
+            if servers.checked_mul(stride) != Some(self.job_ids.len())
+                || self.job_kinds.len() != self.job_ids.len()
+            {
+                return Err(corrupt(format!(
+                    "job slab holds {} ids and {} kinds, not {servers} servers × {stride} cores",
+                    self.job_ids.len(),
+                    self.job_kinds.len()
+                )));
+            }
+            if let Some(i) = self.job_counts.iter().position(|&c| c as usize > stride) {
+                return Err(corrupt(format!(
+                    "server {i} claims {} jobs on {stride} cores",
+                    self.job_counts[i]
+                )));
+            }
+            let counts = &self.job_counts;
+            let live = (0..servers).flat_map(|i| i * stride..i * stride + counts[i] as usize);
+            let job_ids = JobIds::from_ids(live.clone().map(|slot| self.job_ids[slot]))?;
+            let job_kinds = live.map(|slot| self.job_kinds[slot]).collect();
+            Ok(FarmState {
+                inlet_c: self.inlet_c,
+                at_wax_c: self.at_wax_c,
+                active_power_w: self.active_power_w,
+                enthalpy_j: self.enthalpy_j,
+                est_temp_c: self.est_temp_c,
+                est_fraction: self.est_fraction,
+                job_counts: self.job_counts,
+                job_ids,
+                job_kinds,
+            })
+        }
+    }
+
+    fn payload_digest(payload: &[u8]) -> u64 {
+        let mut hasher = StateHasher::new();
+        hasher.write_bytes(payload);
+        hasher.finish()
+    }
+
+    /// Validation order: magic, version, header fields, payload length,
+    /// payload digest, JSON structure, then column shapes.
+    pub(super) fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
+        let (header, body) = match bytes.iter().position(|&b| b == b'\n') {
+            Some(i) => (&bytes[..i], &bytes[i + 1..]),
+            None => (bytes, &[][..]),
+        };
+        let header = String::from_utf8_lossy(header);
+        let mut fields = header.split_ascii_whitespace().skip(2);
         let digest = fields
             .next()
             .and_then(|f| f.strip_prefix("digest=0x"))
             .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-            .ok_or_else(|| SnapshotError::Corrupt("header digest field unreadable".to_owned()))?;
-        let bytes = fields
+            .ok_or_else(|| corrupt("header digest field unreadable".to_owned()))?;
+        let len = fields
             .next()
             .and_then(|f| f.strip_prefix("bytes="))
             .and_then(|n| n.parse::<usize>().ok())
-            .ok_or_else(|| SnapshotError::Corrupt("header bytes field unreadable".to_owned()))?;
-        let payload = body.strip_suffix('\n').unwrap_or(body);
-        if payload.len() != bytes {
+            .ok_or_else(|| corrupt("header bytes field unreadable".to_owned()))?;
+        let payload = body.strip_suffix(b"\n").unwrap_or(body);
+        if payload.len() != len {
             return Err(SnapshotError::Truncated {
-                expected: bytes,
+                expected: len,
                 actual: payload.len(),
             });
         }
         let actual = payload_digest(payload);
         if actual != digest {
             return Err(SnapshotError::DigestMismatch {
+                block: "payload",
                 expected: digest,
                 actual,
             });
         }
-        serde_json::from_str(payload).map_err(|e| SnapshotError::Corrupt(format!("payload: {e}")))
+        let old: SnapshotV1 = std::str::from_utf8(payload)
+            .map_err(|e| corrupt(format!("payload: {e}")))
+            .and_then(|json| {
+                serde_json::from_str(json).map_err(|e| corrupt(format!("payload: {e}")))
+            })?;
+
+        let mut departures = Departures::default();
+        for (when, bucket) in old.departures.iter().filter(|(_, b)| !b.is_empty()) {
+            departures.ticks.push(*when);
+            departures.lens.push(
+                u32::try_from(bucket.len())
+                    .map_err(|_| corrupt(format!("departure bucket {when} overflows u32")))?,
+            );
+            departures
+                .servers
+                .extend(bucket.iter().map(|&(_, server)| server));
+        }
+        departures.jobs = JobIds::from_ids(
+            old.departures
+                .iter()
+                .flat_map(|(_, b)| b)
+                .map(|&(id, _)| id),
+        )?;
+        let snapshot = Snapshot {
+            farm: old.farm.compact(old.config.power.cores())?,
+            config: old.config,
+            trace: old.trace,
+            scheduler: old.scheduler,
+            tick: old.tick,
+            occupancy: old.occupancy,
+            departures,
+            next_job_id: old.next_job_id,
+            arrival_rng: old.arrival_rng,
+            planner_rng: old.planner_rng,
+            partial: old.partial,
+            zone_temps: old.zone_temps,
+        };
+        snapshot.check_columns()?;
+        Ok(snapshot)
+    }
+
+    #[cfg(test)]
+    pub(super) fn container(payload: &str) -> Vec<u8> {
+        format!(
+            "VMTSNAP v1 digest={:#018x} bytes={}\n{payload}\n",
+            payload_digest(payload.as_bytes()),
+            payload.len()
+        )
+        .into_bytes()
     }
 }
 
@@ -375,42 +1059,94 @@ mod tests {
 
     #[test]
     fn container_errors_are_typed() {
-        assert_eq!(Snapshot::decode("").unwrap_err(), SnapshotError::BadMagic);
+        let decode = |text: &str| Snapshot::decode(text.as_bytes()).unwrap_err();
+        assert_eq!(decode(""), SnapshotError::BadMagic);
         assert_eq!(
-            Snapshot::decode("GARBAGE v1 digest=0x0 bytes=0\n{}").unwrap_err(),
+            decode("GARBAGE v1 digest=0x0 bytes=0\n{}"),
             SnapshotError::BadMagic
         );
         assert_eq!(
-            Snapshot::decode("VMTSNAP v9 digest=0x0 bytes=0\n{}").unwrap_err(),
+            decode("VMTSNAP v9 digest=0x0 bytes=0\n{}"),
             SnapshotError::UnsupportedVersion("v9".to_owned())
         );
         assert!(matches!(
-            Snapshot::decode("VMTSNAP v1 digest=zz bytes=0\n{}").unwrap_err(),
+            decode("VMTSNAP v1 digest=zz bytes=0\n{}"),
             SnapshotError::Corrupt(_)
         ));
         assert!(matches!(
-            Snapshot::decode("VMTSNAP v1 digest=0x0000000000000000\n{}").unwrap_err(),
+            decode("VMTSNAP v1 digest=0x0000000000000000\n{}"),
             SnapshotError::Corrupt(_)
         ));
         assert_eq!(
-            Snapshot::decode("VMTSNAP v1 digest=0x0000000000000000 bytes=99\n{}").unwrap_err(),
+            decode("VMTSNAP v1 digest=0x0000000000000000 bytes=99\n{}"),
             SnapshotError::Truncated {
                 expected: 99,
                 actual: 2
             }
         );
         assert!(matches!(
-            Snapshot::decode("VMTSNAP v1 digest=0x0000000000000000 bytes=2\n{}").unwrap_err(),
-            SnapshotError::DigestMismatch { .. }
+            decode("VMTSNAP v1 digest=0x0000000000000000 bytes=2\n{}"),
+            SnapshotError::DigestMismatch {
+                block: "payload",
+                ..
+            }
         ));
         // Right length and digest, wrong structure: Corrupt, not a panic.
-        let payload = "{}";
-        let digest = payload_digest(payload);
-        let text = format!("VMTSNAP v1 digest={digest:#018x} bytes=2\n{payload}");
         assert!(matches!(
-            Snapshot::decode(&text).unwrap_err(),
+            Snapshot::decode(&v1::container("{}")).unwrap_err(),
             SnapshotError::Corrupt(_)
         ));
+        // v2 framing: a header with slack, a missing block count, and a
+        // wrong one.
+        assert!(matches!(decode("VMTSNAP  v2\n"), SnapshotError::Corrupt(_)));
+        assert_eq!(
+            decode("VMTSNAP v2\n"),
+            SnapshotError::Truncated {
+                expected: 4,
+                actual: 0
+            }
+        );
+        let mut bytes = V2_HEADER.to_vec();
+        bytes.extend_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(
+            Snapshot::decode(&bytes).unwrap_err(),
+            SnapshotError::Corrupt(reason) if reason.contains("3 blocks")
+        ));
+    }
+
+    #[test]
+    fn oversized_block_lengths_are_typed_errors() {
+        for declared in [u64::MAX, 1 << 40, 13] {
+            let mut bytes = V2_HEADER.to_vec();
+            bytes.extend_from_slice(&(BLOCK_COUNT as u32).to_le_bytes());
+            bytes.extend_from_slice(b"META");
+            bytes.extend_from_slice(&declared.to_le_bytes());
+            bytes.extend_from_slice(&[b'{'; 12]);
+            assert!(matches!(
+                Snapshot::decode(&bytes).unwrap_err(),
+                SnapshotError::Truncated { actual: 4, .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn job_ids_delta_encode_against_their_minimum() {
+        let ids = JobIds::from_ids([40u64, 7, 7 + u64::from(u32::MAX)]).unwrap();
+        assert_eq!(ids.base, 7);
+        assert_eq!(
+            ids.iter().collect::<Vec<_>>(),
+            [40, 7, 7 + u64::from(u32::MAX)]
+        );
+        assert_eq!(JobIds::from_ids([]).unwrap(), JobIds::default());
+        assert!(matches!(
+            JobIds::from_ids([0, 1 << 32]).unwrap_err(),
+            SnapshotError::Corrupt(_)
+        ));
+        let overflowing = JobIds {
+            base: u64::MAX,
+            deltas: vec![0, 1],
+        };
+        assert!(overflowing.check("test").is_err());
     }
 
     #[test]
@@ -422,6 +1158,13 @@ mod tests {
         assert!(err.to_string().contains("10"));
         let err = SnapshotError::UnsupportedVersion("v9".to_owned());
         assert!(err.to_string().contains("v9"));
+        assert!(err.to_string().contains("v1 and v2"));
+        let err = SnapshotError::DigestMismatch {
+            block: "job_ids",
+            expected: 1,
+            actual: 2,
+        };
+        assert!(err.to_string().contains("job_ids"));
         let err = SnapshotError::UnknownKind("mystery".to_owned());
         assert!(err.to_string().contains("mystery"));
     }

@@ -742,14 +742,23 @@ fn cmd_snapshot(rest: &[String]) {
             std::process::exit(1);
         }
     };
-    if let Err(err) = std::fs::write(snap_path, snapshot.encode()) {
-        eprintln!("error: cannot write `{snap_path}`: {err}");
-        std::process::exit(1);
-    }
+    // One streaming pass writes the container and yields its digest.
+    let written = std::fs::File::create(snap_path).and_then(|file| {
+        let mut out = std::io::BufWriter::new(file);
+        let digest = snapshot.encode_to(&mut out)?;
+        std::io::Write::flush(&mut out)?;
+        Ok(digest)
+    });
+    let digest = match written {
+        Ok(digest) => digest,
+        Err(err) => {
+            eprintln!("error: cannot write `{snap_path}`: {err}");
+            std::process::exit(1);
+        }
+    };
     println!(
         "snapshot of {policy_name} on {servers} servers at tick {at}/{total}: \
-         digest {:#018x}",
-        snapshot.digest()
+         digest {digest:#018x}"
     );
     println!("snapshot: {snap_path}");
 }
@@ -761,17 +770,19 @@ fn cmd_resume(rest: &[String]) {
         "usage: vmt-experiments resume FILE [--until TICK] [--threads T]",
     );
     let flags = parse_flags(rest, &["--until", "--threads"]);
-    let text = match std::fs::read_to_string(snap_path) {
-        Ok(text) => text,
+    let bytes = match std::fs::read(snap_path) {
+        Ok(bytes) => bytes,
         Err(err) => die(&format!("cannot read `{snap_path}`: {err}")),
     };
-    let snapshot = match vmt_dcsim::Snapshot::decode(&text) {
+    let snapshot = match vmt_dcsim::Snapshot::decode(&bytes) {
         Ok(snapshot) => snapshot,
         Err(err) => {
             eprintln!("invalid snapshot: {err}");
             std::process::exit(1);
         }
     };
+    // Free the file image before the restore allocates a whole farm.
+    drop(bytes);
     let mut sim = match vmt_core::restore_simulation(&snapshot) {
         Ok(sim) => sim,
         Err(err) => {

@@ -384,20 +384,45 @@ fn resume_usage_errors() {
 
 #[test]
 fn resume_rejects_corrupt_snapshots_with_exit_1() {
-    // A wrong magic, a bad version, and a truncated payload each fail
-    // with a typed message, never a panic.
+    // A real v2 container to damage: its second block (after the JSON
+    // metadata) is the first farm column.
+    let good = scratch("good.snap");
+    let out = bin()
+        .arg("snapshot")
+        .arg(&good)
+        .args(["--at", "10", "--servers", "5", "--hours", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let v2 = std::fs::read(&good).unwrap();
+    let _ = std::fs::remove_file(&good);
+    let meta_len = u64::from_le_bytes(v2[19..27].try_into().unwrap()) as usize;
+    let column = 15 + 20 + meta_len + 12;
+    let mut bad_digest = v2.clone();
+    bad_digest[column + 3] ^= 0x40;
+    let truncated = v2[..column + 4].to_vec();
+
+    // A wrong magic, a bad version, a truncated payload, a column that
+    // fails its block digest, and a column cut short each fail with a
+    // typed message, never a panic.
     for (name, contents, needle) in [
-        ("magic", "NOTSNAP v1 digest=0x0 bytes=2\n{}\n", "magic"),
+        (
+            "magic",
+            b"NOTSNAP v1 digest=0x0 bytes=2\n{}\n".to_vec(),
+            "magic",
+        ),
         (
             "version",
-            "VMTSNAP v99 digest=0x0000000000000000 bytes=2\n{}\n",
+            b"VMTSNAP v99 digest=0x0000000000000000 bytes=2\n{}\n".to_vec(),
             "version",
         ),
         (
             "trunc",
-            "VMTSNAP v1 digest=0x0000000000000000 bytes=9999\n{}\n",
+            b"VMTSNAP v1 digest=0x0000000000000000 bytes=9999\n{}\n".to_vec(),
             "length mismatch",
         ),
+        ("v2_digest", bad_digest, "inlet_c digest mismatch"),
+        ("v2_trunc", truncated, "length mismatch"),
     ] {
         let path = scratch(&format!("bad_{name}.snap"));
         std::fs::write(&path, contents).unwrap();

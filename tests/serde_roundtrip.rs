@@ -186,9 +186,9 @@ fn trace_descriptor_round_trips_and_rebuilds() {
 
 #[test]
 fn snapshot_round_trips_through_plain_serde() {
-    // The container format has its own tests; this pins the payload
-    // itself as a plain serde document (what `Snapshot::decode` parses
-    // after the header checks).
+    // The container format has its own tests; this pins the `Snapshot`
+    // struct itself as a plain serde document — every field, the
+    // columnar farm and calendar images included, survives JSON.
     use vmt::dcsim::Snapshot;
 
     let mut trace = TraceConfig::paper_default();

@@ -9,7 +9,9 @@
 //! same contract without serialization.
 
 use vmt::core::{restore_simulation, PolicyKind};
-use vmt::dcsim::{digest_final_state, ClusterConfig, Simulation, SimulationResult, Snapshot};
+use vmt::dcsim::{
+    digest_final_state, ClusterConfig, Simulation, SimulationResult, Snapshot, SnapshotError,
+};
 use vmt::units::Hours;
 use vmt::workload::{DiurnalTrace, TraceConfig};
 
@@ -213,37 +215,216 @@ fn edge_snapshots_restore() {
     assert_eq!(digest_final_state(&end_result, &end_servers), final_digest);
 }
 
-/// Format-stability regression: a container committed to the repository
-/// (written by `vmt-experiments snapshot tests/data/golden_v1.snap
-/// --at 30 --servers 4 --hours 2 --policy vmt-wa --seed 7`) must keep
-/// decoding, hashing, and resuming to the digests pinned here. A
-/// payload-layout or physics change that breaks old snapshots fails
-/// this test instead of surfacing in a user's archive.
-#[test]
-fn golden_snapshot_stays_readable() {
-    const GOLDEN: &str = include_str!("data/golden_v1.snap");
-    // `Snapshot::digest()` hashes the *re-serialized* payload, so this
-    // pin moves when the payload schema gains fields even though the old
-    // container keeps decoding. History: originally
-    // 0xf045_b343_96c5_75fe; re-pinned when the backward-compatible
-    // `config.topology` / `zone_temps` options were added (both decode
-    // as `None` from this fixture). RESUMED_DIGEST pins the physics and
-    // must never move.
-    const GOLDEN_DIGEST: u64 = 0xe572_eef5_8785_5053;
-    const RESUMED_DIGEST: u64 = 0x6a35_e733_f5ae_af38;
+const GOLDEN_V1: &[u8] = include_bytes!("data/golden_v1.snap");
+const GOLDEN_V2: &[u8] = include_bytes!("data/golden_v2.snap");
+/// The state digest after resuming either golden fixture to tick 60.
+/// It pins the physics and must never move.
+const RESUMED_DIGEST: u64 = 0x6a35_e733_f5ae_af38;
 
-    let snapshot = Snapshot::decode(GOLDEN).expect("golden fixture decodes");
-    assert_eq!(snapshot.tick, 30);
-    assert_eq!(snapshot.scheduler.kind, "vmt-wa");
-    assert_eq!(snapshot.digest(), GOLDEN_DIGEST);
-
-    let mut sim = restore_simulation(&snapshot).expect("golden fixture restores");
+/// Resumes a decoded golden fixture to tick 60 and checks the state
+/// there against [`RESUMED_DIGEST`].
+fn assert_resumes_to_pinned_state(snapshot: &Snapshot, context: &str) {
+    assert_eq!(snapshot.tick, 30, "{context}");
+    assert_eq!(snapshot.scheduler.kind, "vmt-wa", "{context}");
+    let mut sim = restore_simulation(snapshot).expect("golden fixture restores");
     sim.run_until(60);
     assert_eq!(
         sim.state_digest(),
         RESUMED_DIGEST,
-        "resuming the golden snapshot no longer reproduces the pinned state"
+        "{context}: resuming no longer reproduces the pinned state"
     );
+}
+
+/// Format-stability regression: a v1 container committed to the
+/// repository (written by `vmt-experiments snapshot
+/// tests/data/golden_v1.snap --at 30 --servers 4 --hours 2 --policy
+/// vmt-wa --seed 7` before v2 existed) must keep decoding, hashing, and
+/// resuming to the digests pinned here. A layout or physics change that
+/// breaks old snapshots fails this test instead of surfacing in a user's
+/// archive.
+#[test]
+fn golden_snapshot_stays_readable() {
+    // `Snapshot::digest()` hashes the container the snapshot encodes
+    // to, so this pin moves when the written format changes even though
+    // the old container keeps decoding. History: originally
+    // 0xf045_b343_96c5_75fe; re-pinned to 0xe572_eef5_8785_5053 when the
+    // backward-compatible `config.topology` / `zone_temps` options were
+    // added (both decode as `None` from this fixture); re-pinned again
+    // when `digest()` stopped hashing the v1 JSON payload and became the
+    // digest of the v2 container the snapshot now encodes to (the same
+    // container `golden_v2.snap` holds).
+    const GOLDEN_DIGEST: u64 = 0x61ac_1b86_83d3_4512;
+
+    let snapshot = Snapshot::decode(GOLDEN_V1).expect("golden v1 fixture decodes");
+    assert_eq!(snapshot.digest(), GOLDEN_DIGEST);
+    assert_resumes_to_pinned_state(&snapshot, "golden v1");
+}
+
+/// The same regression for the current format: `golden_v2.snap` was
+/// written by the same command line as the v1 fixture and must keep
+/// decoding to the same digest and resuming to the same state.
+#[test]
+fn golden_v2_snapshot_stays_readable() {
+    const GOLDEN_V2_DIGEST: u64 = 0x61ac_1b86_83d3_4512;
+
+    let snapshot = Snapshot::decode(GOLDEN_V2).expect("golden v2 fixture decodes");
+    assert_eq!(snapshot.digest(), GOLDEN_V2_DIGEST);
+    // The writer is deterministic: re-encoding reproduces the file.
+    assert_eq!(snapshot.encode(), GOLDEN_V2);
+    assert_resumes_to_pinned_state(&snapshot, "golden v2");
+}
+
+/// A v1 archive transcodes losslessly: decode v1, encode v2, decode
+/// that, and resume to the pinned state. The v2 bytes equal the v2
+/// fixture's, since both describe the same run at the same tick.
+#[test]
+fn v1_snapshot_transcodes_to_v2() {
+    let v1 = Snapshot::decode(GOLDEN_V1).expect("golden v1 fixture decodes");
+    let v2 = v1.encode();
+    assert!(v2.starts_with(b"VMTSNAP v2\n"));
+    assert_eq!(v2, GOLDEN_V2);
+    let transcoded = Snapshot::decode(&v2).expect("transcoded container decodes");
+    assert_resumes_to_pinned_state(&transcoded, "transcoded v1");
+}
+
+/// FNV-1a, the digest both container versions use.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Wraps a v1 JSON payload in its header, as builds before v2 wrote
+/// containers.
+fn v1_container(payload: &str) -> Vec<u8> {
+    format!(
+        "VMTSNAP v1 digest={:#018x} bytes={}\n{payload}\n",
+        fnv1a(payload.as_bytes()),
+        payload.len()
+    )
+    .into_bytes()
+}
+
+/// The golden v1 payload with one edit applied to its departure
+/// buckets (`[[tick, [[job id, server], …]], …]`), re-wrapped with a
+/// valid digest.
+fn golden_v1_with_departures(edit: impl FnOnce(&mut Vec<serde::Value>)) -> Vec<u8> {
+    let text = std::str::from_utf8(GOLDEN_V1).unwrap();
+    let payload = text.split_once('\n').unwrap().1.trim_end();
+    let mut doc: serde::Value = serde_json::from_str(payload).unwrap();
+    let serde::Value::Object(fields) = &mut doc else {
+        panic!("v1 payload is an object")
+    };
+    let (_, departures) = fields
+        .iter_mut()
+        .find(|(name, _)| name == "departures")
+        .expect("v1 payload has departures");
+    let serde::Value::Array(buckets) = departures else {
+        panic!("departures are an array")
+    };
+    edit(buckets);
+    v1_container(&serde_json::to_string(&doc).unwrap())
+}
+
+/// The `[job id, server]` entries of a v1 departure bucket.
+fn v1_entries(bucket: &mut serde::Value) -> &mut Vec<serde::Value> {
+    match bucket {
+        serde::Value::Array(pair) => match &mut pair[1] {
+            serde::Value::Array(entries) => entries,
+            other => panic!("bucket entries: {other:?}"),
+        },
+        other => panic!("bucket: {other:?}"),
+    }
+}
+
+/// A mid-run snapshot of an 8-server VMT-WA run, with pending
+/// departures in several buckets.
+fn eight_server_snapshot() -> Snapshot {
+    let mut sim = build_sized(7, PolicyKind::vmt_wa(22.0), 1, 8, 6.0);
+    sim.run_until(120);
+    let snapshot = sim.snapshot().expect("snapshot");
+    assert!(
+        restore_simulation(&snapshot).is_ok(),
+        "the unedited snapshot restores"
+    );
+    assert!(snapshot.departures.ticks.len() > 1);
+    snapshot
+}
+
+/// Asserts that restoring `snapshot` fails with a `Corrupt` error that
+/// mentions `needle`.
+fn assert_restore_rejects(snapshot: &Snapshot, needle: &str, context: &str) {
+    match restore_simulation(snapshot) {
+        Err(SnapshotError::Corrupt(reason)) => {
+            assert!(reason.contains(needle), "{context}: {reason}");
+        }
+        Err(other) => panic!("{context}: expected Corrupt, got {other}"),
+        Ok(_) => panic!("{context}: restore accepted an inconsistent snapshot"),
+    }
+}
+
+/// A digest-valid container whose departure calendar names a job its
+/// server does not run, or lets a job depart twice, must fail restore
+/// with a typed error; accepting it panics the first drain that reaches
+/// the entry. Checked through a v2 container (an 8-server run) and a v1
+/// container (the golden fixture).
+#[test]
+fn restore_rejects_departures_the_farm_cannot_drain() {
+    let snapshot = eight_server_snapshot();
+
+    let mut moved = snapshot.clone();
+    moved.departures.servers[0] = (moved.departures.servers[0] + 1) % 8;
+    let moved = Snapshot::decode(&moved.encode()).expect("framing is intact");
+    assert_restore_rejects(&moved, "does not run", "v2, moved entry");
+
+    let mut doubled = snapshot.clone();
+    let departures = &mut doubled.departures;
+    departures.jobs.deltas.push(departures.jobs.deltas[0]);
+    departures.servers.push(departures.servers[0]);
+    *departures.lens.last_mut().unwrap() += 1;
+    let doubled = Snapshot::decode(&doubled.encode()).expect("framing is intact");
+    assert_restore_rejects(&doubled, "twice", "v2, duplicated entry");
+
+    let moved = golden_v1_with_departures(|buckets| {
+        let serde::Value::Array(entry) = &mut v1_entries(&mut buckets[0])[0] else {
+            panic!("entries are [job id, server] pairs")
+        };
+        let serde::Value::U64(server) = entry[1] else {
+            panic!("server: {:?}", entry[1])
+        };
+        entry[1] = serde::Value::U64((server + 1) % 4);
+    });
+    let moved = Snapshot::decode(&moved).expect("v1 framing is intact");
+    assert_restore_rejects(&moved, "does not run", "v1, moved entry");
+
+    let doubled = golden_v1_with_departures(|buckets| {
+        let entry = v1_entries(&mut buckets[0])[0].clone();
+        v1_entries(buckets.last_mut().unwrap()).push(entry);
+    });
+    let doubled = Snapshot::decode(&doubled).expect("v1 framing is intact");
+    assert_restore_rejects(&doubled, "twice", "v1, duplicated entry");
+}
+
+/// Restore also holds each kind's occupancy to the running jobs of that
+/// kind (each departure decrements its kind's count) and requires the
+/// calendar's buckets to ascend from the snapshot tick.
+#[test]
+fn restore_rejects_inconsistent_occupancy_and_bucket_order() {
+    let snapshot = eight_server_snapshot();
+
+    let mut shifted = snapshot.clone();
+    let busy = (0..5).find(|&k| shifted.occupancy[k] > 0).unwrap();
+    shifted.occupancy[busy] -= 1;
+    shifted.occupancy[(busy + 1) % 5] += 1;
+    assert_restore_rejects(&shifted, "occupancy", "occupancy moved between kinds");
+
+    let mut swapped = snapshot.clone();
+    swapped.departures.ticks.swap(0, 1);
+    assert_restore_rejects(&swapped, "out of order", "buckets out of order");
+
+    let mut stale = snapshot.clone();
+    stale.departures.ticks[0] = snapshot.tick - 1;
+    assert_restore_rejects(&stale, "precedes tick", "bucket before the snapshot tick");
 }
 
 /// Property tests over the container format: lossless round-trips at
@@ -252,12 +433,31 @@ fn golden_snapshot_stays_readable() {
 mod container_properties {
     use super::*;
     use proptest::prelude::*;
+    use std::ops::Range;
 
     /// A small deterministic snapshot to mutate.
-    fn sample_container(seed: u64, at: u64) -> String {
+    fn sample_snapshot(seed: u64, at: u64) -> Snapshot {
         let mut sim = build_sized(seed, PolicyKind::vmt_wa(22.0), 1, 2, 1.0);
         sim.run_until(at.min(sim.total_ticks()));
-        sim.snapshot().expect("sample snapshots").encode()
+        sim.snapshot().expect("sample snapshots")
+    }
+
+    fn sample_container(seed: u64, at: u64) -> Vec<u8> {
+        sample_snapshot(seed, at).encode()
+    }
+
+    /// Byte range of each v2 block frame (`tag | length | data |
+    /// digest`), after the header line and the block count.
+    fn frames(bytes: &[u8]) -> Vec<Range<usize>> {
+        let mut at = b"VMTSNAP v2\n".len() + 4;
+        let mut frames = Vec::new();
+        while at < bytes.len() {
+            let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+            frames.push(at..at + 20 + len);
+            at += 20 + len;
+        }
+        assert_eq!(frames.len(), 16, "v2 holds sixteen blocks");
+        frames
     }
 
     proptest! {
@@ -285,40 +485,134 @@ mod container_properties {
 
         #[test]
         fn mutilated_containers_never_panic(
-            flip_at in 0usize..4096,
+            flip_at in 0usize..1 << 20,
             flip_to in 0u8..=255u8,
-            truncate_to in 0usize..4096,
+            truncate_to in 0usize..1 << 20,
         ) {
             let encoded = sample_container(3, 10);
 
-            // Truncation at any byte: an error, never a panic. The
-            // container is ASCII (JSON with no non-ASCII strings), so
-            // every byte offset is a char boundary.
-            let cut = truncate_to.min(encoded.len());
-            prop_assert!(encoded.is_char_boundary(cut));
-            if cut < encoded.len() {
-                prop_assert!(Snapshot::decode(&encoded[..cut]).is_err());
-            }
+            // Truncation at any byte: a typed error, never a panic.
+            let cut = truncate_to % encoded.len();
+            prop_assert!(Snapshot::decode(&encoded[..cut]).is_err());
 
-            // A single corrupted byte: either rejected with a typed
-            // error, or the flip was a no-op and the decode must agree
-            // with the original.
-            let mut bytes = encoded.clone().into_bytes();
+            // A single changed byte anywhere is rejected: every v2 byte
+            // is magic, version, framing or digested data, so there is
+            // no header text with slack to absorb it.
+            let mut bytes = encoded.clone();
+            let i = flip_at % bytes.len();
+            bytes[i] = flip_to;
+            let decoded = Snapshot::decode(&bytes);
+            if encoded[i] == flip_to {
+                prop_assert!(decoded.is_ok());
+            } else {
+                prop_assert!(decoded.is_err(), "byte {} accepted as {:#04x}", i, flip_to);
+            }
+        }
+
+        #[test]
+        fn mutilated_v1_containers_never_panic(
+            flip_at in 0usize..1 << 20,
+            flip_to in 0u8..=255u8,
+            truncate_to in 0usize..1 << 20,
+        ) {
+            let original = Snapshot::decode(GOLDEN_V1).expect("golden v1 decodes");
+            let header_end = GOLDEN_V1.iter().position(|&b| b == b'\n').unwrap();
+
+            // Truncation short of the trailing newline is an error.
+            let cut = truncate_to % (GOLDEN_V1.len() - 1);
+            prop_assert!(Snapshot::decode(&GOLDEN_V1[..cut]).is_err());
+
+            // A corrupted byte is rejected, unless it only rewrites the
+            // header's representation of unchanged facts (the digest
+            // check makes silent corruption of the payload impossible).
+            let mut bytes = GOLDEN_V1.to_vec();
             let i = flip_at % bytes.len();
             let unchanged = bytes[i] == flip_to;
             bytes[i] = flip_to;
-            let mutated = String::from_utf8_lossy(&bytes).into_owned();
-            // Typed rejection is the expected outcome; if the mutant
-            // still decodes, the digest check makes silent corruption
-            // of the payload impossible — an accepted container can
-            // only differ from the original in the header's own
-            // representation of unchanged facts.
-            if let Ok(snapshot) = Snapshot::decode(&mutated) {
-                let original = Snapshot::decode(&encoded).expect("original decodes");
-                prop_assert!(unchanged || i < encoded.find('\n').unwrap_or(0));
+            if let Ok(snapshot) = Snapshot::decode(&bytes) {
+                prop_assert!(unchanged || i < header_end);
                 prop_assert_eq!(snapshot.digest(), original.digest());
             }
         }
+    }
+
+    /// Every pair of blocks swapped in place is rejected — including
+    /// same-sized column pairs whose digests stay valid, which the
+    /// per-block tags catch.
+    #[test]
+    fn swapped_blocks_are_rejected() {
+        let encoded = sample_container(5, 20);
+        let frames = frames(&encoded);
+        for i in 0..frames.len() {
+            for j in i + 1..frames.len() {
+                let mut swapped = encoded[..frames[0].start].to_vec();
+                for k in 0..frames.len() {
+                    let from = if k == i {
+                        j
+                    } else if k == j {
+                        i
+                    } else {
+                        k
+                    };
+                    swapped.extend_from_slice(&encoded[frames[from].clone()]);
+                }
+                assert!(
+                    Snapshot::decode(&swapped).is_err(),
+                    "blocks {i} and {j} swapped"
+                );
+            }
+        }
+    }
+
+    /// A block length declared past the end of the container is a typed
+    /// `Truncated` error. Nothing is allocated from a declared length
+    /// before it is checked against the bytes left, so even `u64::MAX`
+    /// returns cleanly instead of aborting on an impossible allocation.
+    #[test]
+    fn oversized_block_lengths_are_typed_errors() {
+        let encoded = sample_container(5, 20);
+        for frame in frames(&encoded) {
+            let room = encoded.len() - (frame.start + 12) - 8;
+            for declared in [room as u64 + 1, 1 << 40, u64::MAX] {
+                let mut bytes = encoded.clone();
+                bytes[frame.start + 4..frame.start + 12].copy_from_slice(&declared.to_le_bytes());
+                assert!(
+                    matches!(
+                        Snapshot::decode(&bytes),
+                        Err(SnapshotError::Truncated { actual, .. }) if actual == room
+                    ),
+                    "block at {} declaring {declared} bytes",
+                    frame.start
+                );
+            }
+        }
+    }
+
+    /// Column contents that disagree with the config, written with valid
+    /// digests, fail the shape checks that close decoding.
+    #[test]
+    fn inconsistent_columns_are_rejected() {
+        let snapshot = sample_snapshot(5, 20);
+        assert!(!snapshot.departures.lens.is_empty());
+        let rejects = |edit: &dyn Fn(&mut Snapshot), needle: &str| {
+            let mut edited = snapshot.clone();
+            edit(&mut edited);
+            match Snapshot::decode(&edited.encode()) {
+                Err(SnapshotError::Corrupt(reason)) => {
+                    assert!(reason.contains(needle), "{needle}: {reason}")
+                }
+                other => panic!("{needle}: expected Corrupt, got {other:?}"),
+            }
+        };
+        rejects(
+            &|s| s.farm.job_counts[0] = s.config.power.cores() + 1,
+            "cores",
+        );
+        rejects(&|s| s.departures.lens[0] += 1, "bucket lengths sum");
+        rejects(&|s| s.departures.lens.push(0), "bucket lengths for");
+        rejects(&|s| s.farm.job_kinds[0] = 5, "workload kind");
+        rejects(&|s| s.farm.inlet_c.push(22.0), "farm arrays");
+        rejects(&|s| s.departures.servers[0] = 2, "server 2");
     }
 }
 
