@@ -879,10 +879,11 @@ impl Simulation {
     ///
     /// Large buckets are partitioned by server shard and drained
     /// shard-by-shard — in ascending server order for slab locality on
-    /// one thread, on the farm's persistent pool when more are
-    /// configured. The partition is stable, so every server sees its
-    /// departures in bucket order and results are bit-identical to the
-    /// direct per-entry drain (which small buckets take).
+    /// one thread, on the farm's persistent pool when both the bucket
+    /// and [`crate::tick_fan_out`] allow more workers. The partition is
+    /// stable, so every server sees its departures in bucket order and
+    /// results are bit-identical to the direct per-entry drain (which
+    /// small buckets take).
     fn process_departures(
         &mut self,
         tick: u64,

@@ -59,7 +59,8 @@ const SERVERS_PER_WORKER: usize = 2048;
 /// handoff-vs-work reason as [`SERVERS_PER_WORKER`]: a worker must
 /// retire thousands of jobs for its wake/park round-trip to pay, so
 /// the drain fans out one worker per 4,096 bucketed departures and
-/// never spreads a tick's bucket thinner than that.
+/// never spreads a tick's bucket thinner than that — and never past
+/// [`tick_fan_out`], so the drain cannot fan out where physics does not.
 const DEPART_JOBS_PER_WORKER: usize = 4096;
 
 /// Slots per page of the pooled job table. Eight 4-byte delta ids fit
@@ -211,6 +212,32 @@ fn machine_parallelism() -> usize {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     })
+}
+
+/// Workers a tick of `servers` servers fans out to when `threads` are
+/// requested: `threads`, clamped to the machine's parallelism and to one
+/// worker per 2,048 servers (`SERVERS_PER_WORKER`). Never less than 1.
+///
+/// The single fan-out rule. The physics sweep uses it as is, the
+/// departure drain additionally caps it by its bucket size, and the
+/// experiment sweep runner budgets whole runs by it — so a farm that
+/// this returns 1 for never builds its [`TickPool`], and a runner that
+/// trusts it never oversubscribes the machine.
+///
+/// # Examples
+///
+/// ```
+/// use vmt_dcsim::tick_fan_out;
+///
+/// // Below two 2,048-server quanta the tick stays serial at any request.
+/// assert_eq!(tick_fan_out(1000, 8), 1);
+/// assert_eq!(tick_fan_out(100_000, 1), 1);
+/// ```
+pub fn tick_fan_out(servers: usize, threads: usize) -> usize {
+    threads
+        .min(machine_parallelism())
+        .min(servers / SERVERS_PER_WORKER)
+        .max(1)
 }
 
 /// Resolves the default tick-level thread count: the `VMT_THREADS`
@@ -1086,20 +1113,22 @@ impl ServerFarm {
         let _ = i;
     }
 
-    /// Ensures the persistent pool exists with `threads - 1` parked
-    /// threads (the engine thread participates, so total parallelism is
-    /// `self.threads`).
+    /// Ensures the persistent pool exists with one parked thread fewer
+    /// than [`tick_fan_out`] workers (the engine thread participates, so
+    /// a pooled sweep runs on exactly the workers `tick_fan_out`
+    /// promises — the count the experiment sweep runner budgets by).
     ///
-    /// Sized from the configured thread count alone — never from a
-    /// per-tick fan-out decision. The physics gate (servers per worker)
-    /// and the departure gate (bucketed jobs per worker) routinely
-    /// disagree within a tick; sizing the pool to whichever gate just
-    /// fired used to tear it down and respawn OS threads every tick,
-    /// which is exactly the 10k-server regression where 8 requested
-    /// threads ran slower than 2. The gates now only choose between the
-    /// inline path and engaging the (stably sized) pool.
+    /// Sized from the farm size and configured thread count alone —
+    /// never from a per-tick fan-out decision. The physics gate
+    /// (servers per worker) and the departure gate (bucketed jobs per
+    /// worker) routinely disagree within a tick; sizing the pool to
+    /// whichever gate just fired used to tear it down and respawn OS
+    /// threads every tick, which is exactly the 10k-server regression
+    /// where 8 requested threads ran slower than 2. The gates now only
+    /// choose between the inline path and engaging the (stably sized)
+    /// pool.
     fn ensure_pool(&mut self) {
-        let needed = self.threads.min(machine_parallelism()) - 1;
+        let needed = tick_fan_out(self.len(), self.threads) - 1;
         if self.pool.as_ref().map(TickPool::workers) != Some(needed) {
             self.pool = Some(TickPool::new(needed));
         }
@@ -1131,12 +1160,11 @@ impl ServerFarm {
         let num_shards = n.div_ceil(SHARD);
         debug_assert_eq!(shard_buckets.len(), num_shards);
         let total_jobs: usize = shard_buckets.iter().map(Vec::len).sum();
-        let workers = self
-            .threads
-            .min(machine_parallelism())
-            .min(num_shards)
-            .min((total_jobs / DEPART_JOBS_PER_WORKER).max(1))
-            .max(1);
+        // Capped by the physics fan-out too, so a farm too small for the
+        // physics sweep to fan out never builds the pool for a burst of
+        // departures.
+        let workers =
+            tick_fan_out(n, self.threads).min((total_jobs / DEPART_JOBS_PER_WORKER).max(1));
         if workers > 1 {
             self.ensure_pool();
         }
@@ -1304,12 +1332,7 @@ impl ServerFarm {
         }
         debug_assert!(dt.get() > 0.0, "dt must be positive");
         let num_shards = n.div_ceil(SHARD);
-        let workers = self
-            .threads
-            .min(machine_parallelism())
-            .min(num_shards)
-            .min((n / SERVERS_PER_WORKER).max(1))
-            .max(1);
+        let workers = tick_fan_out(n, self.threads);
         // Spin up the persistent pool before any state borrows are taken.
         if workers > 1 {
             self.ensure_pool();
@@ -1911,6 +1934,68 @@ mod tests {
             restored.tick_physics(Seconds::new(60.0)),
             farm.tick_physics(Seconds::new(60.0))
         );
+    }
+
+    #[test]
+    fn tick_fan_out_follows_the_worker_quantum() {
+        // (servers, fan-out at 1 / 2 / 8 threads) on an unbounded
+        // machine: one worker per 2,048 servers, at least one.
+        let table = [
+            (1, [1, 1, 1]),
+            (2047, [1, 1, 1]),
+            (2048, [1, 1, 1]),
+            (4095, [1, 1, 1]),
+            (4096, [1, 2, 2]),
+            (10_000, [1, 2, 4]),
+            (100_000, [1, 2, 8]),
+        ];
+        for (servers, row) in table {
+            for (threads, unclamped) in [1, 2, 8].into_iter().zip(row) {
+                assert_eq!(
+                    tick_fan_out(servers, threads),
+                    unclamped.min(machine_parallelism()),
+                    "{servers} servers at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn drain_below_the_physics_quantum_never_builds_the_pool() {
+        // 4,000 servers: one physics quantum short of fanning out, but
+        // 12,000 departures in one bucket — enough for the drain's own
+        // rule to want three workers.
+        let n = 4000;
+        let mut farm = ServerFarm::from_config(&ClusterConfig::paper_default(n));
+        farm.set_threads(8);
+        let mut occupancy = [0usize; 5];
+        let mut buckets = vec![Vec::new(); n.div_ceil(SHARD)];
+        for i in 0..n {
+            for core in 0..3 {
+                let id = (i * 3 + core) as u64;
+                farm.start_job(i, &job(id, WorkloadKind::WebSearch));
+                occupancy[WorkloadKind::WebSearch.index()] += 1;
+                buckets[i / SHARD].push((JobId(id), i as u32));
+            }
+        }
+        assert!(buckets.iter().map(Vec::len).sum::<usize>() >= 2 * DEPART_JOBS_PER_WORKER);
+        let mut index = ClusterIndex::new(&farm);
+        let ended = farm.end_jobs_sharded(&buckets, &mut index, &mut occupancy, None);
+        assert_eq!(ended, 3 * n as u64);
+        assert_eq!(occupancy, [0; 5]);
+        assert!((0..n).all(|i| farm.used_cores(i) == 0));
+        assert!(farm.pool.is_none(), "drain fanned out below the quantum");
+    }
+
+    #[test]
+    fn pooled_sweep_runs_on_tick_fan_out_workers() {
+        // 10,000 servers at 8 threads: at most 4 workers of 2,048+
+        // servers each, however many cores the host has.
+        let mut farm = loaded_farm(10_000);
+        farm.set_threads(8);
+        farm.tick_physics(Seconds::new(60.0));
+        let participants = farm.pool.as_ref().map_or(1, |pool| pool.workers() + 1);
+        assert_eq!(participants, tick_fan_out(10_000, 8));
     }
 
     #[test]

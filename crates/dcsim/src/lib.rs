@@ -57,7 +57,9 @@ mod topology;
 
 pub use config::{ClusterConfig, WaxSpec};
 pub use engine::Simulation;
-pub use farm::{default_tick_threads, FarmState, FarmTickTotals, ServerFarm, SweepTiming, SHARD};
+pub use farm::{
+    default_tick_threads, tick_fan_out, FarmState, FarmTickTotals, ServerFarm, SweepTiming, SHARD,
+};
 pub use index::ClusterIndex;
 pub use metrics::{Heatmap, SimulationResult};
 pub use pool::TickPool;

@@ -36,8 +36,10 @@
 //!
 //! `--threads` sets the worker count of the sharded physics tick
 //! (equivalent to exporting `VMT_THREADS`). Results are bit-identical
-//! at any value; only wall-clock time changes. The sweep runner keeps
-//! sweep-workers x tick-threads within the machine's parallelism.
+//! at any value; only wall-clock time changes. A tick only fans out
+//! with one worker per 2,048 servers (`vmt_dcsim::tick_fan_out`), so
+//! figure sweeps over smaller clusters run whole runs in parallel
+//! instead, one per core the ticks leave idle.
 //!
 //! Unrecognized flags are errors, not silently ignored — a typo like
 //! `--sevrers` must not quietly run the default cluster size.
@@ -239,6 +241,24 @@ fn numeric<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str) ->
     })
 }
 
+/// `--servers`: a cluster size, at least one server.
+fn servers_flag(flags: &HashMap<String, String>) -> Option<usize> {
+    let servers = numeric(flags, "--servers");
+    if servers == Some(0) {
+        die("`--servers` must be at least 1");
+    }
+    servers
+}
+
+/// `--gv`: a positive, finite grouping value (default 22).
+fn gv_flag(flags: &HashMap<String, String>) -> f64 {
+    let gv: f64 = numeric(flags, "--gv").unwrap_or(22.0);
+    if !gv.is_finite() || gv <= 0.0 {
+        die("`--gv` must be positive");
+    }
+    gv
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
@@ -271,8 +291,11 @@ fn cmd_experiment(id: &str, rest: &[String]) {
         die(&format!("unknown experiment id `{id}`"));
     }
     let flags = parse_flags(rest, &["--servers", "--seeds", "--threads"]);
-    let servers: Option<usize> = numeric(&flags, "--servers");
+    let servers = servers_flag(&flags);
     let seeds: usize = numeric(&flags, "--seeds").unwrap_or(5);
+    if seeds == 0 {
+        die("`--seeds` must be at least 1");
+    }
     if let Some(threads) = numeric::<usize>(&flags, "--threads") {
         // The experiment modules build their own `Run`s, whose default
         // tick-thread count reads VMT_THREADS — so one env write plumbs
@@ -317,13 +340,13 @@ fn cmd_run(rest: &[String]) {
             "--trace-jobs",
         ],
     );
-    let gv: f64 = numeric(&flags, "--gv").unwrap_or(22.0);
+    let gv = gv_flag(&flags);
     let policy_name = flags.get("--policy").map_or("vmt-wa", String::as_str);
     let policy = match vmt_core::PolicyKind::parse(policy_name, gv) {
         Ok(policy) => policy,
         Err(err) => die(&err),
     };
-    let servers: usize = numeric(&flags, "--servers").unwrap_or(1000);
+    let servers = servers_flag(&flags).unwrap_or(1000);
     let hours: f64 = numeric(&flags, "--hours").unwrap_or(48.0);
     if !hours.is_finite() || hours <= 0.0 {
         die("`--hours` must be positive");
@@ -504,7 +527,7 @@ fn cmd_record(rest: &[String]) {
             "--threads",
         ],
     );
-    let gv: f64 = numeric(&flags, "--gv").unwrap_or(22.0);
+    let gv = gv_flag(&flags);
     let policy_name = flags.get("--policy").map_or("vmt-wa", String::as_str);
     let policy = match vmt_core::PolicyKind::parse(policy_name, gv) {
         Ok(policy) => policy,
@@ -512,7 +535,7 @@ fn cmd_record(rest: &[String]) {
     };
     // Smaller defaults than `run`: every decision lands in the trace
     // file, so the default trace stays in the megabytes.
-    let servers: usize = numeric(&flags, "--servers").unwrap_or(100);
+    let servers = servers_flag(&flags).unwrap_or(100);
     let hours: f64 = numeric(&flags, "--hours").unwrap_or(24.0);
     if !hours.is_finite() || hours <= 0.0 {
         die("`--hours` must be positive");
@@ -676,14 +699,14 @@ fn cmd_snapshot(rest: &[String]) {
             "--zones",
         ],
     );
-    let gv: f64 = numeric(&flags, "--gv").unwrap_or(22.0);
+    let gv = gv_flag(&flags);
     let policy_name = flags.get("--policy").map_or("vmt-wa", String::as_str);
     let policy = match vmt_core::PolicyKind::parse(policy_name, gv) {
         Ok(policy) => policy,
         Err(err) => die(&err),
     };
     // `record`-sized defaults: the farm arrays land in the file verbatim.
-    let servers: usize = numeric(&flags, "--servers").unwrap_or(100);
+    let servers = servers_flag(&flags).unwrap_or(100);
     let hours: f64 = numeric(&flags, "--hours").unwrap_or(24.0);
     if !hours.is_finite() || hours <= 0.0 {
         die("`--hours` must be positive");

@@ -26,7 +26,9 @@ pub struct Run {
     /// Worker threads for the sharded physics tick (results are
     /// bit-identical at any value; see `ServerFarm::set_threads`).
     /// Defaults to [`vmt_dcsim::default_tick_threads`], which honours
-    /// the `VMT_THREADS` environment variable.
+    /// the `VMT_THREADS` environment variable. A tick uses
+    /// [`vmt_dcsim::tick_fan_out`] of them, which is what
+    /// [`execute_all`] budgets by.
     pub tick_threads: usize,
 }
 
@@ -84,34 +86,41 @@ impl Run {
 ///
 /// Parameter sweeps dominate the harness's wall-clock; the runs are
 /// independent and deterministic, so parallel execution changes nothing
-/// in the output. Unlike a thread-per-run scheme, the pool is bounded
-/// by the machine's core count: a 50-run sweep on an 8-core box starts
-/// 8 OS threads, not 50, so memory stays proportional to parallelism
-/// and the threads never oversubscribe the CPU.
+/// in the output. The pool runs `min(runs, cores ÷ widest tick
+/// fan-out)` workers, the fan-out being what [`vmt_dcsim::tick_fan_out`]
+/// says a run's tick actually uses: whole runs fill the cores their
+/// ticks leave idle, so the paper's 100- and 1,000-server sweeps run
+/// one run per core, while a sweep of farms large enough to fan their
+/// own ticks out across every core runs them one at a time.
 pub fn execute_all(runs: &[Run]) -> Vec<SimulationResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    execute_on(runs, sweep_workers(runs))
+}
 
-    if runs.is_empty() {
-        return Vec::new();
-    }
-    // Each run may itself spawn tick_threads workers for the sharded
-    // physics sweep; budget sweep workers so that
-    // sweep workers x tick threads <= available parallelism, keeping the
-    // machine from oversubscribing when both levels are parallel.
+/// Sweep workers for `runs`: the machine's cores divided by the widest
+/// tick fan-out among them (the threads a tick actually uses, not the
+/// threads it requests), and at most one per run. Sweep workers × tick
+/// workers never exceeds the cores.
+fn sweep_workers(runs: &[Run]) -> usize {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let tick_threads = runs
+    let fan_out = runs
         .iter()
-        .map(|r| r.tick_threads.max(1))
+        .map(|r| vmt_dcsim::tick_fan_out(r.cluster.num_servers, r.tick_threads))
         .max()
         .unwrap_or(1);
-    let workers = (cores / tick_threads).max(1).min(runs.len());
+    (cores / fan_out).min(runs.len()).max(1)
+}
+
+/// Executes `runs` on `workers` threads (serially at one), results in
+/// input order.
+fn execute_on(runs: &[Run], workers: usize) -> Vec<SimulationResult> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
     if workers <= 1 {
         return runs.iter().map(Run::execute).collect();
     }
-
     // Work-stealing by index claim: each worker grabs the next
     // unclaimed run and writes its result into that run's slot, so the
     // output order is the input order regardless of completion order.
@@ -148,15 +157,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parallel_matches_serial() {
+    fn any_worker_count_matches_serial_in_input_order() {
         let runs = vec![
             Run::new(4, PolicyKind::RoundRobin),
+            Run::new(40, PolicyKind::vmt_wa(22.0)),
             Run::new(4, PolicyKind::CoolestFirst),
+            Run::new(40, PolicyKind::VmtTa { gv: 20.0 }),
+            Run::new(40, PolicyKind::RoundRobin),
+            Run::new(4, PolicyKind::vmt_wa(24.0)),
         ];
-        let parallel = execute_all(&runs);
         let serial: Vec<_> = runs.iter().map(Run::execute).collect();
-        assert_eq!(parallel[0].cooling, serial[0].cooling);
-        assert_eq!(parallel[1].cooling, serial[1].cooling);
+        for workers in [1, 2, 3, 7] {
+            assert_eq!(execute_on(&runs, workers), serial, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn sweep_budget_counts_the_threads_ticks_use() {
+        let cores = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1);
+        // 1,000-server ticks never fan out, whatever they request, so
+        // whole runs fill the cores.
+        let mut runs: Vec<Run> = (0..5)
+            .map(|_| Run::new(1000, PolicyKind::RoundRobin).with_tick_threads(cores))
+            .collect();
+        assert_eq!(sweep_workers(&runs), cores.min(5));
+        // A 100k-server run at `cores` threads fans out to every core
+        // up to its 48 workers (100,000 / 2,048), leaving none for a
+        // second run on any host of at most 48 cores.
+        runs.push(Run::new(100_000, PolicyKind::RoundRobin).with_tick_threads(cores));
+        let expected = if cores <= 48 { 1 } else { (cores / 48).min(6) };
+        assert_eq!(sweep_workers(&runs), expected);
+        assert_eq!(sweep_workers(&[]), 1);
     }
 
     #[test]

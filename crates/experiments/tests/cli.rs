@@ -79,6 +79,11 @@ fn experiment_usage_errors() {
     );
     assert_usage_error(&["fig7", "--servers"], "flag `--servers` requires a value");
     assert_usage_error(&["fig7", "--servers", "ten"], "unparseable value `ten`");
+    assert_usage_error(
+        &["fig13", "--servers", "0"],
+        "`--servers` must be at least 1",
+    );
+    assert_usage_error(&["fig19", "--seeds", "0"], "`--seeds` must be at least 1");
 }
 
 #[test]
@@ -92,6 +97,10 @@ fn run_usage_errors() {
         assert!(err.contains(name), "error must list `{name}`: {err}");
     }
     assert_usage_error(&["run", "--hours", "0"], "`--hours` must be positive");
+    assert_usage_error(&["run", "--servers", "0"], "`--servers` must be at least 1");
+    for gv in ["nan", "0", "-5", "inf"] {
+        assert_usage_error(&["run", "--gv", gv], "`--gv` must be positive");
+    }
     assert_usage_error(&["run", "--gv"], "flag `--gv` requires a value");
     assert_usage_error(&["run", "--flightdump", "x"], "unrecognized argument");
     // `--watchdogs` is a switch: it must not swallow a following flag.
@@ -112,6 +121,14 @@ fn record_usage_errors() {
     assert_usage_error(
         &["record", "/tmp/x.trace", "--telemetry", "y"],
         "unrecognized argument `--telemetry`",
+    );
+    assert_usage_error(
+        &["record", "/tmp/x.trace", "--servers", "0"],
+        "`--servers` must be at least 1",
+    );
+    assert_usage_error(
+        &["record", "/tmp/x.trace", "--gv", "0"],
+        "`--gv` must be positive",
     );
 }
 
@@ -368,6 +385,14 @@ fn snapshot_usage_errors() {
     assert_usage_error(
         &["snapshot", "/tmp/x.snap", "--at", "5", "--from-flight"],
         "requires a value",
+    );
+    assert_usage_error(
+        &["snapshot", "/tmp/x.snap", "--at", "1", "--servers", "0"],
+        "`--servers` must be at least 1",
+    );
+    assert_usage_error(
+        &["snapshot", "/tmp/x.snap", "--at", "1", "--gv", "nan"],
+        "`--gv` must be positive",
     );
 }
 

@@ -185,6 +185,9 @@ impl PlacementTrace {
                             h.schema_version
                         ));
                     }
+                    if h.servers == 0 {
+                        return Err(format!("line {}: Header names 0 servers", lineno + 1));
+                    }
                     header = Some(h);
                 }
                 TraceLine::Tick(t) => {
@@ -339,6 +342,14 @@ mod tests {
         t.footer.placements = 99;
         let err = PlacementTrace::parse(&t.to_jsonl()).unwrap_err();
         assert!(err.contains("disagree"), "got: {err}");
+    }
+
+    #[test]
+    fn zero_server_header_is_rejected() {
+        let mut t = trace();
+        t.header.servers = 0;
+        let err = PlacementTrace::parse(&t.to_jsonl()).unwrap_err();
+        assert!(err.contains("0 servers"), "got: {err}");
     }
 
     #[test]
