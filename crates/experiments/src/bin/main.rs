@@ -481,7 +481,13 @@ fn cmd_run(rest: &[String]) {
             Some(buffer) => {
                 let records = buffer.records.len();
                 let dropped = buffer.dropped;
-                if let Err(err) = std::fs::write(path, vmt_telemetry::render_trace(&buffer)) {
+                // Streamed record by record: the text never exists whole.
+                let written = std::fs::File::create(path).and_then(|file| {
+                    let mut out = std::io::BufWriter::new(file);
+                    vmt_telemetry::write_trace(&buffer, &mut out)?;
+                    std::io::Write::flush(&mut out)
+                });
+                if let Err(err) = written {
                     eprintln!("error: cannot write `{path}`: {err}");
                     std::process::exit(1);
                 }
@@ -1053,7 +1059,12 @@ fn cmd_explain(rest: &[String]) {
         die(USAGE);
     }
     let text = read_file_or_stdin(path);
-    let trace = match vmt_telemetry::parse_trace(&text) {
+    // The whole file is still held to the strict schema, but only this
+    // job's decision and placement instants are kept.
+    let trace = match vmt_telemetry::parse_trace_filtered(&text, |event| {
+        matches!(event.cat.as_str(), "decision" | "placement")
+            && matches!(event.args.get_field("job"), Some(serde::Value::U64(id)) if *id == job)
+    }) {
         Ok(trace) => trace,
         Err(err) => {
             eprintln!("invalid trace: {err}");
@@ -1061,17 +1072,8 @@ fn cmd_explain(rest: &[String]) {
         }
     };
 
-    let for_job = |event: &vmt_telemetry::ChromeEvent| matches!(event.args.get_field("job"), Some(serde::Value::U64(id)) if *id == job);
-    let decisions: Vec<&vmt_telemetry::ChromeEvent> = trace
-        .trace_events
-        .iter()
-        .filter(|e| e.cat == "decision" && for_job(e))
-        .collect();
-    let placements: Vec<&vmt_telemetry::ChromeEvent> = trace
-        .trace_events
-        .iter()
-        .filter(|e| e.cat == "placement" && for_job(e))
-        .collect();
+    let (decisions, placements): (Vec<_>, Vec<_>) =
+        trace.trace_events.iter().partition(|e| e.cat == "decision");
     if decisions.is_empty() && placements.is_empty() {
         eprintln!(
             "job {job} is not in this trace — it was not sampled; re-run with \

@@ -550,3 +550,85 @@ fn snapshot_from_flight_dump_resumes() {
         let _ = std::fs::remove_file(path);
     }
 }
+
+/// The committed golden trace (every record kind, escapes, a missing
+/// tick record, ring drops) passes `check-trace` from a file and from
+/// stdin, and `explain` reconstructs its jobs.
+#[test]
+fn check_trace_and_explain_read_the_golden_trace() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/data/golden_trace.json"
+    );
+    let out = run(&["check-trace", golden]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).starts_with("ok: 28 events over 2 ticks"));
+    assert!(stdout(&out).contains("dropped 7 records"));
+
+    let mut child = bin()
+        .args(["check-trace", "-"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let text = std::fs::read(golden).unwrap();
+    std::io::Write::write_all(&mut child.stdin.take().unwrap(), &text).unwrap();
+    let piped = child.wait_with_output().unwrap();
+    assert_eq!(piped.status.code(), Some(0));
+    assert_eq!(stdout(&piped), stdout(&out));
+
+    let out = run(&["explain", "42", golden]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let chain = stdout(&out);
+    assert!(chain.contains("handled by rung `hot-balancer`"), "{chain}");
+    assert!(
+        chain.contains("chose server 5 with winning key 23.0625"),
+        "{chain}"
+    );
+    assert!(
+        chain.contains("placed on server 5 in zone 0 at tick 4"),
+        "{chain}"
+    );
+    let out = run(&["explain", "30", golden]);
+    assert!(stdout(&out).contains("dropped: the rung ladder found no capacity"));
+    let out = run(&["explain", "99", golden]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("not in this trace"));
+}
+
+/// Input nested 100,000 levels deep is invalid input (exit 1) for
+/// every verb that reads JSON, never a stack overflow.
+#[test]
+fn deeply_nested_input_exits_1_in_every_json_verb() {
+    let deep = "[".repeat(100_000) + &"]".repeat(100_000) + "\n";
+    let path = scratch("deep.json");
+    std::fs::write(&path, &deep).unwrap();
+    let trace = scratch("deep_trace.json");
+    std::fs::write(&trace, format!("{{\"traceEvents\": [{deep}]}}")).unwrap();
+    for (verb, file) in [
+        (&["check-trace"][..], &trace),
+        (&["explain", "5"][..], &trace),
+        (&["check-trace"][..], &path),
+        (&["check-telemetry"][..], &path),
+        (&["check-flight"][..], &path),
+        (&["replay"][..], &path),
+        (&["check-bench"][..], &path),
+    ] {
+        let out = bin().args(verb).arg(file).output().unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{verb:?} on a 100,000-deep input: {}",
+            stderr(&out)
+        );
+    }
+    let out = bin().arg("check-trace").arg(&trace).output().unwrap();
+    assert!(
+        stderr(&out).contains("nesting deeper than 128 levels"),
+        "{}",
+        stderr(&out)
+    );
+    for file in [&path, &trace] {
+        let _ = std::fs::remove_file(file);
+    }
+}

@@ -67,10 +67,11 @@
 //!   anomaly instants) identified by `(tick, seq)` — never wall clock
 //!   — so an enabled trace is bit-identical across thread counts and
 //!   under record/replay, modulo the wall-clock duration fields.
-//! * [`render_trace`] / [`parse_trace`] / [`validate_trace`] — the
-//!   Chrome trace-event JSON exporter (Perfetto / `chrome://tracing`
-//!   loadable) and the strict parser/validator behind `check-trace`
-//!   and `explain`.
+//! * [`write_trace`] / [`render_trace`] / [`parse_trace`] /
+//!   [`validate_trace`] — the streaming Chrome trace-event JSON
+//!   exporter (Perfetto / `chrome://tracing` loadable) and the strict
+//!   single-pass reader and validator behind `check-trace` and
+//!   `explain`.
 
 mod config;
 mod dashboard;
@@ -114,8 +115,8 @@ pub use series::{Series, SeriesBucket, SeriesSnapshot, SharedSeries};
 pub use server::{MetricsPublication, MetricsPublisher, MetricsServer, METRICS_CONTENT_TYPE};
 pub use sink::{validate_stream, EventSink, SharedBuffer, StreamSummary};
 pub use traceevent::{
-    parse_trace, render_trace, validate_trace, ChromeEvent, ChromeTrace, TraceError, TraceStats,
-    LANE_ANOMALIES, LANE_PLACEMENT, LANE_TICK, LANE_ZONES,
+    parse_trace, parse_trace_filtered, render_trace, validate_trace, write_trace, ChromeEvent,
+    ChromeTrace, TraceError, TraceStats, LANE_ANOMALIES, LANE_PLACEMENT, LANE_TICK, LANE_ZONES,
 };
 pub use tracer::{
     SpanCandidate, SpanRecord, TraceBuffer, TraceSpec, Tracer, TracerHandle, DECISION_TOP_K,

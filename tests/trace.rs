@@ -14,7 +14,7 @@ use vmt_dcsim::{
     ClusterConfig, RecordingScheduler, ReplayHandle, ReplayScheduler, Simulation, TelemetryConfig,
     TraceHandle, TraceSpec, ZoneSpec,
 };
-use vmt_telemetry::{SpanRecord, TraceBuffer, DECISION_TOP_K};
+use vmt_telemetry::{SpanRecord, TraceBuffer, TraceStats, DECISION_TOP_K};
 use vmt_units::Hours;
 use vmt_workload::{DiurnalTrace, TraceConfig};
 
@@ -339,4 +339,265 @@ fn disabled_tracing_deposits_nothing() {
     let tracer = telemetry.tracer.clone();
     zoned_sim(1).with_telemetry(telemetry).run();
     assert!(tracer.take().is_none(), "no trace was requested");
+}
+
+/// A fixed buffer that reaches every branch of the exporter: all six
+/// record kinds; a placement with no server or zone; a decision with
+/// no chosen server, no winning key and no candidates; an infinite
+/// winning key (rendered `null`); floats that print in exponent form;
+/// a watchdog name holding a quote, a backslash, control characters
+/// and non-ASCII text; a leading tick group whose tick record is
+/// missing (laid out by its phase spans); a zero-duration tick (the
+/// 1 µs floor); and a non-zero ring-drop count.
+fn golden_buffer() -> TraceBuffer {
+    use vmt_telemetry::{SpanCandidate, TickPhase};
+    let candidate = |server, key| SpanCandidate { server, key };
+    let records = vec![
+        // Tick 3: its tick record is missing.
+        SpanRecord::Phase {
+            tick: 3,
+            seq: 4,
+            phase: TickPhase::Placement,
+            dur_ns: 1_250,
+        },
+        SpanRecord::Placement {
+            tick: 3,
+            seq: 5,
+            job: 30,
+            kind: 1,
+            server: None,
+            zone: None,
+            duration_ticks: 4,
+        },
+        SpanRecord::Decision {
+            tick: 3,
+            seq: 6,
+            job: 30,
+            rung: "cold-any".to_string(),
+            chosen: None,
+            winning_key: None,
+            candidates: Vec::new(),
+        },
+        SpanRecord::Phase {
+            tick: 3,
+            seq: 7,
+            phase: TickPhase::Physics,
+            dur_ns: 333,
+        },
+        // Tick 4: a complete tick on two zones.
+        SpanRecord::Phase {
+            tick: 4,
+            seq: 0,
+            phase: TickPhase::Inlet,
+            dur_ns: 100,
+        },
+        SpanRecord::Phase {
+            tick: 4,
+            seq: 1,
+            phase: TickPhase::Departures,
+            dur_ns: 2_000,
+        },
+        SpanRecord::Phase {
+            tick: 4,
+            seq: 2,
+            phase: TickPhase::SchedulerTick,
+            dur_ns: 0,
+        },
+        SpanRecord::Decision {
+            tick: 4,
+            seq: 3,
+            job: 42,
+            rung: "hot-balancer".to_string(),
+            chosen: Some(5),
+            winning_key: Some(23.0625),
+            candidates: vec![
+                candidate(5, 23.0625),
+                candidate(9, 23.5),
+                candidate(12, 24.000000000000004),
+            ],
+        },
+        SpanRecord::Placement {
+            tick: 4,
+            seq: 4,
+            job: 42,
+            kind: 2,
+            server: Some(5),
+            zone: Some(0),
+            duration_ticks: 12,
+        },
+        SpanRecord::Decision {
+            tick: 4,
+            seq: 5,
+            job: 43,
+            rung: "keep-warm".to_string(),
+            chosen: Some(7),
+            winning_key: None,
+            candidates: Vec::new(),
+        },
+        SpanRecord::Placement {
+            tick: 4,
+            seq: 6,
+            job: 43,
+            kind: 0,
+            server: Some(7),
+            zone: None,
+            duration_ticks: 3,
+        },
+        SpanRecord::Phase {
+            tick: 4,
+            seq: 7,
+            phase: TickPhase::Placement,
+            dur_ns: 1_500,
+        },
+        SpanRecord::Phase {
+            tick: 4,
+            seq: 8,
+            phase: TickPhase::Physics,
+            dur_ns: 2_345,
+        },
+        SpanRecord::Zone {
+            tick: 4,
+            seq: 9,
+            zone: 0,
+            dur_ns: 700,
+            temp_c: 22.4,
+            duty: 0.61,
+        },
+        SpanRecord::Zone {
+            tick: 4,
+            seq: 10,
+            zone: 1,
+            dur_ns: 650,
+            temp_c: -3.5e-5,
+            duty: 1.0,
+        },
+        SpanRecord::Phase {
+            tick: 4,
+            seq: 11,
+            phase: TickPhase::Record,
+            dur_ns: 10,
+        },
+        SpanRecord::Anomaly {
+            tick: 4,
+            seq: 12,
+            watchdog: "Thermal\"Violation\\\u{7}\n\t θ".to_string(),
+            server: Some(5),
+            value: 30.2,
+        },
+        SpanRecord::Tick {
+            tick: 4,
+            seq: 13,
+            dur_ns: 7_000,
+        },
+        // Tick 5: zero duration, extreme keys and ids.
+        SpanRecord::Phase {
+            tick: 5,
+            seq: 0,
+            phase: TickPhase::Inlet,
+            dur_ns: 0,
+        },
+        SpanRecord::Decision {
+            tick: 5,
+            seq: 1,
+            job: 44,
+            rung: "hot-balancer".to_string(),
+            chosen: Some(3),
+            winning_key: Some(f64::INFINITY),
+            candidates: vec![candidate(3, 1e21), candidate(4, 1.5e-300)],
+        },
+        SpanRecord::Placement {
+            tick: 5,
+            seq: 2,
+            job: u64::MAX,
+            kind: 4,
+            server: Some(3),
+            zone: Some(1),
+            duration_ticks: 0,
+        },
+        SpanRecord::Anomaly {
+            tick: 5,
+            seq: 3,
+            watchdog: "WaxStall".to_string(),
+            server: None,
+            value: 0.0,
+        },
+        SpanRecord::Tick {
+            tick: 5,
+            seq: 4,
+            dur_ns: 0,
+        },
+    ];
+    TraceBuffer {
+        records,
+        dropped: 7,
+    }
+}
+
+/// The line where two texts first differ, for a readable failure.
+fn first_difference(left: &str, right: &str) -> String {
+    let line = left
+        .lines()
+        .zip(right.lines())
+        .position(|(l, r)| l != r)
+        .unwrap_or_else(|| left.lines().count().min(right.lines().count()));
+    format!(
+        "first difference at line {}: {:?} vs {:?}",
+        line + 1,
+        left.lines().nth(line),
+        right.lines().nth(line)
+    )
+}
+
+/// The exporter's bytes are pinned. `tests/data/golden_trace.json` was
+/// written from [`golden_buffer`] by the tree-building exporter the
+/// streaming writer replaced; `render_trace` and `write_trace` must
+/// both reproduce it byte for byte, and the strict reader must read it
+/// back with the expected statistics, escapes and extreme ids.
+#[test]
+fn render_reproduces_the_golden_trace() {
+    let golden = include_str!("data/golden_trace.json");
+    let buffer = golden_buffer();
+    let rendered = vmt_telemetry::render_trace(&buffer);
+    assert!(
+        rendered == golden,
+        "{}",
+        first_difference(&rendered, golden)
+    );
+    let mut streamed = Vec::new();
+    vmt_telemetry::write_trace(&buffer, &mut streamed).expect("a Vec accepts every write");
+    assert!(
+        streamed == rendered.as_bytes(),
+        "write_trace and render_trace disagree"
+    );
+
+    let stats = vmt_telemetry::validate_trace(golden).expect("the golden trace validates");
+    assert_eq!(
+        stats,
+        TraceStats {
+            events: 5 + buffer.records.len(),
+            ticks: 2,
+            spans: 13,
+            phases: 9,
+            zones: 2,
+            placements: 4,
+            decisions: 4,
+            anomalies: 2,
+            dropped: 7,
+        }
+    );
+    let trace = vmt_telemetry::parse_trace(golden).expect("the golden trace parses");
+    assert_eq!(trace.trace_events.len(), stats.events);
+    let watchdog = trace
+        .trace_events
+        .iter()
+        .find(|e| e.cat == "anomaly")
+        .map(|e| e.name.as_str());
+    assert_eq!(watchdog, Some("Thermal\"Violation\\\u{7}\n\t θ"));
+    let job = |e: &vmt_telemetry::ChromeEvent| e.args.get_field("job").cloned();
+    let max_job = trace
+        .trace_events
+        .iter()
+        .filter_map(job)
+        .find(|j| *j == serde::Value::U64(u64::MAX));
+    assert!(max_job.is_some(), "u64::MAX job id lost");
 }
