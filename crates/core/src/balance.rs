@@ -37,9 +37,10 @@ pub enum BalancerLayout {
     /// per-zone mid levels are replicated copies that stay colder than
     /// the flat tree's shared upper levels (~4% slower placement at
     /// 100k, ~14% slower argmin at 1M). The zoned layout is kept as a
-    /// correctness-pinned, selectable representation — its per-zone
-    /// slabs are the shape a future parallel placement path would
-    /// shard over — not as the default.
+    /// correctness-pinned, selectable representation, not as the
+    /// default. Parallel placement does not use it: the VMT policies
+    /// place their hot and cold groups at the same time on two flat
+    /// balancers, one per group (`crate::streams`).
     #[default]
     Auto,
     /// One flat tournament tree over all leaves (the pre-zoning
@@ -121,11 +122,10 @@ fn is_power_of_eight(n: usize) -> bool {
 ///   appended *last*, so `key.last()`/`win.last()` remain the global
 ///   root in both layouts, and the `win[]` column stores *global* leaf
 ///   ids everywhere so the winner needs no per-layout translation.
-///   Measured *slower* than flat for the engine's serial placement
-///   stream (see [`BalancerLayout::Auto`]) and therefore opt-in; it is
-///   the representation a parallel placement path would shard over,
-///   and the layout-differential tests pin it decision-for-decision to
-///   the flat tree so it stays a pure memory-layout choice.
+///   Measured *slower* than flat for the engine's placement streams
+///   (see [`BalancerLayout::Auto`]) and therefore opt-in; the
+///   layout-differential tests pin it decision-for-decision to the
+///   flat tree so it stays a pure memory-layout choice.
 #[derive(Debug, Clone, Default)]
 pub struct ThermalBalancer {
     /// Node keys for every conceptual level. Keys are finite projected
@@ -634,7 +634,11 @@ impl ThermalBalancer {
     /// a leaf is retired (set to `f64::INFINITY`) the moment its last core is
     /// consumed, and the `free` re-check below catches cores taken by
     /// fallback paths that bypass the balancer.
-    fn place_by(&mut self, free: impl Fn(usize) -> u32, core_power_w: f64) -> Option<usize> {
+    pub(crate) fn place_by(
+        &mut self,
+        free: impl Fn(usize) -> u32,
+        core_power_w: f64,
+    ) -> Option<usize> {
         loop {
             let &root_key = self.key.last()?;
             if root_key == f64::INFINITY {
@@ -673,13 +677,8 @@ impl ThermalBalancer {
 
     /// Accounts for a placement made *outside* the balancer (e.g.
     /// VMT-WA's keep-warm priority path), so the member's projection
-    /// stays truthful for subsequent balanced placements.
-    pub fn account_external(&mut self, idx: usize, core_power_w: f64, farm: &ServerFarm) {
-        self.account_external_by(idx, core_power_w, farm.free_cores(idx));
-    }
-
-    /// [`ThermalBalancer::account_external`] with free cores read from the
-    /// engine's [`ClusterIndex`].
+    /// stays truthful for subsequent balanced placements. Free cores
+    /// are read from the engine's [`ClusterIndex`].
     pub fn account_external_indexed(
         &mut self,
         idx: usize,
@@ -689,7 +688,9 @@ impl ThermalBalancer {
         self.account_external_by(idx, core_power_w, index.free_cores()[idx]);
     }
 
-    fn account_external_by(&mut self, idx: usize, core_power_w: f64, free: u32) {
+    /// [`ThermalBalancer::account_external_indexed`] given the member's
+    /// free cores before the placement.
+    pub(crate) fn account_external_by(&mut self, idx: usize, core_power_w: f64, free: u32) {
         if idx >= self.leaves {
             return;
         }

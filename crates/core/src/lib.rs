@@ -55,6 +55,7 @@ mod policy;
 mod reference;
 mod round_robin;
 mod snapshot;
+mod streams;
 mod vmt_preserve;
 mod vmt_ta;
 mod vmt_wa;

@@ -2,8 +2,10 @@
 
 use crate::balance::ThermalBalancer;
 use crate::grouping::VmtConfig;
+use crate::streams::{self, Cluster, Lanes, Rungs, TwoGroups};
 use vmt_dcsim::{
-    ClusterIndex, SavedState, Scheduler, ServerFarm, ServerId, SnapshotError, SnapshotState,
+    ClusterIndex, PlacementProbe, SavedState, Scheduler, ServerFarm, ServerId, SnapshotError,
+    SnapshotState,
 };
 use vmt_telemetry::SchedulerCounters;
 use vmt_workload::{Job, VmtClass};
@@ -75,6 +77,31 @@ impl VmtTa {
         }
     }
 
+    /// The placement ladder: the home group's balancer, then a spill
+    /// into the other group's. Returns the decision and its rung label.
+    fn ladder(&mut self, job: &Job, lanes: &impl Lanes) -> (Option<ServerId>, &'static str) {
+        let power = job.core_power().get();
+        let home_is_hot = job.kind().vmt_class() == VmtClass::Hot;
+        let (mut hot, mut cold) = self.rungs();
+        let (home, other) = match home_is_hot {
+            true => (&mut hot, &mut cold),
+            false => (&mut cold, &mut hot),
+        };
+        let (spill, exhausted) = match home_is_hot {
+            true => ("hot-spill", "hot-exhausted"),
+            false => ("cold-spill", "cold-exhausted"),
+        };
+        let (placed, rung) = match home.place(lanes, power) {
+            Some((idx, rung)) => (Some((idx, home_is_hot)), rung),
+            None => match other.place(lanes, power) {
+                Some((idx, _)) => (Some((idx, !home_is_hot)), spill),
+                None => (None, exhausted),
+            },
+        };
+        self.count_placement(home_is_hot, placed.map(|(_, in_hot)| in_hot));
+        (placed.map(|(idx, _)| ServerId(idx)), rung)
+    }
+
     fn refresh(&mut self, farm: &ServerFarm) {
         if self.hot_size == 0 {
             self.hot_size = self.config.hot_group_size(farm.len());
@@ -131,6 +158,42 @@ impl SnapshotState for VmtTa {
     }
 }
 
+impl TwoGroups for VmtTa {
+    fn hot_size(&self) -> usize {
+        self.hot_size
+    }
+
+    fn rungs(&mut self) -> (Rungs<'_>, Rungs<'_>) {
+        let rungs = |balancer, label| Rungs {
+            balancer,
+            keep_warm: None,
+            label,
+            kept_warm: 0,
+        };
+        (
+            rungs(&mut self.hot, "hot-balancer"),
+            rungs(&mut self.cold, "cold-balancer"),
+        )
+    }
+
+    fn book_streams(&mut self, hot: u64, cold: u64, _kept_warm: u64) {
+        self.counters.placements += hot + cold;
+        self.counters.hot_placements += hot;
+        self.counters.cold_placements += cold;
+    }
+
+    fn place_serial(&mut self, job: &Job, lanes: &Cluster<'_>) -> (Option<ServerId>, &'static str) {
+        self.ladder(job, lanes)
+    }
+
+    fn home_balancer(&self, class: VmtClass) -> &ThermalBalancer {
+        match class {
+            VmtClass::Hot => &self.hot,
+            VmtClass::Cold => &self.cold,
+        }
+    }
+}
+
 impl Scheduler for VmtTa {
     fn name(&self) -> &str {
         "vmt-ta"
@@ -148,22 +211,7 @@ impl Scheduler for VmtTa {
         if !self.initialized {
             self.refresh(farm);
         }
-        let power = job.core_power().get();
-        // Home group first; spill into the other group when full.
-        let home_is_hot = job.kind().vmt_class() == VmtClass::Hot;
-        let placed = if home_is_hot {
-            self.hot
-                .place(farm, power)
-                .map(|i| (i, true))
-                .or_else(|| self.cold.place(farm, power).map(|i| (i, false)))
-        } else {
-            self.cold
-                .place(farm, power)
-                .map(|i| (i, false))
-                .or_else(|| self.hot.place(farm, power).map(|i| (i, true)))
-        };
-        self.count_placement(home_is_hot, placed.map(|(_, in_hot)| in_hot));
-        placed.map(|(i, _)| ServerId(i))
+        self.ladder(job, farm).0
     }
 
     fn place_indexed(
@@ -175,25 +223,12 @@ impl Scheduler for VmtTa {
         if !self.initialized {
             self.refresh(farm);
         }
-        let power = job.core_power().get();
-        // Same home-group-then-spill ladder as `place`, with free cores
-        // probed from the engine's flat index.
-        let home_is_hot = job.kind().vmt_class() == VmtClass::Hot;
-        let placed = if home_is_hot {
-            self.hot
-                .place_indexed(index, power)
-                .map(|i| (i, true))
-                .or_else(|| self.cold.place_indexed(index, power).map(|i| (i, false)))
-        } else {
-            self.cold
-                .place_indexed(index, power)
-                .map(|i| (i, false))
-                .or_else(|| self.hot.place_indexed(index, power).map(|i| (i, true)))
-        };
-        self.count_placement(home_is_hot, placed.map(|(_, in_hot)| in_hot));
-        placed.map(|(i, _)| ServerId(i))
+        // Free cores probed from the engine's flat index.
+        self.ladder(job, &Cluster { farm, index }).0
     }
 
+    /// Two streams, one per group, up to the stop point, then the
+    /// ladder; see [`crate::streams`].
     fn place_batch(
         &mut self,
         jobs: &[Job],
@@ -204,53 +239,23 @@ impl Scheduler for VmtTa {
         if !self.initialized {
             self.refresh(farm);
         }
-        // Software-pipelined batch placement: commit this job's
-        // bookkeeping while the predicted next winner's farm row, index
-        // entry, and balancer path are pulled in. The home balancer's
-        // root only moves when a placement lands there, so the
-        // prediction holds across the batch; spills re-read the other
-        // group's root anyway. Prime both groups' current winners
-        // before the loop.
-        for b in [&self.hot, &self.cold] {
-            if let Some(first) = b.peek() {
-                farm.prefetch_server(first);
-                index.prefetch_server(first);
-                b.prefetch_member(first);
-            }
+        streams::place_batch(self, jobs, farm, index, out, None);
+    }
+
+    /// [`VmtTa::place_batch`] reporting sampled jobs' rung, candidates
+    /// and winning key; the decisions are the same.
+    fn place_batch_traced(
+        &mut self,
+        jobs: &[Job],
+        farm: &mut ServerFarm,
+        index: &mut ClusterIndex,
+        out: &mut Vec<Option<ServerId>>,
+        probe: &mut dyn PlacementProbe,
+    ) {
+        if !self.initialized {
+            self.refresh(farm);
         }
-        for job in jobs {
-            let power = job.core_power().get();
-            let home_is_hot = job.kind().vmt_class() == VmtClass::Hot;
-            let placed = if home_is_hot {
-                self.hot
-                    .place_indexed(index, power)
-                    .map(|i| (i, true))
-                    .or_else(|| self.cold.place_indexed(index, power).map(|i| (i, false)))
-            } else {
-                self.cold
-                    .place_indexed(index, power)
-                    .map(|i| (i, false))
-                    .or_else(|| self.hot.place_indexed(index, power).map(|i| (i, true)))
-            };
-            self.count_placement(home_is_hot, placed.map(|(_, in_hot)| in_hot));
-            if let Some((idx, _)) = placed {
-                farm.start_job(idx, job);
-                index.record_start(idx);
-            }
-            out.push(placed.map(|(i, _)| ServerId(i)));
-            // Hint the group that just placed — its root winner is the
-            // one that moved (a spilled job updated the other group).
-            let balancer = match placed {
-                Some((_, true)) => &self.hot,
-                Some((_, false)) => &self.cold,
-                None => continue,
-            };
-            if let Some(next) = balancer.peek() {
-                farm.prefetch_server(next);
-                index.prefetch_server(next);
-                balancer.prefetch_member(next);
-            }
-        }
+        streams::place_batch(self, jobs, farm, index, out, Some(probe));
     }
 
     fn hot_group_size(&self) -> Option<usize> {

@@ -1,11 +1,13 @@
 //! VMT with wax-aware job placement (VMT-WA, paper §III-B).
 
+use crate::balance::ThermalBalancer;
 use crate::grouping::VmtConfig;
+use crate::streams::{self, Cluster, KeepWarm, Lanes, Rungs, TwoGroups};
 use vmt_dcsim::{
-    ClusterIndex, DecisionCandidate, DecisionDetail, PlacementProbe, SavedState, Scheduler,
-    ServerFarm, ServerId, SnapshotError, SnapshotState,
+    ClusterIndex, PlacementProbe, SavedState, Scheduler, ServerFarm, ServerId, SnapshotError,
+    SnapshotState,
 };
-use vmt_telemetry::{SchedulerCounters, DECISION_TOP_K};
+use vmt_telemetry::SchedulerCounters;
 use vmt_units::{Celsius, Seconds};
 use vmt_workload::{Job, VmtClass};
 
@@ -111,9 +113,9 @@ pub struct VmtWa {
     keep_warm: Vec<usize>,
     /// Temperature balancer over the hot group (saturated members carry
     /// a key penalty; grown servers are appended).
-    hot: crate::balance::ThermalBalancer,
+    hot: ThermalBalancer,
     /// Temperature balancer over the cold group.
-    cold: crate::balance::ThermalBalancer,
+    cold: ThermalBalancer,
     /// Per-server "reported melt ≥ threshold" flags, refreshed per tick.
     melted: Vec<bool>,
     /// The previous tick's `melted` flags (swapped in during refresh) —
@@ -152,8 +154,8 @@ impl VmtWa {
             base_hot: 0,
             hot_size: 0,
             keep_warm: Vec::new(),
-            hot: crate::balance::ThermalBalancer::new(),
-            cold: crate::balance::ThermalBalancer::new(),
+            hot: ThermalBalancer::new(),
+            cold: ThermalBalancer::new(),
             melted: Vec::new(),
             prev_melted: Vec::new(),
             counters: SchedulerCounters::default(),
@@ -176,13 +178,6 @@ impl VmtWa {
     /// retuning) report run-cumulative counts.
     pub(crate) fn adopt_counters(&mut self, counters: SchedulerCounters) {
         self.counters = counters;
-    }
-
-    /// Steady-state air temperature server `idx` is heading toward at
-    /// its current (intra-tick) power draw.
-    fn projected_temp(farm: &ServerFarm, idx: usize) -> Celsius {
-        farm.inlet(idx)
-            + vmt_units::DegC::new(farm.power(idx).get() / farm.air().capacity_rate().get())
     }
 
     /// The temperature a melted server must project to count as warm.
@@ -291,7 +286,7 @@ impl VmtWa {
             if near_peak && self.melted[idx] {
                 // Safety net: a saturated server about to dip below the
                 // melt line gets topped up with priority.
-                if self.tuning.keep_warm && Self::projected_temp(farm, idx) < warm_line {
+                if self.tuning.keep_warm && farm.projected_temp(idx) < warm_line {
                     self.keep_warm.push(idx);
                 }
                 self.members.push((idx, self.tuning.melted_penalty_k));
@@ -310,26 +305,29 @@ impl VmtWa {
         self.cursor_cold_any = 0;
     }
 
+    /// The hot group's rungs 1–2 (keep-warm, then the balancer) on
+    /// `lanes`, with keep-warm placements counted.
+    fn place_hot_group(
+        &mut self,
+        lanes: &impl Lanes,
+        core_power_w: f64,
+    ) -> Option<(usize, &'static str)> {
+        let (mut hot, _) = self.rungs();
+        let placed = hot.place(lanes, core_power_w);
+        let kept_warm = hot.kept_warm;
+        self.counters.keep_warm += kept_warm;
+        placed
+    }
+
     fn place_hot(&mut self, farm: &ServerFarm, core_power_w: f64) -> Option<ServerId> {
         let n = farm.len();
         // 1. Keep-warm: top up melted servers that are about to dip below
         //    the melt line. Placing here both prevents heat release and
         //    frees the rest of the load for unmelted wax.
-        while let Some(&idx) = self.keep_warm.last() {
-            if farm.free_cores(idx) > 0 && Self::projected_temp(farm, idx) < self.warm_line() {
-                // Keep the balancer's projection truthful about this
-                // out-of-band placement.
-                self.hot.account_external(idx, core_power_w, farm);
-                self.counters.keep_warm += 1;
-                return Some(ServerId(idx));
-            }
-            // Topped up (or full): done with this server for the tick.
-            self.keep_warm.pop();
-        }
-        // 2. Temperature-balanced placement across the hot group
+        // 2. Then temperature-balanced placement across the hot group
         //    (saturated members carry a key penalty, so new wax melts
         //    preferentially without abandoning molten servers).
-        if let Some(idx) = self.hot.place(farm, core_power_w) {
+        if let Some((idx, _)) = self.place_hot_group(farm, core_power_w) {
             return Some(ServerId(idx));
         }
         // 3. The whole group is out of cores: grow one server at a time;
@@ -353,7 +351,8 @@ impl VmtWa {
 
     fn place_cold(&mut self, farm: &ServerFarm, core_power_w: f64) -> Option<ServerId> {
         // 1. The cold group, temperature balanced.
-        if let Some(idx) = self.cold.place(farm, core_power_w) {
+        let (_, mut cold) = self.rungs();
+        if let Some((idx, _)) = cold.place(farm, core_power_w) {
             return Some(ServerId(idx));
         }
         // 2. A hot-group server already melted and above the melting
@@ -371,27 +370,17 @@ impl VmtWa {
     /// rung-4 linear fallbacks resuming from per-tick cursors instead of
     /// rescanning from zero for every job. Returns the decision and the
     /// static label of the rung that made it (the labels the trace
-    /// `explain` workflow surfaces); the label costs nothing — it is a
-    /// `&'static str` picked on paths the ladder already takes.
+    /// `explain` workflow surfaces).
     fn place_hot_explained(
         &mut self,
-        farm: &ServerFarm,
-        index: &ClusterIndex,
+        lanes: &Cluster<'_>,
         core_power_w: f64,
     ) -> (Option<ServerId>, &'static str) {
+        let (farm, index) = (lanes.farm, lanes.index);
         let n = farm.len();
-        // 1. Keep-warm.
-        while let Some(&idx) = self.keep_warm.last() {
-            if index.free_cores()[idx] > 0 && Self::projected_temp(farm, idx) < self.warm_line() {
-                self.hot.account_external_indexed(idx, core_power_w, index);
-                self.counters.keep_warm += 1;
-                return (Some(ServerId(idx)), "keep-warm");
-            }
-            self.keep_warm.pop();
-        }
-        // 2. Temperature-balanced placement across the hot group.
-        if let Some(idx) = self.hot.place_indexed(index, core_power_w) {
-            return (Some(ServerId(idx)), "hot-balancer");
+        // 1–2. Keep-warm, then the hot group's balancer.
+        if let Some((idx, rung)) = self.place_hot_group(lanes, core_power_w) {
+            return (Some(ServerId(idx)), rung);
         }
         // 3. Grow one server at a time.
         while self.hot_size < n {
@@ -427,29 +416,21 @@ impl VmtWa {
         }
     }
 
-    fn place_hot_indexed(
-        &mut self,
-        farm: &ServerFarm,
-        index: &ClusterIndex,
-        core_power_w: f64,
-    ) -> Option<ServerId> {
-        self.place_hot_explained(farm, index, core_power_w).0
-    }
-
     /// [`VmtWa::place_cold`] on the engine's index; see
     /// [`VmtWa::place_hot_explained`] for the cursor argument and the
     /// rung labels.
     fn place_cold_explained(
         &mut self,
-        index: &ClusterIndex,
+        lanes: &Cluster<'_>,
         core_power_w: f64,
     ) -> (Option<ServerId>, &'static str) {
         // 1. The cold group, temperature balanced.
-        if let Some(idx) = self.cold.place_indexed(index, core_power_w) {
-            return (Some(ServerId(idx)), "cold-balancer");
+        let (_, mut cold) = self.rungs();
+        if let Some((idx, rung)) = cold.place(lanes, core_power_w) {
+            return (Some(ServerId(idx)), rung);
         }
         // 2. Melted-and-warm hot-group servers, cursor-resumed.
-        let free = index.free_cores();
+        let free = lanes.index.free_cores();
         let mut cursor = self.cursor_cold_melted_warm;
         while cursor < self.hot_size
             && !(self.melted[cursor] && !self.below_melt[cursor] && free[cursor] > 0)
@@ -469,50 +450,6 @@ impl VmtWa {
         match cursor < self.hot_size {
             true => (Some(ServerId(cursor)), "cold-spill-any"),
             false => (None, "cold-exhausted"),
-        }
-    }
-
-    fn place_cold_indexed(&mut self, index: &ClusterIndex, core_power_w: f64) -> Option<ServerId> {
-        self.place_cold_explained(index, core_power_w).0
-    }
-
-    /// The shared tight inner loop of [`VmtWa::place_batch`] and the
-    /// unsampled runs of `place_batch_traced`: the refresh and initial
-    /// prefetch priming are the callers' job. Kept free of any sampling
-    /// or detail branches — this loop runs for every job the cluster
-    /// places, tens of thousands per tick at scale.
-    #[inline]
-    fn place_span(
-        &mut self,
-        jobs: &[Job],
-        farm: &mut ServerFarm,
-        index: &mut ClusterIndex,
-        out: &mut Vec<Option<ServerId>>,
-    ) {
-        for job in jobs {
-            let class = job.kind().vmt_class();
-            let placed = match class {
-                VmtClass::Hot => self.place_hot_indexed(farm, index, job.core_power().get()),
-                VmtClass::Cold => self.place_cold_indexed(index, job.core_power().get()),
-            };
-            self.count_placement(class, placed);
-            if let Some(sid) = placed {
-                farm.start_job(sid.0, job);
-                index.record_start(sid.0);
-            }
-            out.push(placed);
-            // The balancer this job went through has a fresh root
-            // winner; hint it now so its lanes arrive by the time the
-            // next same-class job reads them.
-            let balancer = match class {
-                VmtClass::Hot => &self.hot,
-                VmtClass::Cold => &self.cold,
-            };
-            if let Some(next) = balancer.peek() {
-                farm.prefetch_server(next);
-                index.prefetch_server(next);
-                balancer.prefetch_member(next);
-            }
         }
     }
 
@@ -545,6 +482,13 @@ impl VmtWa {
         wa.melted = state.melted.clone();
         wa.counters = state.counters;
         wa
+    }
+
+    /// Replaces the keep-warm list (tests of the placement driver, which
+    /// need keep-warm entries without simulating a melt).
+    #[cfg(test)]
+    pub(crate) fn force_keep_warm(&mut self, servers: Vec<usize>) {
+        self.keep_warm = servers;
     }
 
     /// Books a successful placement: group routing plus cold-job spills
@@ -594,6 +538,57 @@ impl SnapshotState for VmtWa {
     }
 }
 
+impl TwoGroups for VmtWa {
+    fn hot_size(&self) -> usize {
+        self.hot_size
+    }
+
+    fn rungs(&mut self) -> (Rungs<'_>, Rungs<'_>) {
+        let line = self.warm_line();
+        (
+            Rungs {
+                balancer: &mut self.hot,
+                keep_warm: Some(KeepWarm {
+                    list: &mut self.keep_warm,
+                    line,
+                }),
+                label: "hot-balancer",
+                kept_warm: 0,
+            },
+            Rungs {
+                balancer: &mut self.cold,
+                keep_warm: None,
+                label: "cold-balancer",
+                kept_warm: 0,
+            },
+        )
+    }
+
+    fn book_streams(&mut self, hot: u64, cold: u64, kept_warm: u64) {
+        self.counters.placements += hot + cold;
+        self.counters.hot_placements += hot;
+        self.counters.cold_placements += cold;
+        self.counters.keep_warm += kept_warm;
+    }
+
+    fn place_serial(&mut self, job: &Job, lanes: &Cluster<'_>) -> (Option<ServerId>, &'static str) {
+        let class = job.kind().vmt_class();
+        let (placed, rung) = match class {
+            VmtClass::Hot => self.place_hot_explained(lanes, job.core_power().get()),
+            VmtClass::Cold => self.place_cold_explained(lanes, job.core_power().get()),
+        };
+        self.count_placement(class, placed);
+        (placed, rung)
+    }
+
+    fn home_balancer(&self, class: VmtClass) -> &ThermalBalancer {
+        match class {
+            VmtClass::Hot => &self.hot,
+            VmtClass::Cold => &self.cold,
+        }
+    }
+}
+
 impl Scheduler for VmtWa {
     fn name(&self) -> &str {
         "vmt-wa"
@@ -633,26 +628,12 @@ impl Scheduler for VmtWa {
         if self.melted.len() != farm.len() {
             self.refresh_indexed_impl(farm, index);
         }
-        let class = job.kind().vmt_class();
-        let placed = match class {
-            VmtClass::Hot => self.place_hot_indexed(farm, index, job.core_power().get()),
-            VmtClass::Cold => self.place_cold_indexed(index, job.core_power().get()),
-        };
-        self.count_placement(class, placed);
-        placed
+        self.place_serial(job, &Cluster { farm, index }).0
     }
 
-    /// The default batch loop with predicted-winner prefetching woven
-    /// in. The decision sequence is exactly `place_indexed` per job —
-    /// prefetching is architecturally invisible — but after each
-    /// placement the touched balancer already knows its next root
-    /// winner, so that server's slab row, free-core entry, and tree
-    /// lanes are hinted toward L1 while the current job's bookkeeping
-    /// still runs. Placement is a pointer-chase (tree walk → winner id →
-    /// slab row) whose latency otherwise serializes per job; at 100k
-    /// servers the hint overlaps the next job's misses with the current
-    /// job's work. A wrong prediction (keep-warm priority, growth, a
-    /// fallback rung) costs one wasted cache fill and nothing else.
+    /// Two streams, one per group, up to the stop point, then the
+    /// ladder; see [`crate::streams`]. The decision sequence is exactly
+    /// `place_indexed` per job.
     fn place_batch(
         &mut self,
         jobs: &[Job],
@@ -663,30 +644,14 @@ impl Scheduler for VmtWa {
         if self.melted.len() != farm.len() {
             self.refresh_indexed_impl(farm, index);
         }
-        // Prime both groups' predicted winners before the first job.
-        for balancer in [&self.hot, &self.cold] {
-            if let Some(next) = balancer.peek() {
-                farm.prefetch_server(next);
-                index.prefetch_server(next);
-                balancer.prefetch_member(next);
-            }
-        }
-        self.place_span(jobs, farm, index, out);
+        streams::place_batch(self, jobs, farm, index, out, None);
     }
 
     /// [`VmtWa::place_batch`] with per-job decision detail for sampled
-    /// jobs. The decision sequence is exactly `place_batch`'s — the
-    /// prefetch hints included — because everything the probe receives
-    /// is read-only: the candidate list is snapshotted from the class's
-    /// balancer *before* the placement mutates it (so it shows the
-    /// tournament the job actually entered), and the rung label falls
-    /// out of the ladder for free.
-    ///
-    /// The batch is split around the sampled jobs (asked of the probe
-    /// once, up front): unsampled runs go through the same tight
-    /// [`VmtWa::place_span`] loop as `place_batch`, so tracing at an
-    /// untraced density costs the 99%-unsampled majority of jobs
-    /// nothing — no per-job sampling check, no detail branches.
+    /// jobs: the rung, and the candidate list snapshotted from the
+    /// class's balancer *before* the placement mutates it (so it shows
+    /// the tournament the job actually entered). Everything the probe
+    /// receives is read-only, so the decisions are `place_batch`'s.
     fn place_batch_traced(
         &mut self,
         jobs: &[Job],
@@ -698,76 +663,7 @@ impl Scheduler for VmtWa {
         if self.melted.len() != farm.len() {
             self.refresh_indexed_impl(farm, index);
         }
-        for balancer in [&self.hot, &self.cold] {
-            if let Some(next) = balancer.peek() {
-                farm.prefetch_server(next);
-                index.prefetch_server(next);
-                balancer.prefetch_member(next);
-            }
-        }
-        let mut sampled = Vec::new();
-        probe.sampled_indices(jobs, &mut sampled);
-        let mut cand_scratch: Vec<(usize, f64)> = Vec::new();
-        let mut start = 0;
-        for &at in &sampled {
-            self.place_span(&jobs[start..at], farm, index, out);
-            start = at + 1;
-            let job = &jobs[at];
-            let class = job.kind().vmt_class();
-            let candidates: Vec<DecisionCandidate> = {
-                let balancer = match class {
-                    VmtClass::Hot => &self.hot,
-                    VmtClass::Cold => &self.cold,
-                };
-                balancer.top_candidates_into(DECISION_TOP_K, &mut cand_scratch);
-                cand_scratch
-                    .iter()
-                    .map(|&(idx, key)| DecisionCandidate {
-                        server: idx as u32,
-                        key,
-                    })
-                    .collect()
-            };
-            let (placed, rung) = match class {
-                VmtClass::Hot => self.place_hot_explained(farm, index, job.core_power().get()),
-                VmtClass::Cold => self.place_cold_explained(index, job.core_power().get()),
-            };
-            self.count_placement(class, placed);
-            if let Some(sid) = placed {
-                farm.start_job(sid.0, job);
-                index.record_start(sid.0);
-            }
-            out.push(placed);
-            let chosen = placed.map(|sid| sid.0 as u32);
-            // The winning key is the chosen server's pre-placement
-            // tournament key; priority/cursor rungs (and a winner
-            // outside the snapshot's top-k) report none.
-            let winning_key = chosen.and_then(|c| {
-                candidates
-                    .iter()
-                    .find(|cand| cand.server == c)
-                    .map(|cand| cand.key)
-            });
-            probe.decision(
-                job,
-                DecisionDetail {
-                    rung,
-                    chosen,
-                    winning_key,
-                    candidates,
-                },
-            );
-            let balancer = match class {
-                VmtClass::Hot => &self.hot,
-                VmtClass::Cold => &self.cold,
-            };
-            if let Some(next) = balancer.peek() {
-                farm.prefetch_server(next);
-                index.prefetch_server(next);
-                balancer.prefetch_member(next);
-            }
-        }
-        self.place_span(&jobs[start..], farm, index, out);
+        streams::place_batch(self, jobs, farm, index, out, Some(probe));
     }
 
     fn hot_group_size(&self) -> Option<usize> {

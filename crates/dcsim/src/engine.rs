@@ -488,10 +488,7 @@ impl Simulation {
         // in shard order, the index's thermal columns and the
         // optional heatmap rows are written in place. The sweep is
         // deterministic at any thread count — see `farm`.
-        let hot_size = self
-            .scheduler
-            .hot_group_size()
-            .map(|size| size.clamp(1, num_servers));
+        let hot_size = self.hot_size();
         let sample_heatmaps = t.is_multiple_of(heatmap_stride);
         let (temp_row, melt_row) = if sample_heatmaps {
             let row = t / heatmap_stride;
@@ -875,6 +872,15 @@ impl Simulation {
         })
     }
 
+    /// The policy's hot-group size clamped to the farm. The physics
+    /// sweep bounds its hot-group totals by it, and both pooled tick
+    /// sections (departure drain and sweep) split their shard ranges at
+    /// it; without a hot group they split mid-farm.
+    fn hot_size(&self) -> Option<usize> {
+        let n = self.farm.len();
+        self.scheduler.hot_group_size().map(|size| size.clamp(1, n))
+    }
+
     /// Ends every job whose departure tick has arrived.
     ///
     /// Large buckets are partitioned by server shard and drained
@@ -902,6 +908,7 @@ impl Simulation {
             }
             let ended = self.farm.end_jobs_sharded(
                 &self.depart_shards,
+                self.hot_size().unwrap_or(0),
                 &mut self.index,
                 &mut self.occupancy,
                 timing,

@@ -35,6 +35,10 @@ use vmt_thermal::{AirStream, ServerThermalModel};
 use vmt_units::{Celsius, Fraction, Joules, Kilograms, Seconds, Watts, WattsPerKelvin};
 use vmt_workload::{Job, JobId, VmtClass, WorkloadKind};
 
+mod groups;
+
+pub use groups::GroupView;
+
 /// Servers per shard of the parallel physics sweep.
 ///
 /// A fixed layout constant (never derived from the thread count), so the
@@ -1148,10 +1152,13 @@ impl ServerFarm {
     ///
     /// Returns the number of jobs ended. `occupancy` is decremented per
     /// workload kind; the index's free-core column and used total are
-    /// updated in place.
+    /// updated in place. Pool participants take contiguous shard ranges
+    /// ([`part_range`]); two split at the hot/cold edge server
+    /// `hot_limit` (0 without a hot group, see [`edge_shard`]).
     pub(crate) fn end_jobs_sharded(
         &mut self,
         shard_buckets: &[Vec<(JobId, u32)>],
+        hot_limit: usize,
         index: &mut ClusterIndex,
         occupancy: &mut [usize; 5],
         timing: Option<&mut SweepTiming>,
@@ -1209,23 +1216,12 @@ impl ServerFarm {
             }
         } else {
             let pool = self.pool.as_ref().expect("pool sized above");
-            let slots: Vec<UnsafeCell<Option<DepartView<'_>>>> = tasks
-                .into_iter()
-                .map(|t| UnsafeCell::new(Some(t)))
-                .collect();
-            let slots = TaskSlots(&slots);
-            let run = move |i: usize| {
-                // SAFETY: the pool's claim counter hands out each index
-                // exactly once, so this take never aliases.
-                let task = unsafe { slots.take(i) }.expect("shard claimed once");
-                run_depart_shard(task);
-            };
             if started.is_some() {
                 pool_busy = vec![0u64; pool.workers() + 1];
-                pool.run_timed(num_shards, &run, &mut pool_busy);
-            } else {
-                pool.run(num_shards, &run);
             }
+            let busy = started.map(|_| pool_busy.as_mut_slice());
+            let edge = edge_shard(hot_limit, n);
+            run_ranges(pool, workers, edge, tasks, run_depart_shard, busy);
         }
         if let (Some(timing), Some(t0)) = (timing, started) {
             let span_ns = t0.elapsed().as_nanos() as u64;
@@ -1395,10 +1391,10 @@ impl ServerFarm {
         }
 
         // Run the shards: inline at one worker, else on the persistent
-        // pool where workers and the engine thread claim shard indices
-        // from an atomic counter. Which thread runs a shard does not
-        // affect its output, and the fold below is always in shard
-        // order.
+        // pool where each participant takes one contiguous shard range
+        // (two split at the hot/cold edge). Which thread runs a shard
+        // does not affect its output, and the fold below is always in
+        // shard order.
         let shards_started = timing.as_ref().map(|_| std::time::Instant::now());
         let mut pool_busy: Vec<u64> = Vec::new();
         if workers == 1 {
@@ -1407,24 +1403,20 @@ impl ServerFarm {
             }
         } else {
             let pool = self.pool.as_ref().expect("pool sized above");
-            let slots: Vec<UnsafeCell<Option<ShardView<'_>>>> = tasks
-                .into_iter()
-                .map(|t| UnsafeCell::new(Some(t)))
-                .collect();
-            let slots = TaskSlots(&slots);
-            let params = &params;
-            let run = move |i: usize| {
-                // SAFETY: the pool's claim counter hands out each index
-                // exactly once, so this take never aliases.
-                let task = unsafe { slots.take(i) }.expect("shard claimed once");
-                run_shard(task, params);
-            };
             if shards_started.is_some() {
                 pool_busy = vec![0u64; pool.workers() + 1];
-                pool.run_timed(num_shards, &run, &mut pool_busy);
-            } else {
-                pool.run(num_shards, &run);
             }
+            let busy = shards_started.map(|_| pool_busy.as_mut_slice());
+            let edge = edge_shard(hot_limit, n);
+            let params = &params;
+            run_ranges(
+                pool,
+                workers,
+                edge,
+                tasks,
+                |task| run_shard(task, params),
+                busy,
+            );
         }
         let fold_started = shards_started.map(|t0| {
             let now = std::time::Instant::now();
@@ -1448,10 +1440,41 @@ impl ServerFarm {
     }
 }
 
+/// The shard boundary a two-participant pooled section splits at: the
+/// hot/cold edge server `hot_limit` of a farm of `n` servers rounded to
+/// the nearest shard boundary, or the midpoint when there is no hot
+/// group (`hot_limit` 0). The departure drain and the physics sweep both
+/// take their split from here, so a group's shards stay with the same
+/// participant in both sections.
+fn edge_shard(hot_limit: usize, n: usize) -> usize {
+    let edge = if hot_limit == 0 { n / 2 } else { hot_limit };
+    (edge.saturating_add(SHARD / 2) / SHARD).min(n.div_ceil(SHARD))
+}
+
+/// The contiguous shard range pool participant `part` of `parts` runs in
+/// a section over `shards` shards.
+///
+/// Two participants split at shard `edge` ([`edge_shard`]) when it lies
+/// strictly inside: the calling thread runs the hot group's shards and
+/// the worker the cold group's, in the departure drain, the placement
+/// streams and the physics sweep alike, so each group's lanes stay in
+/// one core's cache across the tick instead of migrating shard by
+/// shard. Otherwise the shards are cut into `parts` equal ranges: with
+/// more than two participants the pool's claim order is arbitrary, so an
+/// edge cut would buy no locality and only make the ranges uneven.
+fn part_range(part: usize, parts: usize, shards: usize, edge: usize) -> std::ops::Range<usize> {
+    debug_assert!(part < parts);
+    if parts == 2 && 0 < edge && edge < shards {
+        return if part == 0 { 0..edge } else { edge..shards };
+    }
+    shards * part / parts..shards * (part + 1) / parts
+}
+
 /// `Sync` wrapper handing pool participants claim-once access to the
-/// shard tasks: each slot is taken by exactly one thread (the pool's
-/// atomic claim counter guarantees a given index is handed out once),
-/// so the interior mutability is never aliased.
+/// shard tasks: each slot is taken by exactly one thread (every shard
+/// lies in exactly one participant range, and the pool's atomic claim
+/// counter hands each range out once), so the interior mutability is
+/// never aliased.
 struct TaskSlots<'slot, T>(&'slot [UnsafeCell<Option<T>>]);
 
 impl<T> Clone for TaskSlots<'_, T> {
@@ -1471,10 +1494,61 @@ impl<T> TaskSlots<'_, T> {
     /// # Safety
     ///
     /// The caller must guarantee no two threads present the same index
-    /// (the pool's atomic claim counter does).
+    /// (disjoint participant ranges, each claimed once, do).
     unsafe fn take(&self, i: usize) -> Option<T> {
         unsafe { (*self.0[i].get()).take() }
     }
+}
+
+/// Runs every shard task of a pooled section: participant `part` of
+/// `parts` takes [`part_range`]'s contiguous range of `tasks` (split at
+/// shard `edge` when `parts` is 2). Output is independent of which
+/// thread ran which range (callers fold shard outputs in shard order);
+/// `busy`, when supplied, receives the per-participant busy
+/// nanoseconds.
+fn run_ranges<T: Send>(
+    pool: &TickPool,
+    parts: usize,
+    edge: usize,
+    tasks: Vec<T>,
+    run: impl Fn(T) + Sync,
+    busy: Option<&mut [u64]>,
+) {
+    let shards = tasks.len();
+    let slots: Vec<UnsafeCell<Option<T>>> = tasks
+        .into_iter()
+        .map(|t| UnsafeCell::new(Some(t)))
+        .collect();
+    let slots = TaskSlots(&slots);
+    let run = move |part: usize| {
+        for shard in part_range(part, parts, shards, edge) {
+            // SAFETY: each shard lies in exactly one participant range
+            // and each range is claimed once, so this take never aliases.
+            let task = unsafe { slots.take(shard) }.expect("shard taken once");
+            run(task);
+        }
+    };
+    match busy {
+        Some(busy) => pool.run_timed(parts, &run, busy),
+        None => pool.run(parts, &run),
+    }
+}
+
+/// Runs `a` and `b`: at the same time on `pool` when one is supplied
+/// (the calling thread normally claims `a`, a worker `b`), else inline
+/// in that order.
+fn run_pair<'t>(
+    pool: Option<&TickPool>,
+    a: impl FnOnce() + Send + 't,
+    b: impl FnOnce() + Send + 't,
+) {
+    let Some(pool) = pool else {
+        a();
+        b();
+        return;
+    };
+    let tasks: Vec<Box<dyn FnOnce() + Send + 't>> = vec![Box::new(a), Box::new(b)];
+    run_ranges(pool, 2, 1, tasks, |task| task(), None);
 }
 
 /// Detaches the first `len` elements from a shrinking slice cursor.
@@ -1980,11 +2054,159 @@ mod tests {
         }
         assert!(buckets.iter().map(Vec::len).sum::<usize>() >= 2 * DEPART_JOBS_PER_WORKER);
         let mut index = ClusterIndex::new(&farm);
-        let ended = farm.end_jobs_sharded(&buckets, &mut index, &mut occupancy, None);
+        let ended = farm.end_jobs_sharded(&buckets, 0, &mut index, &mut occupancy, None);
         assert_eq!(ended, 3 * n as u64);
         assert_eq!(occupancy, [0; 5]);
         assert!((0..n).all(|i| farm.used_cores(i) == 0));
         assert!(farm.pool.is_none(), "drain fanned out below the quantum");
+    }
+
+    /// Participant ranges tile the shards in order, one contiguous range
+    /// each. Two participants split at an inner edge shard; any other
+    /// count gets equal ranges.
+    #[test]
+    fn participant_ranges_tile_the_shards() {
+        for shards in [2, 3, 7, 64, 97, 157, 1563] {
+            for parts in 2..=8 {
+                for edge in [0, 1, shards / 3, shards / 2, shards - 1, shards] {
+                    let ranges: Vec<_> = (0..parts)
+                        .map(|part| part_range(part, parts, shards, edge))
+                        .collect();
+                    let label = format!("{shards} shards, {parts} parts, edge {edge}");
+                    assert_eq!(ranges[0].start, 0, "{label}");
+                    assert_eq!(ranges[parts - 1].end, shards, "{label}");
+                    for pair in ranges.windows(2) {
+                        assert_eq!(pair[0].end, pair[1].start, "{label}");
+                    }
+                    if parts == 2 && 0 < edge && edge < shards {
+                        assert_eq!(ranges[0].end, edge, "{label}");
+                    } else {
+                        let lens = ranges.iter().map(ExactSizeIterator::len);
+                        let (min, max) = (lens.clone().min(), lens.max());
+                        assert!(max <= min.map(|m| m + 1), "{label}: {ranges:?}");
+                    }
+                }
+            }
+        }
+        // 10,000 servers at GV 22: the 6,162-server hot group rounds to
+        // shard 96, and two participants split there; four take equal
+        // ranges of 39 or 40 shards.
+        assert_eq!(edge_shard(6162, 10_000), 96);
+        assert_eq!(part_range(0, 2, 157, 96), 0..96);
+        assert_eq!(part_range(1, 2, 157, 96), 96..157);
+        let four: Vec<_> = (0..4).map(|part| part_range(part, 4, 157, 96)).collect();
+        assert_eq!(four, [0..39, 39..78, 78..117, 117..157]);
+        // Without a hot group the split is mid-farm.
+        assert_eq!(edge_shard(0, 10_000), 78);
+    }
+
+    /// On a real pool every task of a section runs exactly once at any
+    /// participant count, the two-task `run_pair` included, even where
+    /// the host has fewer cores than participants.
+    #[test]
+    fn pooled_ranges_run_every_task_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let pool = TickPool::new(4);
+        for parts in 2..=5 {
+            for shards in [2, 5, 157] {
+                for edge in [0, 1, shards / 2, shards] {
+                    let runs: Vec<AtomicUsize> = (0..shards).map(|_| AtomicUsize::new(0)).collect();
+                    let tasks: Vec<&AtomicUsize> = runs.iter().collect();
+                    let mut busy = vec![0u64; pool.workers() + 1];
+                    run_ranges(
+                        &pool,
+                        parts,
+                        edge,
+                        tasks,
+                        |run| {
+                            run.fetch_add(1, Ordering::Relaxed);
+                        },
+                        Some(&mut busy),
+                    );
+                    let counts: Vec<usize> =
+                        runs.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+                    assert_eq!(
+                        counts,
+                        vec![1; shards],
+                        "{parts} parts, {shards} shards, edge {edge}"
+                    );
+                }
+            }
+        }
+        let (mut a, mut b) = (0, 0);
+        run_pair(Some(&pool), || a += 1, || b += 2);
+        run_pair(None, || a += 1, || b += 2);
+        assert_eq!((a, b), (2, 4));
+    }
+
+    /// The edge-split pool sections give the serial result wherever the
+    /// edge falls: at the midpoint (no hot group), inside a shard, on a
+    /// shard boundary and at either end.
+    #[test]
+    fn edge_split_sections_match_serial_at_any_edge() {
+        let n: usize = 4160;
+        let drain = |farm: &mut ServerFarm, edge: usize| {
+            let mut index = ClusterIndex::new(farm);
+            let mut occupancy = [usize::MAX / 2; 5];
+            // Every job ends: enough departures for two drain workers.
+            let mut buckets = vec![Vec::new(); n.div_ceil(SHARD)];
+            for i in 0..n {
+                for core in 0..(i % 8) as u64 {
+                    buckets[i / SHARD].push((JobId(i as u64 * 100 + core), i as u32));
+                }
+            }
+            farm.end_jobs_sharded(&buckets, edge, &mut index, &mut occupancy, None);
+            (index.free_cores().to_vec(), occupancy)
+        };
+        for edge in [0, 1, 2564, 4096, 4159, 4160] {
+            let mut serial = loaded_farm(n);
+            serial.set_threads(1);
+            let mut index = ClusterIndex::new(&serial);
+            let want: Vec<_> = (0..3)
+                .map(|_| {
+                    serial.tick_physics_recorded(
+                        Seconds::new(60.0),
+                        edge,
+                        &mut index,
+                        None,
+                        None,
+                        None,
+                    )
+                })
+                .collect();
+            let want_drain = drain(&mut serial, edge);
+            for threads in [2, 8] {
+                let mut pooled = loaded_farm(n);
+                pooled.set_threads(threads);
+                let mut pooled_index = ClusterIndex::new(&pooled);
+                for (tick, want) in want.iter().enumerate() {
+                    let got = pooled.tick_physics_recorded(
+                        Seconds::new(60.0),
+                        edge,
+                        &mut pooled_index,
+                        None,
+                        None,
+                        None,
+                    );
+                    assert_eq!(&got, want, "edge {edge} threads {threads} tick {tick}");
+                }
+                assert_eq!(
+                    pooled_index.air_c(),
+                    index.air_c(),
+                    "edge {edge} threads {threads}"
+                );
+                assert_eq!(
+                    drain(&mut pooled, edge),
+                    want_drain,
+                    "edge {edge} threads {threads}"
+                );
+                assert_eq!(
+                    pooled.state(),
+                    serial.state(),
+                    "edge {edge} threads {threads}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -149,6 +149,12 @@ impl ClusterIndex {
         let _ = idx;
     }
 
+    /// Records `count` job starts whose per-server free-core decrements
+    /// were already applied through [`ClusterIndex::free_cores_mut`].
+    pub(crate) fn record_bulk_starts(&mut self, count: u64) {
+        self.used_total += count;
+    }
+
     /// Records `count` job ends whose per-server free-core increments
     /// were already applied through [`ClusterIndex::free_cores_mut`].
     pub(crate) fn record_bulk_ends(&mut self, count: u64) {

@@ -58,7 +58,8 @@ mod topology;
 pub use config::{ClusterConfig, WaxSpec};
 pub use engine::Simulation;
 pub use farm::{
-    default_tick_threads, tick_fan_out, FarmState, FarmTickTotals, ServerFarm, SweepTiming, SHARD,
+    default_tick_threads, tick_fan_out, FarmState, FarmTickTotals, GroupView, ServerFarm,
+    SweepTiming, SHARD,
 };
 pub use index::ClusterIndex;
 pub use metrics::{Heatmap, SimulationResult};

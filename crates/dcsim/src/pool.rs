@@ -18,6 +18,15 @@
 //! caller in task order afterwards. The pool itself never touches task
 //! outputs.
 //!
+//! The farm publishes one task per participant: a contiguous shard
+//! range in the departure drain and the physics sweep, and one thermal
+//! group's placement stream in between. At two participants the ranges
+//! split at the hot/cold edge, and the calling thread, which publishes
+//! and then claims first, normally takes task 0 — the hot group — in
+//! every section, so each group's lanes stay in one core's cache across
+//! the tick. With more participants the claim order is arbitrary and
+//! the ranges are equal.
+//!
 //! The claim counter also makes the pool degrade gracefully on
 //! oversubscribed or single-core hosts: if workers are never scheduled,
 //! the calling thread simply claims every task itself and the only

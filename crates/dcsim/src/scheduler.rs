@@ -44,9 +44,9 @@ pub struct DecisionDetail {
 ///
 /// The engine implements this to feed its span tracer. [`wants`]
 /// gates the (comparatively expensive) detail assembly to sampled
-/// jobs; `decision` is called at most once per wanted job, after the
-/// placement's bookkeeping against the policy's own structures but
-/// before the next job is considered.
+/// jobs; `decision` is called at most once per wanted job, in arrival
+/// order (a policy that places parts of a batch at the same time
+/// buffers the detail and reports it in order afterwards).
 ///
 /// [`wants`]: PlacementProbe::wants
 pub trait PlacementProbe {
@@ -142,8 +142,9 @@ pub trait Scheduler: SnapshotState {
     /// decision, and each job's outcome is pushed onto `out`.
     ///
     /// The default runs exactly the per-job sequence the engine used
-    /// to run inline (VMT-WA overrides it to add prefetching), so the
-    /// policy observes identical farm/index state before every decision
+    /// to run inline (the VMT policies override it to place their two
+    /// groups as two streams, `CoolestFirst` to add prefetching), so
+    /// the policy observes identical farm/index state before every decision
     /// and the outcomes (hence results, counters, and replay digests)
     /// are bit-identical to per-job placement. Batching exists to
     /// devirtualize the hot loop: the engine pays one dynamic dispatch
@@ -173,8 +174,9 @@ pub trait Scheduler: SnapshotState {
     /// The default ignores the probe and delegates, so the placements
     /// — and therefore results, counters, and replay digests — are
     /// bit-identical to an untraced run for every policy. Policies
-    /// that can explain their decisions (VMT-WA's placement ladder)
-    /// override this to report a [`DecisionDetail`] per sampled job;
+    /// that can explain their decisions (the VMT-TA and VMT-WA
+    /// placement ladders) override this to report a [`DecisionDetail`]
+    /// per sampled job;
     /// the override must keep the decision sequence identical to
     /// `place_batch`, reporting detail without perturbing it. The
     /// record/replay harness wrappers deliberately do *not* override

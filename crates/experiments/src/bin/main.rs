@@ -34,7 +34,8 @@
 //! `--servers` overrides the cluster size (paper defaults: 1,000 for
 //! fig12/13/15/16 and tco, 100 for everything simulation-backed).
 //!
-//! `--threads` sets the worker count of the sharded physics tick
+//! `--threads` sets the worker count of the sharded tick — departure
+//! drain, placement streams and physics sweep — and must be at least 1
 //! (equivalent to exporting `VMT_THREADS`). Results are bit-identical
 //! at any value; only wall-clock time changes. A tick only fans out
 //! with one worker per 2,048 servers (`vmt_dcsim::tick_fan_out`), so
@@ -106,7 +107,7 @@ fn print_help() {
     println!("  --servers N          cluster size (default 1000)");
     println!("  --hours H            trace horizon in simulated hours (default 48)");
     println!("  --seed S             workload seed (default: paper default)");
-    println!("  --threads T          physics worker threads (results bit-identical)");
+    println!("  --threads T          tick worker threads, >= 1 (results bit-identical)");
     println!("  --zones              attach the paper-default rack/row/zone topology");
     println!("                       (per-zone CRAC integrators; observational only,");
     println!("                       placements and digests are unchanged)");
@@ -250,6 +251,15 @@ fn servers_flag(flags: &HashMap<String, String>) -> Option<usize> {
     servers
 }
 
+/// `--threads`: a tick-thread count, at least one thread.
+fn threads_flag(flags: &HashMap<String, String>) -> Option<usize> {
+    let threads = numeric(flags, "--threads");
+    if threads == Some(0) {
+        die("`--threads` must be at least 1");
+    }
+    threads
+}
+
 /// `--gv`: a positive, finite grouping value (default 22).
 fn gv_flag(flags: &HashMap<String, String>) -> f64 {
     let gv: f64 = numeric(flags, "--gv").unwrap_or(22.0);
@@ -296,11 +306,11 @@ fn cmd_experiment(id: &str, rest: &[String]) {
     if seeds == 0 {
         die("`--seeds` must be at least 1");
     }
-    if let Some(threads) = numeric::<usize>(&flags, "--threads") {
+    if let Some(threads) = threads_flag(&flags) {
         // The experiment modules build their own `Run`s, whose default
         // tick-thread count reads VMT_THREADS — so one env write plumbs
         // the flag through every figure and sweep.
-        std::env::set_var("VMT_THREADS", threads.max(1).to_string());
+        std::env::set_var("VMT_THREADS", threads.to_string());
     }
 
     if id == "all" {
@@ -358,7 +368,7 @@ fn cmd_run(rest: &[String]) {
         run.cluster.seed = seed;
         run.trace.seed = seed;
     }
-    if let Some(threads) = numeric::<usize>(&flags, "--threads") {
+    if let Some(threads) = threads_flag(&flags) {
         run = run.with_tick_threads(threads);
     }
     if flags.contains_key("--zones") {
@@ -553,7 +563,7 @@ fn cmd_record(rest: &[String]) {
         run.cluster.seed = seed;
         run.trace.seed = seed;
     }
-    if let Some(threads) = numeric::<usize>(&flags, "--threads") {
+    if let Some(threads) = threads_flag(&flags) {
         run = run.with_tick_threads(threads);
     }
 
@@ -601,6 +611,7 @@ fn cmd_replay(rest: &[String]) {
         "usage: vmt-experiments replay TRACE [--until TICK] [--threads T]",
     );
     let flags = parse_flags(rest, &["--until", "--threads"]);
+    let threads = threads_flag(&flags);
     let text = match std::fs::read_to_string(trace_path) {
         Ok(text) => text,
         Err(err) => die(&format!("cannot read `{trace_path}`: {err}")),
@@ -636,7 +647,7 @@ fn cmd_replay(rest: &[String]) {
         vmt_workload::DiurnalTrace::new(trace_cfg),
         Box::new(replayer),
     );
-    if let Some(threads) = numeric::<usize>(&flags, "--threads") {
+    if let Some(threads) = threads {
         sim = sim.with_threads(threads);
     }
     let (result, end_servers) = sim.run_returning_servers();
@@ -713,6 +724,7 @@ fn cmd_snapshot(rest: &[String]) {
     };
     // `record`-sized defaults: the farm arrays land in the file verbatim.
     let servers = servers_flag(&flags).unwrap_or(100);
+    let threads = threads_flag(&flags);
     let hours: f64 = numeric(&flags, "--hours").unwrap_or(24.0);
     if !hours.is_finite() || hours <= 0.0 {
         die("`--hours` must be positive");
@@ -754,7 +766,7 @@ fn cmd_snapshot(rest: &[String]) {
         vmt_workload::DiurnalTrace::new(run.trace.clone()),
         policy.build(&run.cluster),
     );
-    if let Some(threads) = numeric::<usize>(&flags, "--threads") {
+    if let Some(threads) = threads {
         sim = sim.with_threads(threads);
     }
     let total = sim.total_ticks();
@@ -799,6 +811,7 @@ fn cmd_resume(rest: &[String]) {
         "usage: vmt-experiments resume FILE [--until TICK] [--threads T]",
     );
     let flags = parse_flags(rest, &["--until", "--threads"]);
+    let threads = threads_flag(&flags);
     let bytes = match std::fs::read(snap_path) {
         Ok(bytes) => bytes,
         Err(err) => die(&format!("cannot read `{snap_path}`: {err}")),
@@ -819,7 +832,7 @@ fn cmd_resume(rest: &[String]) {
             std::process::exit(1);
         }
     };
-    if let Some(threads) = numeric::<usize>(&flags, "--threads") {
+    if let Some(threads) = threads {
         sim = sim.with_threads(threads);
     }
     let total = sim.total_ticks();

@@ -84,6 +84,10 @@ fn experiment_usage_errors() {
         "`--servers` must be at least 1",
     );
     assert_usage_error(&["fig19", "--seeds", "0"], "`--seeds` must be at least 1");
+    assert_usage_error(
+        &["fig13", "--threads", "0"],
+        "`--threads` must be at least 1",
+    );
 }
 
 #[test]
@@ -98,6 +102,10 @@ fn run_usage_errors() {
     }
     assert_usage_error(&["run", "--hours", "0"], "`--hours` must be positive");
     assert_usage_error(&["run", "--servers", "0"], "`--servers` must be at least 1");
+    assert_usage_error(
+        &["run", "--servers", "100", "--hours", "1", "--threads", "0"],
+        "`--threads` must be at least 1",
+    );
     for gv in ["nan", "0", "-5", "inf"] {
         assert_usage_error(&["run", "--gv", gv], "`--gv` must be positive");
     }
@@ -130,6 +138,10 @@ fn record_usage_errors() {
         &["record", "/tmp/x.trace", "--gv", "0"],
         "`--gv` must be positive",
     );
+    assert_usage_error(
+        &["record", "/tmp/x.trace", "--threads", "0"],
+        "`--threads` must be at least 1",
+    );
 }
 
 #[test]
@@ -137,6 +149,10 @@ fn replay_usage_errors() {
     assert_usage_error(&["replay"], "usage: vmt-experiments replay");
     assert_usage_error(&["replay", "--until", "5"], "usage: vmt-experiments replay");
     assert_usage_error(&["replay", "/nonexistent/t.trace"], "cannot read");
+    assert_usage_error(
+        &["replay", "/nonexistent/t.trace", "--threads", "0"],
+        "`--threads` must be at least 1",
+    );
 }
 
 #[test]
@@ -394,6 +410,10 @@ fn snapshot_usage_errors() {
         &["snapshot", "/tmp/x.snap", "--at", "1", "--gv", "nan"],
         "`--gv` must be positive",
     );
+    assert_usage_error(
+        &["snapshot", "/tmp/x.snap", "--at", "1", "--threads", "0"],
+        "`--threads` must be at least 1",
+    );
 }
 
 #[test]
@@ -404,6 +424,10 @@ fn resume_usage_errors() {
     assert_usage_error(
         &["resume", "/tmp/x.snap", "--servers", "5"],
         "unrecognized argument `--servers`",
+    );
+    assert_usage_error(
+        &["resume", "/nonexistent/x.snap", "--threads", "0"],
+        "`--threads` must be at least 1",
     );
 }
 
@@ -594,6 +618,40 @@ fn check_trace_and_explain_read_the_golden_trace() {
     let out = run(&["explain", "99", golden]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("not in this trace"));
+}
+
+/// A VMT-TA trace explains its placements like a VMT-WA one: the rung,
+/// the balancer's candidates and the winning key.
+#[test]
+fn explain_reads_a_vmt_ta_decision() {
+    let trace = scratch("ta_trace.json");
+    let out = bin()
+        .args([
+            "run",
+            "--policy",
+            "vmt-ta",
+            "--servers",
+            "100",
+            "--hours",
+            "2",
+        ])
+        .args(["--trace-sample", "10", "--trace"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let out = bin().args(["explain", "50"]).arg(&trace).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let chain = stdout(&out);
+    assert!(!chain.contains("no decision detail"), "{chain}");
+    assert!(
+        chain.contains("handled by rung `hot-balancer`")
+            || chain.contains("handled by rung `cold-balancer`"),
+        "{chain}"
+    );
+    assert!(chain.contains("top balancer candidates"), "{chain}");
+    assert!(chain.contains("with winning key"), "{chain}");
+    let _ = std::fs::remove_file(&trace);
 }
 
 /// Input nested 100,000 levels deep is invalid input (exit 1) for

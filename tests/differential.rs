@@ -17,9 +17,12 @@ use vmt_core::{
 };
 use vmt_dcsim::{
     digest_index, ClusterConfig, ClusterIndex, Scheduler, ServerFarm, Simulation, SimulationResult,
+    TelemetryConfig, TraceSpec,
 };
-use vmt_units::{Hours, Seconds};
-use vmt_workload::{DiurnalTrace, Job, JobId, TraceConfig, WorkloadKind};
+use vmt_pcm::ServerWaxConfig;
+use vmt_telemetry::SchedulerCounters;
+use vmt_units::{Hours, Liters, Minutes, Seconds};
+use vmt_workload::{DiurnalTrace, Job, JobId, RecordedTrace, TraceConfig, VmtClass, WorkloadKind};
 
 const SERVERS: usize = 100;
 const SEEDS: [u64; 3] = [0, 1, 42];
@@ -127,6 +130,129 @@ fn results_are_bit_identical_at_any_thread_count() {
     }
 }
 
+/// Servers of the pooled-tick case: 65 shards, past the 4,096 servers at
+/// which two tick threads fan out. At GV 22 the hot/cold edge is server
+/// 2,564, four servers into shard 40, so both placement streams touch
+/// the edge shard's job pages.
+const POOLED_SERVERS: usize = 4160;
+
+/// What a pooled slice leaves behind: per-tick state digests, the
+/// result, the scheduler counters, and the span trace (every 97th job's
+/// decision detail) with durations zeroed.
+type PooledRun = (
+    Vec<u64>,
+    SimulationResult,
+    SchedulerCounters,
+    Vec<vmt_telemetry::SpanRecord>,
+);
+
+/// A [`PooledRun`] of an evening slice on [`POOLED_SERVERS`] servers: 60
+/// one-minute ticks from hour 19 of the paper trace, on an empty cluster
+/// whose wax is sized down to 0.4 L so it melts inside the slice.
+fn pooled_slice(policy: &PolicyKind, threads: usize) -> PooledRun {
+    const START_H: f64 = 19.0;
+    const TICKS: usize = 60;
+    let mut cluster = ClusterConfig::paper_default(POOLED_SERVERS);
+    if let Some(wax) = cluster.wax.as_mut() {
+        wax.sizing = ServerWaxConfig::new(Liters::new(0.4), 4).expect("valid sizing");
+    }
+    let paper = DiurnalTrace::new(TraceConfig::paper_default());
+    let rows = (0..=TICKS)
+        .map(|i| {
+            let t = Hours::new(START_H + i as f64 / 60.0);
+            let mut row = [0.0; 5];
+            // The paper's mix within each class, at class totals that
+            // first overfill the cold group (cold spills) and then the hot
+            // group (VMT-WA grows it, VMT-TA spills hot jobs).
+            let (hot, cold) = if i < TICKS / 2 {
+                (0.55, 0.40)
+            } else {
+                (0.625, 0.345)
+            };
+            let class_sum = |class| {
+                WorkloadKind::ALL
+                    .iter()
+                    .filter(|kind| kind.vmt_class() == class)
+                    .map(|&kind| paper.utilization(kind, t).get())
+                    .sum::<f64>()
+            };
+            let (hot_sum, cold_sum) = (class_sum(VmtClass::Hot), class_sum(VmtClass::Cold));
+            for kind in WorkloadKind::ALL {
+                let scale = match kind.vmt_class() {
+                    VmtClass::Hot => hot / hot_sum,
+                    VmtClass::Cold => cold / cold_sum,
+                };
+                row[kind.index()] = paper.utilization(kind, t).get() * scale;
+            }
+            row
+        })
+        .collect();
+    let trace = RecordedTrace::from_samples(Minutes::new(1.0), rows).expect("valid rows");
+    let telemetry = TelemetryConfig::new().with_trace(TraceSpec {
+        sample_every: 97,
+        ..TraceSpec::default()
+    });
+    let summary = telemetry.summary.clone();
+    let tracer = telemetry.tracer.clone();
+    let mut sim = Simulation::new(cluster.clone(), trace, policy.build(&cluster))
+        .with_threads(threads)
+        .with_telemetry(telemetry);
+    let mut digests = Vec::with_capacity(TICKS);
+    while sim.step() {
+        digests.push(sim.state_digest());
+    }
+    let result = sim.finish().0;
+    let counters = summary
+        .get()
+        .and_then(|s| s.scheduler)
+        .expect("the run deposited its counters");
+    let trace = tracer.take().expect("the run deposited its trace");
+    assert_eq!(trace.dropped, 0, "the trace ring overflowed");
+    (digests, result, counters, trace.without_durations())
+}
+
+/// The two-group placement streams and the edge-split pool sections at
+/// a size where they run on the tick pool: VMT-TA and VMT-WA give the
+/// same per-tick state digests, result, counters and (durations aside)
+/// span trace at 1, 2 and 8 threads, over a slice where cold jobs spill
+/// into the hot group, keep-warm tops up melted servers and VMT-WA
+/// grows its hot group.
+///
+/// The pooled path needs two cores: `tick_fan_out` clamps to the host's
+/// parallelism, so on a one-core host every thread count here runs the
+/// streams inline, one after the other.
+#[test]
+fn two_group_streams_are_bit_identical_on_the_tick_pool() {
+    for policy in [PolicyKind::VmtTa { gv: 22.0 }, PolicyKind::vmt_wa(22.0)] {
+        let (digests, baseline, counters, trace) = pooled_slice(&policy, 1);
+        assert!(
+            trace
+                .iter()
+                .any(|r| matches!(r, vmt_telemetry::SpanRecord::Decision { .. })),
+            "{policy:?}: no decision detail traced"
+        );
+        assert!(counters.spills > 0, "{policy:?}: no spills");
+        if matches!(policy, PolicyKind::VmtWa { .. }) {
+            assert!(counters.keep_warm > 0, "{policy:?}: keep-warm never fired");
+            assert!(
+                counters.hot_group_growth > 0,
+                "{policy:?}: the hot group never grew"
+            );
+        }
+        for threads in [2, 8] {
+            let label = format!("{policy:?} threads {threads}");
+            let (got_digests, got, got_counters, got_trace) = pooled_slice(&policy, threads);
+            assert_eq!(got_digests, digests, "{label}: per-tick digests");
+            assert_identical(&got, &baseline, &label);
+            assert_eq!(got_counters, counters, "{label}: counters");
+            assert!(
+                got_trace == trace,
+                "{label}: traces differ beyond durations"
+            );
+        }
+    }
+}
+
 /// Batched placement (`Scheduler::place_batch`, the engine's hot path
 /// since the tick pool PR) must be *decision-for-decision* identical to
 /// the per-job sequence it replaced: `place_indexed`, then
@@ -153,9 +279,11 @@ mod batched_placement {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
         fn place_batch_equals_per_job_sequential(
-            servers in 1usize..48,
+            // Up to 220 servers: the GV 22 hot/cold edge crosses the
+            // 64-server job-table shard boundary from 104 servers on.
+            servers in 1usize..220,
             seed_pick in 0usize..3,
-            batch_len in 0usize..160,
+            batch_len in 0usize..400,
             job_seed in 0u64..u64::MAX,
         ) {
             let mut cluster = ClusterConfig::paper_default(servers);
