@@ -3,22 +3,21 @@
 //! placement loop — hot/cold balancer mix plus farm/index bookkeeping —
 //! the dominant per-job cost of the VMT policies at 100k servers, then
 //! isolates the two tournament primitives (argmin selection via
-//! `place_indexed`, key update via `account_external_indexed`) for the
-//! flat and zone-sharded layouts side by side.
+//! `place_indexed`, key update via `account_external_indexed`).
 
 use std::time::Instant;
-use vmt_core::{BalancerLayout, ThermalBalancer};
+use vmt_core::ThermalBalancer;
 use vmt_dcsim::{ClusterConfig, ClusterIndex, ServerFarm};
 use vmt_units::Seconds;
 use vmt_workload::{Job, JobId, WorkloadKind};
 
-/// Per-layout primitive costs: the selection path (`place_indexed` —
+/// Primitive costs: the selection path (`place_indexed` —
 /// root argmin, winner key bump, path replay to the root) and the pure
 /// update path (`account_external_indexed` — key bump and path replay,
 /// no selection). Free cores never drop (no jobs are started), so
 /// neither loop exhausts the tree; keys only drift upward, which is the
 /// steady-state shape of a mid-tick balancer anyway.
-fn layout_micro(n: usize, layout: BalancerLayout, label: &str) {
+fn primitives(n: usize) {
     let config = ClusterConfig::paper_default(n);
     let farm = ServerFarm::from_config(&config);
     let index = ClusterIndex::new(&farm);
@@ -27,7 +26,6 @@ fn layout_micro(n: usize, layout: BalancerLayout, label: &str) {
     let mut best_update = f64::INFINITY;
     for _ in 0..4 {
         let mut b = ThermalBalancer::new();
-        b.set_layout(layout);
         b.rebuild(0..n, &farm);
         let t0 = Instant::now();
         let mut picked = 0u64;
@@ -37,7 +35,6 @@ fn layout_micro(n: usize, layout: BalancerLayout, label: &str) {
         best_argmin = best_argmin.min(t0.elapsed().as_nanos() as f64 / picked.max(1) as f64);
 
         let mut b = ThermalBalancer::new();
-        b.set_layout(layout);
         b.rebuild(0..n, &farm);
         let mut rng = 0xDEAD_BEEFu64;
         let t0 = Instant::now();
@@ -50,13 +47,7 @@ fn layout_micro(n: usize, layout: BalancerLayout, label: &str) {
         best_update = best_update.min(t0.elapsed().as_nanos() as f64 / iters as f64);
     }
     println!(
-        "{label:>5} ({} zones): {best_argmin:.1} ns/argmin, {best_update:.1} ns/update",
-        {
-            let mut b = ThermalBalancer::new();
-            b.set_layout(layout);
-            b.rebuild(0..n, &farm);
-            b.zone_count()
-        }
+        "tournament primitives at {n} leaves: {best_argmin:.1} ns/argmin, {best_update:.1} ns/update"
     );
 }
 
@@ -113,13 +104,5 @@ fn main() {
         println!("placed {placed} at {ns:.1} ns/place");
     }
     println!("best: {best:.1} ns/place over {n} servers (prefetch={prefetch})");
-
-    // The layout comparison: same leaves, same keys, flat tournament vs
-    // zone-sharded slabs. A serial global argmin hops zones on every
-    // placement, so the zoned layout gets no slab locality and its
-    // replicated mid levels run colder than flat's shared upper levels
-    // — flat wins this micro at every scale tried (hence Auto = flat).
-    println!("tournament primitives at {n} leaves:");
-    layout_micro(n, BalancerLayout::Flat, "flat");
-    layout_micro(n, BalancerLayout::Zoned { span: 4096 }, "zoned");
+    primitives(n);
 }

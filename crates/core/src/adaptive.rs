@@ -230,8 +230,9 @@ impl SnapshotState for AdaptiveGv {
                 state.gv
             )));
         }
+        state.config.check()?;
         *self = Self {
-            inner: VmtWa::from_state(&state.inner),
+            inner: VmtWa::from_state(&state.inner)?,
             config: state.config,
             gv: state.gv,
             bounds: state.bounds,

@@ -1,7 +1,7 @@
 //! The Grouping Value and hot/cold group sizing (the paper's Equations 1
 //! and 2).
 
-use vmt_dcsim::ClusterConfig;
+use vmt_dcsim::{ClusterConfig, SnapshotError};
 use vmt_units::Celsius;
 
 /// The user-set Grouping Value (GV).
@@ -128,6 +128,29 @@ impl VmtConfig {
     /// Equation 1 applied to a concrete cluster size.
     pub fn hot_group_size(&self, num_servers: usize) -> usize {
         self.gv.hot_group_size(self.pmt, num_servers)
+    }
+
+    /// Holds a config that bypassed the constructors (one deserialized
+    /// from a snapshot) to their rules: GV positive and finite, PMT
+    /// positive and finite, wax threshold in `(0, 1]`. A threshold
+    /// above 1 would never count a server as melted, so keep-warm and
+    /// melt-driven hot-group growth would silently never fire.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] naming the first field out of range.
+    pub(crate) fn check(&self) -> Result<(), SnapshotError> {
+        let (gv, pmt, threshold) = (self.gv.get(), self.pmt.get(), self.wax_threshold);
+        let fault = if !(gv > 0.0 && gv.is_finite()) {
+            format!("GV {gv} is not positive and finite")
+        } else if !(pmt > 0.0 && pmt.is_finite()) {
+            format!("PMT {pmt} is not positive and finite")
+        } else if !(threshold > 0.0 && threshold <= 1.0) {
+            format!("wax threshold {threshold} is outside (0, 1]")
+        } else {
+            return Ok(());
+        };
+        Err(SnapshotError::Corrupt(format!("VMT config: {fault}")))
     }
 }
 

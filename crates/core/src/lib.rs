@@ -61,7 +61,7 @@ mod vmt_ta;
 mod vmt_wa;
 
 pub use adaptive::AdaptiveGv;
-pub use balance::{BalancerLayout, ThermalBalancer};
+pub use balance::ThermalBalancer;
 pub use coolest_first::CoolestFirst;
 pub use grouping::{GroupingValue, VmtConfig};
 pub use policy::PolicyKind;

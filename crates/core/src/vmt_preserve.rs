@@ -142,7 +142,7 @@ impl SnapshotState for VmtPreserve {
             )));
         }
         *self = Self {
-            inner: VmtTa::from_state(&state.inner),
+            inner: VmtTa::from_state(&state.inner)?,
             engage_at: state.engage_at,
             sacrificed: ThermalBalancer::new(),
             spread: ThermalBalancer::new(),

@@ -124,11 +124,17 @@ impl VmtTa {
     /// Rebuilds an instance from a state image. Balancers start empty
     /// and are re-derived from the farm in the next tick refresh, before
     /// any placement.
-    pub(crate) fn from_state(state: &VmtTaState) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] when the config breaks
+    /// [`VmtConfig::check`].
+    pub(crate) fn from_state(state: &VmtTaState) -> Result<Self, SnapshotError> {
+        state.config.check()?;
         let mut ta = Self::new(state.config);
         ta.hot_size = state.hot_size;
         ta.counters = state.counters;
-        ta
+        Ok(ta)
     }
 }
 
@@ -153,7 +159,7 @@ impl SnapshotState for VmtTa {
 
     fn restore_state(&mut self, saved: &SavedState) -> Result<(), SnapshotError> {
         let state: VmtTaState = saved.decode("vmt-ta")?;
-        *self = Self::from_state(&state);
+        *self = Self::from_state(&state)?;
         Ok(())
     }
 }

@@ -475,13 +475,19 @@ impl VmtWa {
 
     /// Rebuilds an instance from a state image; see
     /// [`VmtWa::to_state`] for what is re-derived instead of restored.
-    pub(crate) fn from_state(state: &VmtWaState) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] when the config breaks
+    /// [`VmtConfig::check`].
+    pub(crate) fn from_state(state: &VmtWaState) -> Result<Self, SnapshotError> {
+        state.config.check()?;
         let mut wa = Self::with_tuning(state.config, state.tuning);
         wa.base_hot = state.base_hot;
         wa.hot_size = state.hot_size;
         wa.melted = state.melted.clone();
         wa.counters = state.counters;
-        wa
+        Ok(wa)
     }
 
     /// Replaces the keep-warm list (tests of the placement driver, which
@@ -533,7 +539,7 @@ impl SnapshotState for VmtWa {
 
     fn restore_state(&mut self, saved: &SavedState) -> Result<(), SnapshotError> {
         let state: VmtWaState = saved.decode("vmt-wa")?;
-        *self = Self::from_state(&state);
+        *self = Self::from_state(&state)?;
         Ok(())
     }
 }

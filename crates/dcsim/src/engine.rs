@@ -683,13 +683,23 @@ impl Simulation {
     /// [`restore_state`](crate::SnapshotState::restore_state), or
     /// [`SnapshotError::Corrupt`] when the snapshot's arrays disagree
     /// with its own config (shape mismatches, out-of-range ticks,
-    /// occupancy that does not match the farm).
+    /// occupancy that does not match the farm, a hot group larger than
+    /// the farm).
     pub fn restore_with(
         snapshot: &Snapshot,
         mut scheduler: Box<dyn Scheduler>,
     ) -> Result<Self, SnapshotError> {
         snapshot.check_columns()?;
         scheduler.restore_state(&snapshot.scheduler)?;
+        // A hot group is servers `0..size`; the policy never sees the
+        // farm size on restore, and a group past the farm's end would
+        // index out of it at the first refresh.
+        let servers = snapshot.config.num_servers;
+        if let Some(size) = scheduler.hot_group_size().filter(|&size| size > servers) {
+            return Err(SnapshotError::Corrupt(format!(
+                "the scheduler's hot group has {size} servers, the farm {servers}"
+            )));
+        }
         if let Some(spec) = &snapshot.config.topology {
             if !spec.is_valid() {
                 return Err(SnapshotError::Corrupt(
@@ -794,7 +804,6 @@ impl Simulation {
                 "hot-group series disagree with snapshot tick".to_owned(),
             ));
         }
-        let servers = sim.farm.len();
         let stride = sim.config.heatmap_stride.max(1);
         let heatmap_rows = ticks.div_ceil(stride);
         let rows_written = tick.div_ceil(stride);

@@ -36,7 +36,8 @@
 //!
 //! `--threads` sets the worker count of the sharded tick — departure
 //! drain, placement streams and physics sweep — and must be at least 1
-//! (equivalent to exporting `VMT_THREADS`). Results are bit-identical
+//! (equivalent to exporting `VMT_THREADS`; an exported value that is not
+//! a positive integer is a usage error). Results are bit-identical
 //! at any value; only wall-clock time changes. A tick only fans out
 //! with one worker per 2,048 servers (`vmt_dcsim::tick_fan_out`), so
 //! figure sweeps over smaller clusters run whole runs in parallel
@@ -269,7 +270,22 @@ fn gv_flag(flags: &HashMap<String, String>) -> f64 {
     gv
 }
 
+/// `VMT_THREADS`, when set, must be a positive integer. The engine's
+/// `default_tick_threads` reads it in every verb and would silently fall
+/// back to every core on anything else.
+fn check_threads_env() {
+    if let Some(value) = std::env::var_os("VMT_THREADS") {
+        let value = value.to_string_lossy();
+        if !value.parse::<usize>().is_ok_and(|n| n >= 1) {
+            die(&format!(
+                "`VMT_THREADS` must be a positive integer, got `{value}`"
+            ));
+        }
+    }
+}
+
 fn main() {
+    check_threads_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         print_help();

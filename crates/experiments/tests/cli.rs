@@ -27,19 +27,21 @@ fn stdout(out: &Output) -> String {
 
 /// Asserts a usage error: exit 2 and a help pointer on stderr.
 fn assert_usage_error(args: &[&str], needle: &str) {
-    let out = run(args);
+    assert_usage_error_output(&run(args), &args.join(" "), needle);
+}
+
+/// [`assert_usage_error`] on the output of the invocation `label`.
+fn assert_usage_error_output(out: &Output, label: &str, needle: &str) {
     assert_eq!(
         out.status.code(),
         Some(2),
-        "`{}` should exit 2, stderr: {}",
-        args.join(" "),
-        stderr(&out)
+        "`{label}` should exit 2, stderr: {}",
+        stderr(out)
     );
-    let err = stderr(&out);
+    let err = stderr(out);
     assert!(
         err.contains(needle),
-        "`{}` stderr should mention `{needle}`: {err}",
-        args.join(" ")
+        "`{label}` stderr should mention `{needle}`: {err}"
     );
     assert!(
         err.contains("--help"),
@@ -113,6 +115,20 @@ fn run_usage_errors() {
     assert_usage_error(&["run", "--flightdump", "x"], "unrecognized argument");
     // `--watchdogs` is a switch: it must not swallow a following flag.
     assert_usage_error(&["run", "--watchdogs", "--servers"], "requires a value");
+    // `VMT_THREADS` is read by every verb, so it is checked once, before
+    // dispatch: a value that is not a positive integer is a usage error,
+    // not a silent fall-back to every core.
+    let args = ["run", "--servers", "10", "--hours", "1"];
+    for value in ["0", "-1", "four", ""] {
+        let out = bin().args(args).env("VMT_THREADS", value).output().unwrap();
+        assert_usage_error_output(
+            &out,
+            &format!("VMT_THREADS={value} {}", args.join(" ")),
+            &format!("`VMT_THREADS` must be a positive integer, got `{value}`"),
+        );
+    }
+    let out = bin().args(args).env("VMT_THREADS", "2").output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
 }
 
 #[test]
@@ -451,9 +467,34 @@ fn resume_rejects_corrupt_snapshots_with_exit_1() {
     bad_digest[column + 3] ^= 0x40;
     let truncated = v2[..column + 4].to_vec();
 
+    // The committed v1 fixture (4 servers, VMT-WA) with one scheduler
+    // field edited, re-wrapped with a valid digest: framing and digest
+    // pass, and restore rejects the state.
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/data/golden_v1.snap"
+    ))
+    .unwrap();
+    let payload = golden.split_once('\n').unwrap().1.trim_end();
+    let v1_with = |field: &str, value: &str| {
+        assert_eq!(payload.matches(field).count(), 1, "`{field}` occurs once");
+        let edited = payload.replace(field, value);
+        let digest = edited
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        format!(
+            "VMTSNAP v1 digest={digest:#018x} bytes={}\n{edited}\n",
+            edited.len()
+        )
+        .into_bytes()
+    };
+
     // A wrong magic, a bad version, a truncated payload, a column that
-    // fails its block digest, and a column cut short each fail with a
-    // typed message, never a panic.
+    // fails its block digest, a column cut short, a hot group larger
+    // than the farm, a negative GV and a wax threshold above 1 each fail
+    // with a typed message, never a panic.
     for (name, contents, needle) in [
         (
             "magic",
@@ -472,6 +513,21 @@ fn resume_rejects_corrupt_snapshots_with_exit_1() {
         ),
         ("v2_digest", bad_digest, "inlet_c digest mismatch"),
         ("v2_trunc", truncated, "length mismatch"),
+        (
+            "v1_hot_size",
+            v1_with("\"hot_size\":2", "\"hot_size\":9"),
+            "hot group has 9 servers, the farm 4",
+        ),
+        (
+            "v1_gv",
+            v1_with("\"gv\":22.0", "\"gv\":-5.0"),
+            "gv -5 is not positive",
+        ),
+        (
+            "v1_threshold",
+            v1_with("\"wax_threshold\":0.98", "\"wax_threshold\":7.0"),
+            "wax threshold 7 is outside (0, 1]",
+        ),
     ] {
         let path = scratch(&format!("bad_{name}.snap"));
         std::fs::write(&path, contents).unwrap();

@@ -253,6 +253,43 @@ fn two_group_streams_are_bit_identical_on_the_tick_pool() {
     }
 }
 
+/// Per-tick state digests and the result of a 1-hour VMT-WA run on
+/// 1,000,000 servers.
+fn million_run(threads: usize) -> (Vec<u64>, SimulationResult) {
+    let cluster = ClusterConfig::paper_default(1_000_000);
+    let trace = TraceConfig {
+        horizon: Hours::new(1.0),
+        ..TraceConfig::paper_default()
+    };
+    let mut sim = Simulation::new(
+        cluster.clone(),
+        DiurnalTrace::new(trace),
+        PolicyKind::vmt_wa(22.0).build(&cluster),
+    )
+    .with_threads(threads);
+    let mut digests = Vec::new();
+    while sim.step() {
+        digests.push(sim.state_digest());
+    }
+    (digests, sim.finish().0)
+}
+
+/// The 1M tier's determinism check: at 8 threads the run lands on the
+/// single-thread run's per-tick digest sequence and final result. Short
+/// horizon — each run is a full 1M-server simulation; the 100k suites
+/// cover long horizons.
+///
+/// Run with: `cargo test --release million -- --ignored`
+#[test]
+#[ignore = "1M-server runs: minutes of wall clock, run explicitly"]
+fn million_tier_is_identical_across_thread_counts() {
+    let (digests, baseline) = million_run(1);
+    assert!(!digests.is_empty());
+    let (got_digests, got) = million_run(8);
+    assert_eq!(got_digests, digests, "x8: digest sequence");
+    assert_identical(&got, &baseline, "x8");
+}
+
 /// Batched placement (`Scheduler::place_batch`, the engine's hot path
 /// since the tick pool PR) must be *decision-for-decision* identical to
 /// the per-job sequence it replaced: `place_indexed`, then

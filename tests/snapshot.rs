@@ -337,10 +337,10 @@ fn v1_entries(bucket: &mut serde::Value) -> &mut Vec<serde::Value> {
     }
 }
 
-/// A mid-run snapshot of an 8-server VMT-WA run, with pending
-/// departures in several buckets.
-fn eight_server_snapshot() -> Snapshot {
-    let mut sim = build_sized(7, PolicyKind::vmt_wa(22.0), 1, 8, 6.0);
+/// A mid-run snapshot of an 8-server run, with pending departures in
+/// several buckets.
+fn eight_server_snapshot(policy: PolicyKind) -> Snapshot {
+    let mut sim = build_sized(7, policy, 1, 8, 6.0);
     sim.run_until(120);
     let snapshot = sim.snapshot().expect("snapshot");
     assert!(
@@ -370,7 +370,7 @@ fn assert_restore_rejects(snapshot: &Snapshot, needle: &str, context: &str) {
 /// container (the golden fixture).
 #[test]
 fn restore_rejects_departures_the_farm_cannot_drain() {
-    let snapshot = eight_server_snapshot();
+    let snapshot = eight_server_snapshot(PolicyKind::vmt_wa(22.0));
 
     let mut moved = snapshot.clone();
     moved.departures.servers[0] = (moved.departures.servers[0] + 1) % 8;
@@ -405,12 +405,33 @@ fn restore_rejects_departures_the_farm_cannot_drain() {
     assert_restore_rejects(&doubled, "twice", "v1, duplicated entry");
 }
 
+/// Replaces the field at `path` (nested object field names) of a
+/// serialized value.
+fn set_field(mut node: &mut serde::Value, path: &[&str], value: serde::Value) {
+    for name in path {
+        let serde::Value::Object(fields) = node else {
+            panic!("the parent of `{name}` is not an object")
+        };
+        node = &mut fields
+            .iter_mut()
+            .find(|(field, _)| field == name)
+            .unwrap_or_else(|| panic!("no field `{name}`"))
+            .1;
+    }
+    *node = value;
+}
+
 /// Restore also holds each kind's occupancy to the running jobs of that
 /// kind (each departure decrements its kind's count) and requires the
-/// calendar's buckets to ascend from the snapshot tick.
+/// calendar's buckets to ascend from the snapshot tick. The VMT
+/// policies' saved state must fit the farm and pass the checks their
+/// constructors make: a hot group past the farm's end would index out
+/// of it at the first refresh, and a config no constructor would build
+/// is rejected field by field.
 #[test]
 fn restore_rejects_inconsistent_occupancy_and_bucket_order() {
-    let snapshot = eight_server_snapshot();
+    use serde::Value::{F64, U64};
+    let snapshot = eight_server_snapshot(PolicyKind::vmt_wa(22.0));
 
     let mut shifted = snapshot.clone();
     let busy = (0..5).find(|&k| shifted.occupancy[k] > 0).unwrap();
@@ -425,6 +446,72 @@ fn restore_rejects_inconsistent_occupancy_and_bucket_order() {
     let mut stale = snapshot.clone();
     stale.departures.ticks[0] = snapshot.tick - 1;
     assert_restore_rejects(&stale, "precedes tick", "bucket before the snapshot tick");
+
+    let ta = eight_server_snapshot(PolicyKind::VmtTa { gv: 22.0 });
+    let cases: [(&Snapshot, &[&str], serde::Value, &str); 5] = [
+        (&snapshot, &["hot_size"], U64(9), "hot group has 9 servers"),
+        (&ta, &["hot_size"], U64(9), "hot group has 9 servers"),
+        (&snapshot, &["config", "gv"], F64(-5.0), "GV -5"),
+        (&ta, &["config", "pmt"], F64(0.0), "PMT 0"),
+        (
+            &snapshot,
+            &["config", "wax_threshold"],
+            F64(7.0),
+            "wax threshold 7",
+        ),
+    ];
+    for (base, path, value, needle) in cases {
+        let mut tampered = base.clone();
+        set_field(&mut tampered.scheduler.state, path, value);
+        let context = format!("{} {}", base.scheduler.kind, path.join("."));
+        assert_restore_rejects(&tampered, needle, &context);
+    }
+}
+
+/// Snapshot/restore at the 1M tier: checkpoint a 1-hour VMT-WA run
+/// midway, round-trip the container, and hold the restored run's
+/// remaining ticks digest-identical to the continuous one at threads 1
+/// and 8.
+///
+/// Run with: `cargo test --release million -- --ignored`
+#[test]
+#[ignore = "1M-server runs: minutes of wall clock, run explicitly"]
+fn million_tier_snapshot_restores_bit_identically() {
+    const SERVERS: usize = 1_000_000;
+    const HOURS: f64 = 1.0;
+    let build = || {
+        let cluster = ClusterConfig::paper_default(SERVERS);
+        let mut trace = TraceConfig::paper_default();
+        trace.horizon = Hours::new(HOURS);
+        let policy = PolicyKind::vmt_wa(22.0).build(&cluster);
+        Simulation::new(cluster, DiurnalTrace::new(trace), policy)
+    };
+    let (digests, result, final_digest) = run_with_digests(build());
+    let mid = digests.len() / 2;
+    let mut sim = build();
+    sim.run_until(mid as u64);
+    let snapshot = sim.snapshot().expect("1M snapshot");
+    let decoded = Snapshot::decode(&snapshot.encode()).expect("container round-trips");
+    assert_eq!(decoded.digest(), snapshot.digest());
+    for threads in [1usize, 8] {
+        let restored = restore_simulation(&decoded)
+            .unwrap_or_else(|e| panic!("restore at x{threads} failed: {e}"))
+            .with_threads(threads);
+        assert_eq!(restored.current_tick(), mid as u64);
+        assert_eq!(
+            restored.state_digest(),
+            digests[mid - 1],
+            "x{threads}: state at restore"
+        );
+        assert_suffix_identical(
+            restored,
+            mid,
+            &digests,
+            &result,
+            final_digest,
+            &format!("x{threads}"),
+        );
+    }
 }
 
 /// Property tests over the container format: lossless round-trips at
