@@ -1,9 +1,10 @@
 //! The simulation main loop.
 
 use crate::config::ClusterConfig;
-use crate::farm::{FarmState, ServerFarm, SweepTiming, SHARD};
+use crate::farm::{FarmState, ServerFarm, SweepTiming};
 use crate::index::ClusterIndex;
 use crate::metrics::{Heatmap, SimulationResult};
+use crate::radix::sort_by_high_word;
 use crate::scheduler::{DecisionDetail, PlacementProbe, Scheduler};
 use crate::server::Server;
 use crate::server::ServerId;
@@ -17,31 +18,19 @@ use vmt_thermal::CoolingLoadSeries;
 use vmt_units::{Celsius, Hours, Joules, Watts};
 use vmt_workload::{ArrivalPlanner, Job, JobId, JobSpec, LoadTrace, WorkloadKind};
 
-/// Minimum departure-bucket size worth shard-partitioning: below this
-/// the extra partition pass cannot recoup its cost and the plain
-/// per-entry drain wins. Above it the drain is partitioned by server
-/// shard even on a single thread — the bucket arrives in job-id
-/// (arrival) order, which walks the job slab essentially at random, and
-/// at 10k+ servers the slab has long outgrown L2, so each lookup eats a
-/// full miss. Draining shard-by-shard visits slab rows in ascending
-/// server order instead, which is the difference between ~70ns and
-/// ~25ns per departure at 100k servers. A 1,000-server paper-trace tick
-/// retires ~2,300 jobs and stays on the direct drain; 10,000 servers
-/// retire ~23,000 and partition.
-const PAR_DEPART_MIN: usize = 4096;
-
-/// Retired departure buckets kept for reuse. One bucket retires per
-/// tick while placement provisions buckets across the whole spread of
-/// job durations, so a moderately deep pool (not just one or two slots)
-/// is needed before the steady state stops allocating fresh buckets.
-const BUCKET_POOL_CAP: usize = 32;
-
 /// A configured simulation, ready to run.
 ///
 /// Couples a cluster ([`ClusterConfig`]), a load trace
 /// ([`LoadTrace`]), and a placement policy ([`Scheduler`]). The run is
 /// fully deterministic: all randomness flows from the seeds in the
 /// configuration and trace.
+///
+/// Each placed job departs at the tick its duration rounds to, and that
+/// due tick lives beside the job in the farm's table as a `u32`. A
+/// horizon therefore spans at most [`Simulation::MAX_TICKS`] ticks
+/// (8,166 years of the paper's 60-second tick);
+/// [`Simulation::check_horizon`] tells a caller up front, and running a
+/// longer one panics.
 ///
 /// # Examples
 ///
@@ -65,13 +54,6 @@ pub struct Simulation {
     planner: ArrivalPlanner,
     /// Occupied cores per workload, indexed by [`WorkloadKind::index`].
     occupancy: [usize; 5],
-    /// Departure calendar: `departures[t]` holds the jobs ending at tick
-    /// `t`, each with the server it runs on. Sized to the horizon when
-    /// the run starts; jobs outliving the trace are simply never ended,
-    /// as with the former priority queue. Job ids grow monotonically, so
-    /// bucket insertion order equals the old heap's `(tick, id)` pop
-    /// order and draining a bucket is O(1) per job.
-    departures: Vec<Vec<(JobId, u32)>>,
     next_job_id: u64,
     /// Shuffles each tick's arrival order (seeded; deterministic).
     arrival_rng: rand::rngs::SmallRng,
@@ -84,12 +66,11 @@ pub struct Simulation {
     /// Per-job placement outcomes of the tick's batch, reused across
     /// ticks.
     outcomes: Vec<Option<ServerId>>,
-    /// Departure entries partitioned by server shard for the parallel
-    /// drain, reused across ticks.
-    depart_shards: Vec<Vec<(JobId, u32)>>,
-    /// Retired departure buckets recycled into future calendar slots so
-    /// the steady state allocates no new buckets.
-    bucket_pool: Vec<Vec<(JobId, u32)>>,
+    /// The tick's departures as `(id − id base) << 32 | server` words,
+    /// and the radix sort's scratch: filled only while a flight
+    /// recorder is armed, empty between ticks.
+    departed: Vec<u64>,
+    departed_scratch: Vec<u64>,
     /// Per-zone CRAC integrators when the config carries a topology.
     /// Observational: stepped after physics from the farm's power lane,
     /// never fed back into inlets, so results stay bit-identical to a
@@ -219,15 +200,14 @@ impl Simulation {
             farm,
             planner,
             occupancy: [0; 5],
-            departures: Vec::new(),
             next_job_id: 0,
             arrival_rng,
             index,
             per_kind: std::array::from_fn(|_| Vec::new()),
             batch: Vec::new(),
             outcomes: Vec::new(),
-            depart_shards: Vec::new(),
-            bucket_pool: Vec::new(),
+            departed: Vec::new(),
+            departed_scratch: Vec::new(),
             zones,
             telemetry: None,
             run: None,
@@ -291,6 +271,34 @@ impl Simulation {
         self.config.ticks_for(self.trace.horizon()) as u64
     }
 
+    /// The longest horizon a simulation runs, in ticks: every tick of
+    /// it must be a due tick a job can name, and due ticks are `u32`s
+    /// with [`Job::NEVER_DUE`] as the last one.
+    pub const MAX_TICKS: u64 = Job::NEVER_DUE as u64;
+
+    /// The ticks `horizon` spans under `config`, or [`HorizonTooLong`]
+    /// when that is more than [`Simulation::MAX_TICKS`]. Running such a
+    /// horizon panics, so callers taking a horizon from outside check
+    /// it here first.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vmt_dcsim::{ClusterConfig, Simulation};
+    /// use vmt_units::Hours;
+    ///
+    /// let config = ClusterConfig::paper_default(10);
+    /// assert_eq!(Simulation::check_horizon(&config, Hours::new(48.0)), Ok(2880));
+    /// assert!(Simulation::check_horizon(&config, Hours::new(1e12)).is_err());
+    /// ```
+    pub fn check_horizon(config: &ClusterConfig, horizon: Hours) -> Result<u64, HorizonTooLong> {
+        let ticks = config.ticks_for(horizon) as u64;
+        if ticks > Self::MAX_TICKS {
+            return Err(HorizonTooLong { ticks });
+        }
+        Ok(ticks)
+    }
+
     /// The next tick the run will execute (0 before anything has run;
     /// equals [`Simulation::total_ticks`] once the horizon is done).
     pub fn current_tick(&self) -> u64 {
@@ -313,12 +321,10 @@ impl Simulation {
         if self.run.is_some() {
             return;
         }
-        let ticks = self.config.ticks_for(self.trace.horizon());
-        // Only ever grow the calendar: `resize_with` would truncate the
-        // pre-filled future buckets of a restored simulation.
-        if self.departures.len() < ticks {
-            self.departures.resize_with(ticks, Vec::new);
-        }
+        let ticks = match Self::check_horizon(&self.config, self.trace.horizon()) {
+            Ok(ticks) => ticks as usize,
+            Err(err) => panic!("{err}"),
+        };
         let dt = self.config.tick;
         let num_servers = self.farm.len();
         let heatmap_rows = ticks.div_ceil(self.config.heatmap_stride.max(1));
@@ -368,6 +374,11 @@ impl Simulation {
     /// Executes one tick. Returns `false` (without running anything)
     /// once the horizon is exhausted. The sequence `while sim.step() {}`
     /// is bit-identical to the former monolithic run loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the horizon spans more than [`Simulation::MAX_TICKS`]
+    /// ticks ([`Simulation::check_horizon`]).
     pub fn step(&mut self) -> bool {
         self.start_run();
         let mut run = self.run.take().expect("start_run just installed the run");
@@ -592,19 +603,7 @@ impl Simulation {
         for (slot, &used) in occupancy.iter_mut().zip(&self.occupancy) {
             *slot = used as u64;
         }
-        let mut departures = Departures::default();
-        for (t, bucket) in self.departures.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            departures.ticks.push(t as u64);
-            // A bucket holds at most every running job, far below u32.
-            departures.lens.push(bucket.len() as u32);
-            departures
-                .servers
-                .extend(bucket.iter().map(|&(_, server)| server));
-        }
-        departures.jobs = JobIds::from_ids(self.departures.iter().flatten().map(|&(id, _)| id.0))?;
+        let departures = self.pending_departures();
         Ok(Snapshot {
             config: self.config.clone(),
             trace,
@@ -619,6 +618,71 @@ impl Simulation {
             partial: self.partial_result(),
             zone_temps: self.zones.as_ref().map(|z| z.temperatures().to_vec()),
         })
+    }
+
+    /// The departures still to come, derived from the job table's due
+    /// ticks in linear time: a counting pass sizes one bucket per due
+    /// tick in `[current tick, horizon)`, a second pass drops each job
+    /// into its bucket, and a radix sort puts every bucket in id order —
+    /// the order the sweep retires a server's jobs in. Ids grow with
+    /// placement order, so this is also the order the jobs were booked
+    /// in, which is what the snapshot format has always stored.
+    fn pending_departures(&self) -> Departures {
+        let from = self.current_tick();
+        let horizon = self.total_ticks();
+        let offset = |due: u32| {
+            let due = u64::from(due);
+            (from..horizon)
+                .contains(&due)
+                .then(|| (due - from) as usize)
+        };
+        let mut lens: Vec<u32> = Vec::new();
+        self.farm.for_each_job(|_, _, due| {
+            if let Some(off) = offset(due) {
+                if off >= lens.len() {
+                    lens.resize(off + 1, 0);
+                }
+                lens[off] += 1;
+            }
+        });
+        let mut next: Vec<usize> = Vec::with_capacity(lens.len());
+        let mut total = 0;
+        for &len in &lens {
+            next.push(total);
+            total += len as usize;
+        }
+        // `(id − id base) << 32 | server`, bucket after bucket.
+        let mut words = vec![0u64; total];
+        self.farm.for_each_job(|server, delta, due| {
+            if let Some(off) = offset(due) {
+                words[next[off]] = u64::from(delta) << 32 | server as u64;
+                next[off] += 1;
+            }
+        });
+        let mut scratch = Vec::new();
+        let mut start = 0;
+        for &len in &lens {
+            let end = start + len as usize;
+            sort_by_high_word(&mut words[start..end], &mut scratch);
+            start = end;
+        }
+        let low = words.iter().map(|&w| (w >> 32) as u32).min().unwrap_or(0);
+        Departures {
+            ticks: (0..lens.len() as u64)
+                .filter(|&off| lens[off as usize] > 0)
+                .map(|off| from + off)
+                .collect(),
+            lens: lens.into_iter().filter(|&len| len > 0).collect(),
+            jobs: JobIds {
+                base: if words.is_empty() {
+                    0
+                } else {
+                    self.farm.id_base() + u64::from(low)
+                },
+                deltas: words.iter().map(|&w| (w >> 32) as u32 - low).collect(),
+            },
+            servers: words.iter().map(|&w| w as u32).collect(),
+        }
     }
 
     /// The result accumulated so far, with heatmaps truncated to the
@@ -684,7 +748,9 @@ impl Simulation {
     /// [`SnapshotError::Corrupt`] when the snapshot's arrays disagree
     /// with its own config (shape mismatches, out-of-range ticks,
     /// occupancy that does not match the farm, a hot group larger than
-    /// the farm).
+    /// the farm, departures the farm cannot retire or a bucket whose
+    /// job ids do not strictly ascend), or [`SnapshotError::Horizon`]
+    /// when the trace horizon is longer than [`Simulation::MAX_TICKS`].
     pub fn restore_with(
         snapshot: &Snapshot,
         mut scheduler: Box<dyn Scheduler>,
@@ -729,9 +795,10 @@ impl Simulation {
                 )));
             }
         }
+        let ticks = Self::check_horizon(&sim.config, sim.trace.horizon())
+            .map_err(SnapshotError::Horizon)? as usize;
         sim.farm.apply_state(&snapshot.farm)?;
         sim.index = ClusterIndex::new(&sim.farm);
-        let ticks = sim.config.ticks_for(sim.trace.horizon());
         if snapshot.tick > ticks as u64 {
             return Err(SnapshotError::Corrupt(format!(
                 "snapshot taken at tick {} but the trace horizon is {ticks} ticks",
@@ -754,13 +821,9 @@ impl Simulation {
         for (slot, &used) in sim.occupancy.iter_mut().zip(&running) {
             *slot = used as usize;
         }
-        check_departures(&snapshot.farm, &snapshot.departures)?;
-        sim.departures.resize_with(ticks, Vec::new);
         let departures = &snapshot.departures;
-        let base = departures.jobs.base;
-        let mut next_entry = 0;
         let mut next_free = snapshot.tick;
-        for (&when, &len) in departures.ticks.iter().zip(&departures.lens) {
+        for &when in &departures.ticks {
             if when >= ticks as u64 {
                 return Err(SnapshotError::Corrupt(format!(
                     "departure bucket at tick {when} beyond the {ticks}-tick horizon"
@@ -775,14 +838,10 @@ impl Simulation {
                 )));
             }
             next_free = when + 1;
-            let entries = next_entry..next_entry + len as usize;
-            next_entry = entries.end;
-            sim.departures[when as usize] = departures.jobs.deltas[entries.clone()]
-                .iter()
-                .zip(&departures.servers[entries])
-                .map(|(&delta, &server)| (JobId(base + u64::from(delta)), server))
-                .collect();
         }
+        let due = join_departures(&snapshot.farm, departures)?;
+        check_bucket_order(departures)?;
+        sim.farm.set_due_ticks(&due);
         sim.next_job_id = snapshot.next_job_id;
         sim.arrival_rng = rand::rngs::SmallRng::from_state(snapshot.arrival_rng);
         sim.planner.set_rng_state(snapshot.planner_rng);
@@ -864,7 +923,6 @@ impl Simulation {
             farm: self.farm.clone(),
             planner: self.planner.clone(),
             occupancy: self.occupancy,
-            departures: self.departures.clone(),
             next_job_id: self.next_job_id,
             arrival_rng: self.arrival_rng.clone(),
             index: self.index.clone(),
@@ -873,8 +931,8 @@ impl Simulation {
             per_kind: std::array::from_fn(|_| Vec::new()),
             batch: Vec::new(),
             outcomes: Vec::new(),
-            depart_shards: Vec::new(),
-            bucket_pool: Vec::new(),
+            departed: Vec::new(),
+            departed_scratch: Vec::new(),
             zones: self.zones.clone(),
             telemetry: None,
             run: self.run.as_ref().map(RunState::clone_without_telemetry),
@@ -890,56 +948,38 @@ impl Simulation {
         self.scheduler.hot_group_size().map(|size| size.clamp(1, n))
     }
 
-    /// Ends every job whose departure tick has arrived.
+    /// Ends every job due at `tick`: one sweep of the job table
+    /// ([`ServerFarm::end_due_jobs`]) on the farm's pool when
+    /// [`crate::tick_fan_out`] allows more workers.
     ///
-    /// Large buckets are partitioned by server shard and drained
-    /// shard-by-shard — in ascending server order for slab locality on
-    /// one thread, on the farm's persistent pool when both the bucket
-    /// and [`crate::tick_fan_out`] allow more workers. The partition is
-    /// stable, so every server sees its departures in bucket order and
-    /// results are bit-identical to the direct per-entry drain (which
-    /// small buckets take).
+    /// An armed flight recorder gets one record per departure in
+    /// ascending job-id order within the tick, the order its dumps
+    /// document. The sweep logs them by server instead, so a radix sort
+    /// on the id restores that order without comparing departures.
     fn process_departures(
         &mut self,
         tick: u64,
         telemetry: Option<&mut EngineTelemetry>,
         timing: Option<&mut SweepTiming>,
     ) {
-        let mut bucket = std::mem::take(&mut self.departures[tick as usize]);
-        if bucket.len() >= PAR_DEPART_MIN {
-            let num_shards = self.farm.len().div_ceil(SHARD);
-            self.depart_shards.resize_with(num_shards, Vec::new);
-            for shard in &mut self.depart_shards {
-                shard.clear();
+        let flight = telemetry.filter(|tel| tel.flight_armed());
+        // `check_horizon` holds every executed tick below `u32::MAX`.
+        let tick_u32 = tick as u32;
+        self.farm.end_due_jobs(
+            tick_u32,
+            self.hot_size().unwrap_or(0),
+            &mut self.index,
+            &mut self.occupancy,
+            flight.is_some().then_some(&mut self.departed),
+            timing,
+        );
+        if let Some(tel) = flight {
+            sort_by_high_word(&mut self.departed, &mut self.departed_scratch);
+            let base = self.farm.id_base();
+            for &word in &self.departed {
+                tel.record_departure(tick, base + (word >> 32), word as u32);
             }
-            for &(job, server) in &bucket {
-                self.depart_shards[server as usize / SHARD].push((job, server));
-            }
-            let ended = self.farm.end_jobs_sharded(
-                &self.depart_shards,
-                self.hot_size().unwrap_or(0),
-                &mut self.index,
-                &mut self.occupancy,
-                timing,
-            );
-            debug_assert_eq!(ended as usize, bucket.len());
-        } else {
-            for &(job, server) in &bucket {
-                let kind = self.farm.end_job(server as usize, job);
-                self.occupancy[kind.index()] -= 1;
-                self.index.record_end(server as usize);
-            }
-        }
-        // Flight-ring records keep the original bucket order regardless
-        // of which path drained the jobs.
-        if let Some(tel) = telemetry.filter(|tel| tel.flight_armed()) {
-            for &(job, server) in &bucket {
-                tel.record_departure(tick, job.0, server);
-            }
-        }
-        bucket.clear();
-        if self.bucket_pool.len() < BUCKET_POOL_CAP {
-            self.bucket_pool.push(bucket);
+            self.departed.clear();
         }
     }
 
@@ -987,9 +1027,12 @@ impl Simulation {
         // draw sequence depends only on the batch length, so shuffling
         // jobs instead of specs leaves the arrival stream unchanged.
         batch.shuffle(&mut self.arrival_rng);
+        let tick_s = self.config.tick.get();
         for job in &mut batch {
             job.set_id(JobId(self.next_job_id));
             self.next_job_id += 1;
+            let due = tick.saturating_add(duration_ticks(job, tick_s));
+            job.set_due_tick(due.min(u64::from(Job::NEVER_DUE)) as u32);
         }
 
         // Hand the whole batch to the scheduler in one call:
@@ -1050,32 +1093,21 @@ impl Simulation {
         // Engine bookkeeping over the outcomes, in batch order. The
         // flight-record calls are compiled into a separate loop body so
         // the common unrecorded run carries no per-job telemetry branch.
+        // Departures need nothing here: each placed job's due tick went
+        // into the job table with it.
         let flight = telemetry.filter(|tel| tel.flight_armed());
         if let Some(tel) = flight {
             for (job, placed) in batch.iter().zip(&outcomes) {
                 match placed {
                     Some(sid) => {
                         self.occupancy[job.kind().index()] += 1;
-                        let duration_ticks = (job.duration().get() / self.config.tick.get())
-                            .round()
-                            .max(1.0) as u64;
-                        let when = (tick + duration_ticks) as usize;
-                        if when < self.departures.len() {
-                            let slot = &mut self.departures[when];
-                            if slot.capacity() == 0 {
-                                if let Some(spare) = self.bucket_pool.pop() {
-                                    *slot = spare;
-                                }
-                            }
-                            slot.push((job.id(), sid.0 as u32));
-                        }
                         *placements += 1;
                         tel.record_placement(
                             tick,
                             job.id().0,
                             sid.0 as u32,
                             job.kind().index() as u8,
-                            duration_ticks as u32,
+                            duration_ticks(job, tick_s) as u32,
                         );
                     }
                     None => {
@@ -1087,21 +1119,8 @@ impl Simulation {
         } else {
             for (job, placed) in batch.iter().zip(&outcomes) {
                 match placed {
-                    Some(sid) => {
+                    Some(_) => {
                         self.occupancy[job.kind().index()] += 1;
-                        let duration_ticks = (job.duration().get() / self.config.tick.get())
-                            .round()
-                            .max(1.0) as u64;
-                        let when = (tick + duration_ticks) as usize;
-                        if when < self.departures.len() {
-                            let slot = &mut self.departures[when];
-                            if slot.capacity() == 0 {
-                                if let Some(spare) = self.bucket_pool.pop() {
-                                    *slot = spare;
-                                }
-                            }
-                            slot.push((job.id(), sid.0 as u32));
-                        }
                         *placements += 1;
                     }
                     None => *dropped += 1,
@@ -1113,15 +1132,46 @@ impl Simulation {
     }
 }
 
-/// Rejects a departure calendar that names a job its server does not
-/// run, or lets a job depart twice — either would panic the drain that
-/// reaches it. Jobs that outlive the horizon have no entry, so a server
-/// may run more jobs than depart from it.
+/// A job's duration in whole ticks of `tick_s` seconds, at least one —
+/// what its due tick is its placement tick plus.
+#[inline]
+fn duration_ticks(job: &Job, tick_s: f64) -> u64 {
+    (job.duration().get() / tick_s).round().max(1.0) as u64
+}
+
+/// A trace horizon longer than [`Simulation::MAX_TICKS`] ticks: no job
+/// could name a due tick past that.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HorizonTooLong {
+    /// Ticks the horizon spans.
+    pub ticks: u64,
+}
+
+impl std::fmt::Display for HorizonTooLong {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "the horizon spans {} ticks, more than the {} a job's due tick can name",
+            self.ticks,
+            Simulation::MAX_TICKS
+        )
+    }
+}
+
+impl std::error::Error for HorizonTooLong {}
+
+/// Joins a snapshot's departures with its farm image server by server
+/// and returns each running job's due tick, in the image's job order
+/// ([`Job::NEVER_DUE`] for jobs with no departure). Rejects departures
+/// that name a job its server does not run, or let a job depart twice —
+/// either would retire the wrong job or none. Jobs that outlive the
+/// horizon have no entry, so a server may run more jobs than depart
+/// from it. Bucket ticks must already be checked to lie in the horizon.
 ///
 /// A sequential join: a counting sort groups the entries by server, then
 /// one pass over the farm image merges each server's sorted group into
 /// its sorted live row (at most `cores` entries).
-fn check_departures(farm: &FarmState, departures: &Departures) -> Result<(), SnapshotError> {
+fn join_departures(farm: &FarmState, departures: &Departures) -> Result<Vec<u32>, SnapshotError> {
     let servers = farm.job_counts.len();
     let not_running = |id: u64, server: usize| {
         SnapshotError::Corrupt(format!(
@@ -1138,50 +1188,82 @@ fn check_departures(farm: &FarmState, departures: &Departures) -> Result<(), Sna
         start[i + 1] += start[i];
     }
     // Grouped ids are deltas against the live rows' base; an id outside
-    // that window is no running job at all.
+    // that window is no running job at all. Each carries its bucket's
+    // tick.
     let base = farm.job_ids.base;
-    let mut grouped = vec![0u32; departures.servers.len()];
+    let entry_ticks = departures
+        .ticks
+        .iter()
+        .zip(&departures.lens)
+        .flat_map(|(&when, &len)| std::iter::repeat_n(when as u32, len as usize));
+    let mut grouped = vec![(0u32, 0u32); departures.servers.len()];
     let mut cursor = start[..servers].to_vec();
-    for (id, &server) in departures.jobs.iter().zip(&departures.servers) {
+    for ((id, &server), when) in departures
+        .jobs
+        .iter()
+        .zip(&departures.servers)
+        .zip(entry_ticks)
+    {
         let server = server as usize;
         let delta = id
             .checked_sub(base)
             .and_then(|d| u32::try_from(d).ok())
             .ok_or_else(|| not_running(id, server))?;
-        grouped[cursor[server] as usize] = delta;
+        grouped[cursor[server] as usize] = (delta, when);
         cursor[server] += 1;
     }
+    let mut due = vec![Job::NEVER_DUE; farm.job_ids.deltas.len()];
     let mut row_start = 0;
     let mut live = Vec::new();
     for server in 0..servers {
         let row = &farm.job_ids.deltas[row_start..row_start + farm.job_counts[server] as usize];
-        row_start += row.len();
         let leaving = &mut grouped[start[server] as usize..start[server + 1] as usize];
-        if leaving.is_empty() {
-            continue;
-        }
-        live.clear();
-        live.extend_from_slice(row);
-        live.sort_unstable();
-        leaving.sort_unstable();
-        let mut next = 0;
-        for &delta in leaving.iter() {
-            while next < live.len() && live[next] < delta {
+        if !leaving.is_empty() {
+            live.clear();
+            live.extend(row.iter().enumerate().map(|(pos, &delta)| (delta, pos)));
+            live.sort_unstable();
+            leaving.sort_unstable();
+            let mut next = 0;
+            for &(delta, when) in leaving.iter() {
+                while next < live.len() && live[next].0 < delta {
+                    next += 1;
+                }
+                if next == live.len() || live[next].0 != delta {
+                    let id = base + u64::from(delta);
+                    return Err(if row.contains(&delta) {
+                        SnapshotError::Corrupt(format!(
+                            "{} departs {} twice",
+                            JobId(id),
+                            ServerId(server)
+                        ))
+                    } else {
+                        not_running(id, server)
+                    });
+                }
+                due[row_start + live[next].1] = when;
                 next += 1;
             }
-            if next == live.len() || live[next] != delta {
-                let id = base + u64::from(delta);
-                return Err(if row.contains(&delta) {
-                    SnapshotError::Corrupt(format!(
-                        "{} departs {} twice",
-                        JobId(id),
-                        ServerId(server)
-                    ))
-                } else {
-                    not_running(id, server)
-                });
-            }
-            next += 1;
+        }
+        row_start += row.len();
+    }
+    Ok(due)
+}
+
+/// Rejects a departure bucket whose job ids do not strictly ascend. The
+/// sweep retires each server's due jobs in id order, so a bucket in any
+/// other order would not replay the run it was taken from.
+fn check_bucket_order(departures: &Departures) -> Result<(), SnapshotError> {
+    let mut entries = departures.jobs.deltas.as_slice();
+    for (&when, &len) in departures.ticks.iter().zip(&departures.lens) {
+        let (bucket, rest) = entries.split_at(len as usize);
+        entries = rest;
+        if let Some(pair) = bucket.windows(2).find(|pair| pair[0] >= pair[1]) {
+            let base = departures.jobs.base;
+            return Err(SnapshotError::Corrupt(format!(
+                "departure bucket at tick {when} lists {} after {}; job ids must ascend",
+                JobId(base + u64::from(pair[1])),
+                JobId(base + u64::from(pair[0]))
+            )));
         }
     }
     Ok(())

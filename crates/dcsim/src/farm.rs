@@ -59,34 +59,38 @@ pub const SHARD: usize = 64;
 /// what keeps small-cluster multi-thread rows from inverting).
 const SERVERS_PER_WORKER: usize = 2048;
 
-/// Minimum departures backing each extra drain worker, for the same
-/// handoff-vs-work reason as [`SERVERS_PER_WORKER`]: a worker must
-/// retire thousands of jobs for its wake/park round-trip to pay, so
-/// the drain fans out one worker per 4,096 bucketed departures and
-/// never spreads a tick's bucket thinner than that — and never past
-/// [`tick_fan_out`], so the drain cannot fan out where physics does not.
-const DEPART_JOBS_PER_WORKER: usize = 4096;
-
-/// Slots per page of the pooled job table. Eight 4-byte delta ids fit
-/// in half a cache line, and a server's chain is at most
+/// Slots per page of the pooled job table. A page's eight ids and eight
+/// due ticks fill one 64-byte line, and a server's chain is at most
 /// `cores / JOB_PAGE` pages (four at the paper's 32 cores), so a
-/// departure scan touches a handful of small pages instead of a
-/// 256-byte slab row sized for the fully-loaded worst case.
+/// departure sweep reads a handful of lines per server.
 const JOB_PAGE: usize = 8;
 
 /// Chain terminator / "no page" sentinel in job-table page links.
 const NO_PAGE: u32 = u32::MAX;
 
-/// One shard's pooled job storage: page-granular parallel arrays plus a
-/// LIFO free list. Pools are per-shard (not farm-wide) so the sharded
-/// departure drain stays lock-free — each drain task owns its shard's
-/// pool outright — and so a shard's live pages cluster in memory.
+/// One page of the pooled job table: the ids and due ticks of
+/// [`JOB_PAGE`] slots side by side in one cache line, so a placement
+/// writes one line for both and the departure sweep's due-tick scan
+/// pulls in the ids it retires.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(64))]
+struct JobPage {
+    /// Job ids, stored as u32 deltas against the farm's `id_base`.
+    ids: [u32; JOB_PAGE],
+    /// The tick each job departs at ([`Job::NEVER_DUE`] for jobs that
+    /// outlive the horizon or were started outside the engine).
+    due: [u32; JOB_PAGE],
+}
+
+/// One shard's pooled job storage: pages plus a parallel kind-byte
+/// array and a LIFO free list. Pools are per-shard (not farm-wide) so
+/// the sharded departure sweep stays lock-free — each sweep task owns
+/// its shard's pool outright — and so a shard's live pages cluster in
+/// memory.
 #[derive(Debug, Clone, Default)]
 struct JobPool {
-    /// Job ids, stored as u32 deltas against the farm's `id_base`
-    /// ([`JOB_PAGE`] slots per page).
-    ids: Vec<u32>,
-    /// Workload index byte of each slot, parallel to `ids`.
+    pages: Vec<JobPage>,
+    /// Workload index byte of each slot ([`JOB_PAGE`] per page).
     kinds: Vec<u8>,
     /// Next-page link of each page; [`NO_PAGE`] terminates a chain.
     next: Vec<u32>,
@@ -103,15 +107,67 @@ impl JobPool {
             return page;
         }
         let page = self.next.len() as u32;
-        self.ids.resize(self.ids.len() + JOB_PAGE, 0);
+        self.pages.push(JobPage::default());
         self.kinds.resize(self.kinds.len() + JOB_PAGE, 0);
         self.next.push(NO_PAGE);
         page
     }
 
+    /// The page holding chain position `pos` of the chain from `head`.
+    #[inline]
+    fn page_at(&self, head: u32, pos: usize) -> u32 {
+        let mut page = head;
+        for _ in 0..pos / JOB_PAGE {
+            page = self.next[page as usize];
+        }
+        page
+    }
+
+    /// Hints the CPU to pull page `page`'s id/due line and kind bytes
+    /// toward L1 (a no-op for a page the pool does not hold).
+    #[inline]
+    fn prefetch_page(&self, page: u32) {
+        #[cfg(target_arch = "x86_64")]
+        if (page as usize) < self.pages.len() {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: `page` is in bounds of `pages` (checked above) and
+            // `kinds` holds `JOB_PAGE` bytes per page; prefetch never
+            // faults architecturally.
+            unsafe {
+                _mm_prefetch::<_MM_HINT_T0>(self.pages.as_ptr().add(page as usize).cast());
+                _mm_prefetch::<_MM_HINT_T0>(
+                    self.kinds.as_ptr().add(page as usize * JOB_PAGE).cast(),
+                );
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = page;
+    }
+
+    /// [`JobPool::prefetch_page`] over every page of the chain from
+    /// `head` (the links themselves are a few bytes per page).
+    #[inline]
+    fn prefetch_chain(&self, head: u32) {
+        let mut page = head;
+        while page != NO_PAGE {
+            self.prefetch_page(page);
+            page = self.next[page as usize];
+        }
+    }
+
+    /// Moves the entry in `from` (page, lane) into `to`.
+    #[inline]
+    fn move_slot(&mut self, from: (u32, usize), to: (u32, usize)) {
+        let (fp, fl) = (from.0 as usize, from.1);
+        let (tp, tl) = (to.0 as usize, to.1);
+        self.pages[tp].ids[tl] = self.pages[fp].ids[fl];
+        self.pages[tp].due[tl] = self.pages[fp].due[fl];
+        self.kinds[tp * JOB_PAGE + tl] = self.kinds[fp * JOB_PAGE + fl];
+    }
+
     /// Heap bytes currently reserved by this pool.
     fn heap_bytes(&self) -> usize {
-        self.ids.capacity() * 4
+        self.pages.capacity() * std::mem::size_of::<JobPage>()
             + self.kinds.capacity()
             + self.next.capacity() * 4
             + self.free.capacity() * 4
@@ -126,8 +182,7 @@ fn append_job(
     head: &mut u32,
     tail: &mut u32,
     len: usize,
-    delta: u32,
-    kind: u8,
+    entry: (u32, u32, u8),
 ) {
     if len.is_multiple_of(JOB_PAGE) {
         let page = pool.alloc_page();
@@ -138,48 +193,30 @@ fn append_job(
         }
         *tail = page;
     }
-    let slot = *tail as usize * JOB_PAGE + len % JOB_PAGE;
-    pool.ids[slot] = delta;
-    pool.kinds[slot] = kind;
+    let (delta, due, kind) = entry;
+    let lane = len % JOB_PAGE;
+    let page = &mut pool.pages[*tail as usize];
+    page.ids[lane] = delta;
+    page.due[lane] = due;
+    pool.kinds[*tail as usize * JOB_PAGE + lane] = kind;
 }
 
-/// Removes job `id` from one server's chain — the exact swap-remove
-/// `end_job` has always performed, expressed on the pooled layout: the
-/// chain's last entry moves into the hole, and an emptied tail page
-/// returns to the pool's free list. Shared by [`ServerFarm::end_job`]
-/// and the sharded departure drain.
-fn remove_job(
+/// Swap-removes chain position `pos` of a chain of `*count` entries:
+/// the chain's last entry moves into the hole, and an emptied tail page
+/// returns to the pool's free list. Returns the removed job's workload
+/// index byte. Shared by [`ServerFarm::end_job`] and the departure
+/// sweep, so both leave the same row order behind.
+fn remove_at(
     pool: &mut JobPool,
-    id_base: u64,
     head: &mut u32,
     tail: &mut u32,
     count: &mut u32,
-    server: usize,
-    id: JobId,
-) -> WorkloadKind {
+    pos: usize,
+) -> u8 {
     let len = *count as usize;
-    let delta =
-        id.0.checked_sub(id_base)
-            .filter(|&d| d <= u32::MAX as u64)
-            .unwrap_or_else(|| panic!("{id} not running on {}", ServerId(server))) as u32;
-    // Walk the chain for the job's slot.
-    let mut page = *head;
-    let mut found = None;
-    'walk: for j in (0..len).step_by(JOB_PAGE) {
-        let base_slot = page as usize * JOB_PAGE;
-        for s in 0..JOB_PAGE.min(len - j) {
-            if pool.ids[base_slot + s] == delta {
-                found = Some(base_slot + s);
-                break 'walk;
-            }
-        }
-        page = pool.next[page as usize];
-    }
-    let pos = found.unwrap_or_else(|| panic!("{id} not running on {}", ServerId(server)));
-    let last = *tail as usize * JOB_PAGE + (len - 1) % JOB_PAGE;
-    let kind = WorkloadKind::ALL[pool.kinds[pos] as usize];
-    pool.ids[pos] = pool.ids[last];
-    pool.kinds[pos] = pool.kinds[last];
+    let hole = (pool.page_at(*head, pos), pos % JOB_PAGE);
+    let kind = pool.kinds[hole.0 as usize * JOB_PAGE + hole.1];
+    pool.move_slot((*tail, (len - 1) % JOB_PAGE), hole);
     *count = (len - 1) as u32;
     // Free an emptied tail page, re-terminating the chain at its
     // predecessor (chains are at most `cores / JOB_PAGE` pages long).
@@ -199,6 +236,109 @@ fn remove_job(
         }
     }
     kind
+}
+
+/// Ends every job of one server whose due tick is `tick`, in ascending
+/// id order — the order a snapshot's departure bucket lists them in —
+/// so the row order and the power lane end exactly as a sequence of
+/// [`ServerFarm::end_job`] calls in that order leaves them. `ended`
+/// receives each retired job's id delta and workload index byte, in
+/// that order.
+///
+/// One scan of the chain marks the due jobs in a bitmask of chain
+/// positions; each removal then takes the marked job with the smallest
+/// id and moves the mark of a due job the swap-remove moves.
+fn retire_due(
+    pool: &mut JobPool,
+    head: &mut u32,
+    tail: &mut u32,
+    count: &mut u32,
+    tick: u32,
+    mut ended: impl FnMut(u32, u8),
+) {
+    const MAX_PAGES: usize = 64 / JOB_PAGE;
+    let mut len = *count as usize;
+    if len > 64 {
+        // More than 64 cores: find each next due job by a fresh scan.
+        while let Some((delta, pos)) = first_due(pool, *head, len, tick) {
+            let kind = remove_at(pool, head, tail, count, pos);
+            ended(delta, kind);
+            len -= 1;
+        }
+        return;
+    }
+    let mut chain = [NO_PAGE; MAX_PAGES];
+    let mut due = 0u64;
+    let mut page = *head;
+    for (k, start) in (0..len).step_by(JOB_PAGE).enumerate() {
+        chain[k] = page;
+        let lanes = &pool.pages[page as usize].due;
+        let mut hits = 0u64;
+        for (lane, &when) in lanes.iter().enumerate() {
+            hits |= u64::from(when == tick) << lane;
+        }
+        let valid = (1u64 << (len - start).min(JOB_PAGE)) - 1;
+        due |= (hits & valid) << start;
+        page = pool.next[page as usize];
+    }
+    let id_at =
+        |pool: &JobPool, pos: usize| pool.pages[chain[pos / JOB_PAGE] as usize].ids[pos % JOB_PAGE];
+    while due != 0 {
+        let mut pos = due.trailing_zeros() as usize;
+        let mut delta = id_at(pool, pos);
+        let mut rest = due & (due - 1);
+        while rest != 0 {
+            let other = rest.trailing_zeros() as usize;
+            let other_delta = id_at(pool, other);
+            if other_delta < delta {
+                (pos, delta) = (other, other_delta);
+            }
+            rest &= rest - 1;
+        }
+        let last = len - 1;
+        let hole = (chain[pos / JOB_PAGE], pos % JOB_PAGE);
+        let kind = pool.kinds[hole.0 as usize * JOB_PAGE + hole.1];
+        pool.move_slot((chain[last / JOB_PAGE], last % JOB_PAGE), hole);
+        due &= !(1 << pos);
+        if due & (1 << last) != 0 {
+            // The due job that moved into the hole keeps its mark.
+            due ^= (1 << last) | (1 << pos);
+        }
+        len = last;
+        // Free an emptied tail page, re-terminating the chain at its
+        // predecessor — what `remove_at` does, without the walk.
+        if len.is_multiple_of(JOB_PAGE) {
+            pool.free.push(chain[len / JOB_PAGE]);
+            if len == 0 {
+                *head = NO_PAGE;
+                *tail = NO_PAGE;
+            } else {
+                let prev = chain[len / JOB_PAGE - 1];
+                pool.next[prev as usize] = NO_PAGE;
+                *tail = prev;
+            }
+        }
+        ended(delta, kind);
+    }
+    *count = len as u32;
+}
+
+/// The due job with the smallest id among the first `len` chain
+/// positions from `head`, as `(id delta, position)`.
+fn first_due(pool: &JobPool, head: u32, len: usize, tick: u32) -> Option<(u32, usize)> {
+    let mut best: Option<(u32, usize)> = None;
+    let mut page = head;
+    for start in (0..len).step_by(JOB_PAGE) {
+        let lanes = &pool.pages[page as usize];
+        for lane in 0..JOB_PAGE.min(len - start) {
+            let delta = lanes.ids[lane];
+            if lanes.due[lane] == tick && best.is_none_or(|(d, _)| delta < d) {
+                best = Some((delta, start + lane));
+            }
+        }
+        page = pool.next[page as usize];
+    }
+    best
 }
 
 /// Physical-parallelism ceiling on per-sweep fan-out, resolved once.
@@ -222,11 +362,11 @@ fn machine_parallelism() -> usize {
 /// requested: `threads`, clamped to the machine's parallelism and to one
 /// worker per 2,048 servers (`SERVERS_PER_WORKER`). Never less than 1.
 ///
-/// The single fan-out rule. The physics sweep uses it as is, the
-/// departure drain additionally caps it by its bucket size, and the
-/// experiment sweep runner budgets whole runs by it — so a farm that
-/// this returns 1 for never builds its [`TickPool`], and a runner that
-/// trusts it never oversubscribes the machine.
+/// The single fan-out rule. The physics sweep, the departure sweep and
+/// the two-group placement streams use it as is, and the experiment
+/// sweep runner budgets whole runs by it — so a farm that this returns
+/// 1 for never builds its [`TickPool`], and a runner that trusts it
+/// never oversubscribes the machine.
 ///
 /// # Examples
 ///
@@ -477,7 +617,8 @@ pub struct ServerFarm {
     /// server `i`'s jobs live in `pools[i / SHARD]` as a chain of
     /// [`JOB_PAGE`]-slot pages from `job_heads[i]` to `job_tails[i]`,
     /// the first `job_counts[i]` chain slots valid, ids stored as u32
-    /// deltas against `id_base`. Compared to the former
+    /// deltas against `id_base` beside each job's due tick. Compared to
+    /// the former
     /// `num_servers × cores` u64 slab this sizes the table to *live*
     /// jobs — pages recycle through per-pool free lists — cutting
     /// ~288 MB of slab at 1M servers to tens of MB of pages.
@@ -502,6 +643,9 @@ pub struct ServerFarm {
     /// Semantically empty between ticks; never serialized or compared.
     scratch_air: Vec<f64>,
     scratch_melt: Vec<f64>,
+    /// Per-shard departure logs of [`ServerFarm::end_due_jobs`], filled
+    /// only when the engine records departures; empty between ticks.
+    depart_logs: Vec<Vec<u64>>,
 }
 
 impl Clone for ServerFarm {
@@ -527,6 +671,7 @@ impl Clone for ServerFarm {
             pool: None,
             scratch_air: Vec::new(),
             scratch_melt: Vec::new(),
+            depart_logs: Vec::new(),
         }
     }
 }
@@ -561,6 +706,7 @@ impl ServerFarm {
             pool: None,
             scratch_air: Vec::new(),
             scratch_melt: Vec::new(),
+            depart_logs: Vec::new(),
         };
         for i in 0..n {
             let inlet = config.inlet.inlet_for(i);
@@ -628,8 +774,7 @@ impl ServerFarm {
                     &mut job_heads[i],
                     &mut job_tails[i],
                     job_counts[i] as usize,
-                    delta as u32,
-                    kind.index() as u8,
+                    (delta as u32, Job::NEVER_DUE, kind.index() as u8),
                 );
                 job_counts[i] += 1;
             }
@@ -658,6 +803,7 @@ impl ServerFarm {
             pool: None,
             scratch_air: Vec::new(),
             scratch_melt: Vec::new(),
+            depart_logs: Vec::new(),
         };
         for s in servers {
             match s.wax_parts() {
@@ -730,7 +876,7 @@ impl ServerFarm {
             while left > 0 {
                 let slot = page as usize * JOB_PAGE;
                 let take = left.min(JOB_PAGE);
-                deltas.extend_from_slice(&pool.ids[slot..slot + take]);
+                deltas.extend_from_slice(&pool.pages[page as usize].ids[..take]);
                 kinds.extend_from_slice(&pool.kinds[slot..slot + take]);
                 left -= take;
                 page = pool.next[page as usize];
@@ -762,6 +908,9 @@ impl ServerFarm {
 
     /// Overwrites the evolving arrays from a [`FarmState`] image taken
     /// on a farm of the same shape (same server count and core count).
+    /// The image carries no due ticks, so every job it restores is due
+    /// [`Job::NEVER_DUE`]; an engine restore writes the ticks back from
+    /// the snapshot's departures.
     ///
     /// # Errors
     ///
@@ -784,7 +933,7 @@ impl ServerFarm {
         // table does, so they drop in unchanged.
         self.id_base = state.job_ids.base;
         for pool in &mut self.pools {
-            pool.ids.clear();
+            pool.pages.clear();
             pool.kinds.clear();
             pool.next.clear();
             pool.free.clear();
@@ -800,12 +949,61 @@ impl ServerFarm {
                     &mut self.job_heads[i],
                     &mut self.job_tails[i],
                     j,
-                    delta,
-                    kind,
+                    (delta, Job::NEVER_DUE, kind),
                 );
             }
         }
         Ok(())
+    }
+
+    /// Calls `visit(server, id delta, due tick)` for every running job,
+    /// server by server in table order — the order of
+    /// [`FarmState`]'s job columns. Deltas are against
+    /// [`ServerFarm::id_base`].
+    pub(crate) fn for_each_job(&self, mut visit: impl FnMut(usize, u32, u32)) {
+        for i in 0..self.len() {
+            let pool = &self.pools[i / SHARD];
+            let mut page = self.job_heads[i];
+            let mut left = self.job_counts[i] as usize;
+            while left > 0 {
+                let lanes = &pool.pages[page as usize];
+                let take = left.min(JOB_PAGE);
+                for lane in 0..take {
+                    visit(i, lanes.ids[lane], lanes.due[lane]);
+                }
+                left -= take;
+                page = pool.next[page as usize];
+            }
+        }
+    }
+
+    /// Overwrites every running job's due tick from `due`, one tick per
+    /// job in the order of [`ServerFarm::for_each_job`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `due` does not hold one tick per running job.
+    pub(crate) fn set_due_ticks(&mut self, due: &[u32]) {
+        let mut due = due.iter();
+        for i in 0..self.len() {
+            let pool = &mut self.pools[i / SHARD];
+            let mut page = self.job_heads[i];
+            let mut left = self.job_counts[i] as usize;
+            while left > 0 {
+                let take = left.min(JOB_PAGE);
+                for slot in &mut pool.pages[page as usize].due[..take] {
+                    *slot = *due.next().expect("one due tick per running job");
+                }
+                left -= take;
+                page = pool.next[page as usize];
+            }
+        }
+        assert!(due.next().is_none(), "one due tick per running job");
+    }
+
+    /// The base the job table's u32 id deltas are stored against.
+    pub(crate) fn id_base(&self) -> u64 {
+        self.id_base
     }
 
     /// Number of servers.
@@ -856,7 +1054,7 @@ impl ServerFarm {
         (0..count).map(move |j| {
             let slot = page as usize * JOB_PAGE + j % JOB_PAGE;
             let entry = (
-                JobId(id_base + pool.ids[slot] as u64),
+                JobId(id_base + pool.pages[page as usize].ids[j % JOB_PAGE] as u64),
                 WorkloadKind::ALL[pool.kinds[slot] as usize],
             );
             if j % JOB_PAGE == JOB_PAGE - 1 {
@@ -987,7 +1185,9 @@ impl ServerFarm {
         (hot, cold)
     }
 
-    /// Starts a job on a free core of server `i`.
+    /// Starts a job on a free core of server `i`. The job departs by
+    /// itself at its [`Job::due_tick`] when an engine sweeps the table
+    /// ([`Job::NEVER_DUE`] jobs run until [`ServerFarm::end_job`]).
     ///
     /// # Panics
     ///
@@ -1018,8 +1218,7 @@ impl ServerFarm {
             &mut self.job_heads[i],
             &mut self.job_tails[i],
             len,
-            delta,
-            job.kind().index() as u8,
+            (delta, job.due_tick(), job.kind().index() as u8),
         );
         self.job_counts[i] += 1;
         self.active_power_w[i] += job.core_power().get();
@@ -1049,11 +1248,11 @@ impl ServerFarm {
             let pool = &mut self.pools[i / SHARD];
             let mut page = self.job_heads[i];
             for j in (0..len).step_by(JOB_PAGE) {
-                let base_slot = page as usize * JOB_PAGE;
-                for s in 0..JOB_PAGE.min(len - j) {
-                    let delta = old_base + pool.ids[base_slot + s] as u64 - new_base;
+                let ids = &mut pool.pages[page as usize].ids;
+                for id in &mut ids[..JOB_PAGE.min(len - j)] {
+                    let delta = old_base + u64::from(*id) - new_base;
                     assert!(delta <= u32::MAX as u64, "live job-id span exceeds u32");
-                    pool.ids[base_slot + s] = delta as u32;
+                    *id = delta as u32;
                 }
                 page = pool.next[page as usize];
             }
@@ -1074,8 +1273,8 @@ impl ServerFarm {
     }
 
     /// Hints the CPU to pull server `i`'s placement-hot lanes (chain
-    /// anchors, occupancy count, power lane, and the tail page itself)
-    /// toward L1. Architecturally a no-op — no result ever depends on
+    /// anchors, occupancy count, power lane, and the tail page's id and
+    /// due-tick line and kind bytes) toward L1. Architecturally a no-op — no result ever depends on
     /// whether the hint fired — so callers may prefetch a *predicted*
     /// placement target while the current job's bookkeeping still runs;
     /// at 100k+ servers these lanes are far out of cache and each
@@ -1102,15 +1301,7 @@ impl ServerFarm {
             }
             let page = self.job_tails[i];
             if page != NO_PAGE {
-                let pool = &self.pools[i / SHARD];
-                let slot = page as usize * JOB_PAGE;
-                if slot < pool.ids.len() {
-                    // SAFETY: `slot` is in bounds of both page arrays.
-                    unsafe {
-                        _mm_prefetch::<_MM_HINT_T0>(pool.ids.as_ptr().add(slot).cast());
-                        _mm_prefetch::<_MM_HINT_T0>(pool.kinds.as_ptr().add(slot).cast());
-                    }
-                }
+                self.pools[i / SHARD].prefetch_page(page);
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -1123,14 +1314,10 @@ impl ServerFarm {
     /// promises — the count the experiment sweep runner budgets by).
     ///
     /// Sized from the farm size and configured thread count alone —
-    /// never from a per-tick fan-out decision. The physics gate
-    /// (servers per worker) and the departure gate (bucketed jobs per
-    /// worker) routinely disagree within a tick; sizing the pool to
-    /// whichever gate just fired used to tear it down and respawn OS
+    /// never from a per-tick decision. Sizing the pool to whichever
+    /// per-tick gate just fired once tore it down and respawned OS
     /// threads every tick, which is exactly the 10k-server regression
-    /// where 8 requested threads ran slower than 2. The gates now only
-    /// choose between the inline path and engaging the (stably sized)
-    /// pool.
+    /// where 8 requested threads ran slower than 2.
     fn ensure_pool(&mut self) {
         let needed = tick_fan_out(self.len(), self.threads) - 1;
         if self.pool.as_ref().map(TickPool::workers) != Some(needed) {
@@ -1138,46 +1325,45 @@ impl ServerFarm {
         }
     }
 
-    /// Applies one tick's departures, pre-partitioned by server shard,
-    /// in parallel on the persistent pool: each shard task mutates only
-    /// its own slab rows, power lanes, and free-core window, and the
-    /// integer per-shard outcomes are folded in shard order.
+    /// Ends every job due at tick `tick`: one sweep over the job table
+    /// that retires each server's due jobs in ascending id order
+    /// ([`retire_due`]), exactly as [`ServerFarm::end_job`] calls in
+    /// that order would.
     ///
-    /// Bit-identical to calling [`ServerFarm::end_job`] over the
-    /// original bucket: the partition is stable, so every server sees
-    /// its departures in exactly the bucket order, and per-server power
-    /// subtraction order (the only floating-point state involved) is
-    /// unchanged. Cross-shard effects are integer counts, which fold
-    /// order-independently.
+    /// The sweep visits every running job, so it fans out like the
+    /// physics sweep: [`tick_fan_out`] participants, each on one
+    /// contiguous shard range ([`part_range`]); two split at the
+    /// hot/cold edge server `hot_limit` (0 without a hot group, see
+    /// [`edge_shard`]). Each shard task mutates only its own pool, chain
+    /// anchors, power lanes and free-core window, and the integer
+    /// per-shard outcomes are folded in shard order, so the result is
+    /// the same at any thread count.
     ///
     /// Returns the number of jobs ended. `occupancy` is decremented per
     /// workload kind; the index's free-core column and used total are
-    /// updated in place. Pool participants take contiguous shard ranges
-    /// ([`part_range`]); two split at the hot/cold edge server
-    /// `hot_limit` (0 without a hot group, see [`edge_shard`]).
-    pub(crate) fn end_jobs_sharded(
+    /// updated in place. When `log` is supplied it receives one
+    /// `(id − id_base) << 32 | server` word per ended job, in shard
+    /// order and by ascending id within each server.
+    pub(crate) fn end_due_jobs(
         &mut self,
-        shard_buckets: &[Vec<(JobId, u32)>],
+        tick: u32,
         hot_limit: usize,
         index: &mut ClusterIndex,
         occupancy: &mut [usize; 5],
+        log: Option<&mut Vec<u64>>,
         timing: Option<&mut SweepTiming>,
     ) -> u64 {
         let n = self.len();
         let num_shards = n.div_ceil(SHARD);
-        debug_assert_eq!(shard_buckets.len(), num_shards);
-        let total_jobs: usize = shard_buckets.iter().map(Vec::len).sum();
-        // Capped by the physics fan-out too, so a farm too small for the
-        // physics sweep to fan out never builds the pool for a burst of
-        // departures.
-        let workers =
-            tick_fan_out(n, self.threads).min((total_jobs / DEPART_JOBS_PER_WORKER).max(1));
+        let workers = tick_fan_out(n, self.threads);
         if workers > 1 {
             self.ensure_pool();
         }
+        if log.is_some() {
+            self.depart_logs.resize_with(num_shards, Vec::new);
+        }
         let mut outs = vec![DepartOut::default(); num_shards];
         let mut tasks: Vec<DepartView<'_>> = Vec::with_capacity(num_shards);
-        let id_base = self.id_base;
         {
             let mut pools = self.pools.as_mut_slice();
             let mut heads = self.job_heads.as_mut_slice();
@@ -1185,23 +1371,23 @@ impl ServerFarm {
             let mut counts = self.job_counts.as_mut_slice();
             let mut power = self.active_power_w.as_mut_slice();
             let mut free = index.free_cores_mut();
+            let mut logs = log.is_some().then_some(self.depart_logs.iter_mut());
             let mut outs_rest = outs.as_mut_slice();
             let mut base = 0;
-            for bucket in shard_buckets {
+            while base < n {
                 let len = SHARD.min(n - base);
                 let (out, rest) = std::mem::take(&mut outs_rest).split_at_mut(1);
                 outs_rest = rest;
-                let pool = &mut split_front_mut(&mut pools, 1)[0];
                 tasks.push(DepartView {
                     base,
-                    id_base,
-                    entries: bucket,
-                    pool,
+                    tick,
+                    pool: &mut split_front_mut(&mut pools, 1)[0],
                     job_heads: split_front_mut(&mut heads, len),
                     job_tails: split_front_mut(&mut tails, len),
                     job_counts: split_front_mut(&mut counts, len),
                     active_power_w: split_front_mut(&mut power, len),
                     free_cores: split_front_mut(&mut free, len),
+                    log: logs.as_mut().and_then(Iterator::next),
                     out: &mut out[0],
                 });
                 base += len;
@@ -1239,6 +1425,12 @@ impl ServerFarm {
                 *slot -= count as usize;
             }
         }
+        if let Some(log) = log {
+            log.clear();
+            for shard in &mut self.depart_logs {
+                log.append(shard);
+            }
+        }
         index.record_bulk_ends(ended);
         ended
     }
@@ -1251,21 +1443,23 @@ impl ServerFarm {
     /// Panics if the job is not running on server `i`.
     #[inline]
     pub fn end_job(&mut self, i: usize, id: JobId) -> WorkloadKind {
-        let kind = remove_job(
+        let pos = self
+            .job_row(i)
+            .position(|(job, _)| job == id)
+            .unwrap_or_else(|| panic!("{id} not running on {}", ServerId(i)));
+        let kind = remove_at(
             &mut self.pools[i / SHARD],
-            self.id_base,
             &mut self.job_heads[i],
             &mut self.job_tails[i],
             &mut self.job_counts[i],
-            i,
-            id,
+            pos,
         );
-        self.active_power_w[i] -= kind.core_power().get();
+        self.active_power_w[i] -= WorkloadKind::ALL[kind as usize].core_power().get();
         // Guard against f64 drift accumulating into a negative draw.
         if self.job_counts[i] == 0 {
             self.active_power_w[i] = 0.0;
         }
-        kind
+        WorkloadKind::ALL[kind as usize]
     }
 
     /// Advances every server's physics by `dt` (thermal response, wax
@@ -1443,7 +1637,7 @@ impl ServerFarm {
 /// The shard boundary a two-participant pooled section splits at: the
 /// hot/cold edge server `hot_limit` of a farm of `n` servers rounded to
 /// the nearest shard boundary, or the midpoint when there is no hot
-/// group (`hot_limit` 0). The departure drain and the physics sweep both
+/// group (`hot_limit` 0). The departure sweep and the physics sweep both
 /// take their split from here, so a group's shards stay with the same
 /// participant in both sections.
 fn edge_shard(hot_limit: usize, n: usize) -> usize {
@@ -1456,7 +1650,7 @@ fn edge_shard(hot_limit: usize, n: usize) -> usize {
 ///
 /// Two participants split at shard `edge` ([`edge_shard`]) when it lies
 /// strictly inside: the calling thread runs the hot group's shards and
-/// the worker the cold group's, in the departure drain, the placement
+/// the worker the cold group's, in the departure sweep, the placement
 /// streams and the physics sweep alike, so each group's lanes stay in
 /// one core's cache across the tick instead of migrating shard by
 /// shard. Otherwise the shards are cut into `parts` equal ranges: with
@@ -1610,8 +1804,8 @@ struct ShardView<'a> {
     out: &'a mut FarmTickTotals,
 }
 
-/// Per-shard integer outcome of a sharded departure drain, folded by
-/// [`ServerFarm::end_jobs_sharded`] in shard order.
+/// Per-shard integer outcome of the departure sweep, folded by
+/// [`ServerFarm::end_due_jobs`] in shard order.
 #[derive(Debug, Clone, Copy, Default)]
 struct DepartOut {
     /// Jobs ended in this shard.
@@ -1621,58 +1815,80 @@ struct DepartOut {
 }
 
 /// One shard's mutable window over the pooled job table (the shard's
-/// pool owned outright, plus chain-anchor/count windows), power lane,
-/// and free-core column, plus its slice of the tick's departure bucket.
+/// pool owned outright, plus chain-anchor/count windows), power lane
+/// and free-core column for the departure sweep.
 struct DepartView<'a> {
     /// Global index of the first server in the shard.
     base: usize,
-    /// Farm-wide delta base for stored job ids.
-    id_base: u64,
-    /// This shard's departures, in original bucket order.
-    entries: &'a [(JobId, u32)],
+    /// The tick whose due jobs end.
+    tick: u32,
     pool: &'a mut JobPool,
     job_heads: &'a mut [u32],
     job_tails: &'a mut [u32],
     job_counts: &'a mut [u32],
     active_power_w: &'a mut [f64],
     free_cores: &'a mut [u32],
+    /// The shard's departure log when the engine records departures.
+    log: Option<&'a mut Vec<u64>>,
     out: &'a mut DepartOut,
 }
 
-/// Applies one shard's departures — the same per-entry sequence
-/// [`ServerFarm::end_job`] runs, on shard-local windows.
+/// How many servers ahead of the one it retires the departure sweep
+/// prefetches a chain.
+const SWEEP_PREFETCH: usize = 4;
+
+/// Retires one shard's due jobs, server by server ([`retire_due`]),
+/// with [`ServerFarm::end_job`]'s power and drift-guard sequence.
 fn run_depart_shard(task: DepartView<'_>) {
     let DepartView {
         base,
-        id_base,
-        entries,
+        tick,
         pool,
         job_heads,
         job_tails,
         job_counts,
         active_power_w,
         free_cores,
+        mut log,
         out,
     } = task;
-    for &(id, server) in entries {
-        let local = server as usize - base;
-        let kind = remove_job(
+    for local in 0..job_counts.len() {
+        // A server's pages lie anywhere in its shard's pool, so the
+        // scan would wait on each one; pull a later server's chain in
+        // while this one is retired.
+        if let Some(&ahead) = job_heads.get(local + SWEEP_PREFETCH) {
+            pool.prefetch_chain(ahead);
+        }
+        if job_counts[local] == 0 {
+            continue;
+        }
+        let server = (base + local) as u64;
+        let before = job_counts[local];
+        let power = &mut active_power_w[local];
+        retire_due(
             pool,
-            id_base,
             &mut job_heads[local],
             &mut job_tails[local],
             &mut job_counts[local],
-            server as usize,
-            id,
+            tick,
+            |delta, kind| {
+                *power -= WorkloadKind::ALL[kind as usize].core_power().get();
+                out.kinds[kind as usize] += 1;
+                if let Some(log) = log.as_deref_mut() {
+                    log.push(u64::from(delta) << 32 | server);
+                }
+            },
         );
-        active_power_w[local] -= kind.core_power().get();
-        // Same drift guard as `end_job`.
-        if job_counts[local] == 0 {
-            active_power_w[local] = 0.0;
+        let retired = before - job_counts[local];
+        if retired > 0 {
+            // Same drift guard as `end_job`: the count reaches zero only
+            // at the last removal.
+            if job_counts[local] == 0 {
+                *power = 0.0;
+            }
+            free_cores[local] += retired;
+            out.ended += retired;
         }
-        free_cores[local] += 1;
-        out.ended += 1;
-        out.kinds[kind.index()] += 1;
     }
 }
 
@@ -1811,12 +2027,15 @@ mod tests {
         Job::new(JobId(id), kind, Seconds::new(300.0))
     }
 
+    /// Server `i` runs `i % 8` jobs, due at ticks 1, 2 and 3 in turn.
     fn loaded_farm(n: usize) -> ServerFarm {
         let config = ClusterConfig::paper_default(n);
         let mut farm = ServerFarm::from_config(&config);
         for i in 0..n {
             for core in 0..(i % 8) as u64 {
-                farm.start_job(i, &job(i as u64 * 100 + core, WorkloadKind::VideoEncoding));
+                let mut j = job(i as u64 * 100 + core, WorkloadKind::VideoEncoding);
+                j.set_due_tick(1 + (core % 3) as u32);
+                farm.start_job(i, &j);
             }
         }
         farm
@@ -2035,30 +2254,92 @@ mod tests {
     }
 
     #[test]
-    fn drain_below_the_physics_quantum_never_builds_the_pool() {
-        // 4,000 servers: one physics quantum short of fanning out, but
-        // 12,000 departures in one bucket — enough for the drain's own
-        // rule to want three workers.
+    fn sweep_below_the_physics_quantum_never_builds_the_pool() {
+        // 4,000 servers at 8 threads: one physics quantum short of
+        // fanning out, with 12,000 jobs due in one tick.
         let n = 4000;
         let mut farm = ServerFarm::from_config(&ClusterConfig::paper_default(n));
         farm.set_threads(8);
         let mut occupancy = [0usize; 5];
-        let mut buckets = vec![Vec::new(); n.div_ceil(SHARD)];
         for i in 0..n {
             for core in 0..3 {
-                let id = (i * 3 + core) as u64;
-                farm.start_job(i, &job(id, WorkloadKind::WebSearch));
+                let mut j = job((i * 3 + core) as u64, WorkloadKind::WebSearch);
+                j.set_due_tick(7);
+                farm.start_job(i, &j);
                 occupancy[WorkloadKind::WebSearch.index()] += 1;
-                buckets[i / SHARD].push((JobId(id), i as u32));
             }
         }
-        assert!(buckets.iter().map(Vec::len).sum::<usize>() >= 2 * DEPART_JOBS_PER_WORKER);
         let mut index = ClusterIndex::new(&farm);
-        let ended = farm.end_jobs_sharded(&buckets, 0, &mut index, &mut occupancy, None);
+        let ended = farm.end_due_jobs(7, 0, &mut index, &mut occupancy, None, None);
         assert_eq!(ended, 3 * n as u64);
         assert_eq!(occupancy, [0; 5]);
         assert!((0..n).all(|i| farm.used_cores(i) == 0));
-        assert!(farm.pool.is_none(), "drain fanned out below the quantum");
+        assert!(farm.pool.is_none(), "sweep fanned out below the quantum");
+    }
+
+    /// The sweep retires each server's due jobs in ascending id order
+    /// with the swap-remove `end_job` performs: rows, power lanes, page
+    /// chains and free lists end exactly as `end_job` calls in that
+    /// order leave them, and the log lists the retired jobs by server
+    /// and id. Ids are placed out of order so the swap-removes move due
+    /// jobs that are still to go. Servers of the paper's 32 cores take
+    /// the bitmask path, servers of 100 cores the scanning one.
+    #[test]
+    fn sweep_matches_end_job_in_id_order() {
+        for cores in [32u32, 100] {
+            sweep_matches_end_job_at(cores);
+        }
+    }
+
+    fn sweep_matches_end_job_at(cores: u32) {
+        let n = 3 * SHARD + 5;
+        let mut config = ClusterConfig::paper_default(n);
+        config.power =
+            vmt_power::ServerPowerModel::new(Watts::new(100.0), Watts::new(500.0), cores).unwrap();
+        let mut swept = ServerFarm::from_config(&config);
+        let modulus = u64::from(cores) + 1;
+        for i in 0..n {
+            for k in 0..(i as u64 * 7 % modulus) {
+                // A scrambled but unique id per (server, slot): 13 is
+                // coprime to the 1,000-id block.
+                let id = i as u64 * 1000 + (k * 13 + i as u64) % 1000;
+                let mut j = job(id, WorkloadKind::ALL[(i + k as usize) % 5]);
+                j.set_due_tick(1 + ((k * 5 + i as u64) % 4) as u32);
+                swept.start_job(i, &j);
+            }
+        }
+        let mut manual = swept.clone();
+        let mut index = ClusterIndex::new(&swept);
+        let mut occupancy = [usize::MAX / 2; 5];
+        let mut log = Vec::new();
+        for tick in 1..=4u32 {
+            let mut want_log = Vec::new();
+            for i in 0..n {
+                let mut due: Vec<u64> = Vec::new();
+                manual.for_each_job(|server, delta, when| {
+                    if server == i && when == tick {
+                        due.push(u64::from(delta));
+                    }
+                });
+                due.sort_unstable();
+                for delta in due {
+                    manual.end_job(i, JobId(manual.id_base + delta));
+                    want_log.push(delta << 32 | i as u64);
+                }
+            }
+            swept.end_due_jobs(tick, 0, &mut index, &mut occupancy, Some(&mut log), None);
+            let label = format!("{cores} cores, tick {tick}");
+            assert_eq!(log, want_log, "{label}");
+            assert_eq!(swept.state(), manual.state(), "{label}");
+            for (a, b) in swept.pools.iter().zip(&manual.pools) {
+                assert_eq!((&a.next, &a.free), (&b.next, &b.free), "{label}");
+            }
+            assert_eq!(swept.job_heads, manual.job_heads, "{label}");
+            assert_eq!(swept.job_tails, manual.job_tails, "{label}");
+            assert_eq!(index.free_cores(), ClusterIndex::new(&manual).free_cores());
+        }
+        assert!((0..n).all(|i| swept.used_cores(i) == 0));
+        assert!((0..n).any(|i| i as u64 * 7 % modulus > 64) == (cores > 64));
     }
 
     /// Participant ranges tile the shards in order, one contiguous range
@@ -2148,15 +2429,14 @@ mod tests {
         let drain = |farm: &mut ServerFarm, edge: usize| {
             let mut index = ClusterIndex::new(farm);
             let mut occupancy = [usize::MAX / 2; 5];
-            // Every job ends: enough departures for two drain workers.
-            let mut buckets = vec![Vec::new(); n.div_ceil(SHARD)];
-            for i in 0..n {
-                for core in 0..(i % 8) as u64 {
-                    buckets[i / SHARD].push((JobId(i as u64 * 100 + core), i as u32));
-                }
+            // Every job ends over the three due ticks.
+            let mut logs = Vec::new();
+            for tick in 1..=3 {
+                let mut log = Vec::new();
+                farm.end_due_jobs(tick, edge, &mut index, &mut occupancy, Some(&mut log), None);
+                logs.push(log);
             }
-            farm.end_jobs_sharded(&buckets, edge, &mut index, &mut occupancy, None);
-            (index.free_cores().to_vec(), occupancy)
+            (index.free_cores().to_vec(), occupancy, logs)
         };
         for edge in [0, 1, 2564, 4096, 4159, 4160] {
             let mut serial = loaded_farm(n);

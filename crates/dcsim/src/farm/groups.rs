@@ -28,8 +28,8 @@ struct DeferredAppend {
     server: usize,
     /// The server's chain length before this append.
     len: usize,
-    delta: u32,
-    kind: u8,
+    /// Id delta, due tick and workload byte of the appended slot.
+    entry: (u32, u32, u8),
 }
 
 /// Write access to the slots of the batch's outcome slice that belong
@@ -148,17 +148,19 @@ impl<'a> GroupView<'a> {
         );
         // `place_groups` checked that every id of the batch fits the
         // table's 32-bit window.
-        let delta = (job.id().0 - self.id_base) as u32;
+        let entry = (
+            (job.id().0 - self.id_base) as u32,
+            job.due_tick(),
+            job.kind().index() as u8,
+        );
         let len = self.job_counts[local] as usize;
-        let kind = job.kind().index() as u8;
         let shard = idx / SHARD;
         if shard == self.shared_shard {
             self.deferred.push(DeferredAppend {
                 pos,
                 server: idx,
                 len,
-                delta,
-                kind,
+                entry,
             });
         } else {
             append_job(
@@ -166,8 +168,7 @@ impl<'a> GroupView<'a> {
                 &mut self.job_heads[local],
                 &mut self.job_tails[local],
                 len,
-                delta,
-                kind,
+                entry,
             );
         }
         self.job_counts[local] += 1;
@@ -202,15 +203,7 @@ impl<'a> GroupView<'a> {
                 let page = self.job_tails[local];
                 let shard = idx / SHARD;
                 if page != super::NO_PAGE && shard != self.shared_shard {
-                    let pool = &self.pools[shard - self.first_shard];
-                    let slot = page as usize * super::JOB_PAGE;
-                    if slot < pool.ids.len() {
-                        // SAFETY: `slot` is in bounds of both page arrays.
-                        unsafe {
-                            _mm_prefetch::<_MM_HINT_T0>(pool.ids.as_ptr().add(slot).cast());
-                            _mm_prefetch::<_MM_HINT_T0>(pool.kinds.as_ptr().add(slot).cast());
-                        }
-                    }
+                    self.pools[shard - self.first_shard].prefetch_page(page);
                 }
             }
         }
@@ -382,8 +375,7 @@ impl ServerFarm {
                 &mut self.job_heads[e.server],
                 &mut self.job_tails[e.server],
                 e.len,
-                e.delta,
-                e.kind,
+                e.entry,
             );
         }
         index.record_bulk_starts(hot_started + cold_started);
@@ -470,10 +462,17 @@ mod tests {
                 assert_eq!(grouped.active_power_w, serial.active_power_w, "{label}");
                 for (a, b) in grouped.pools.iter().zip(&serial.pools) {
                     assert_eq!(
-                        (&a.ids, &a.kinds, &a.next, &a.free),
-                        (&b.ids, &b.kinds, &b.next, &b.free),
+                        (&a.kinds, &a.next, &a.free),
+                        (&b.kinds, &b.next, &b.free),
                         "{label}"
                     );
+                    let lanes = |pool: &JobPool| {
+                        pool.pages
+                            .iter()
+                            .map(|page| (page.ids, page.due))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(lanes(a), lanes(b), "{label}");
                 }
                 assert_eq!(
                     grouped_index.free_cores(),

@@ -116,15 +116,8 @@ impl ClusterIndex {
         self.used_total += 1;
     }
 
-    /// Records a job end on server `idx`.
-    #[inline]
-    pub(crate) fn record_end(&mut self, idx: usize) {
-        self.free_cores[idx] += 1;
-        self.used_total -= 1;
-    }
-
     /// Mutable view of the free-core column, written shard-locally by
-    /// the farm's sharded departure drain.
+    /// the farm's departure sweep and group views.
     pub(crate) fn free_cores_mut(&mut self) -> &mut [u32] {
         &mut self.free_cores
     }
@@ -195,14 +188,23 @@ mod tests {
     fn tracks_job_lifecycle() {
         let mut farm = farm(2);
         let mut index = ClusterIndex::new(&farm);
-        let job = Job::new(JobId(1), WorkloadKind::WebSearch, Seconds::new(300.0));
+        let mut job = Job::new(JobId(1), WorkloadKind::WebSearch, Seconds::new(300.0));
+        job.set_due_tick(5);
         farm.start_job(0, &job);
         index.record_start(0);
         assert_eq!(index.free_cores()[0], farm.free_cores(0));
         assert_eq!(index.used_cores_total(), 1);
         assert_eq!(index.utilization(), 1.0 / 64.0);
-        farm.end_job(0, JobId(1));
-        index.record_end(0);
+        let mut occupancy = [1; 5];
+        assert_eq!(
+            farm.end_due_jobs(4, 0, &mut index, &mut occupancy, None, None),
+            0
+        );
+        assert_eq!(
+            farm.end_due_jobs(5, 0, &mut index, &mut occupancy, None, None),
+            1
+        );
+        assert_eq!(occupancy[WorkloadKind::WebSearch.index()], 0);
         assert_eq!(index.free_cores()[0], farm.free_cores(0));
         assert_eq!(index.used_cores_total(), 0);
     }

@@ -48,6 +48,7 @@ mod farm;
 mod index;
 mod metrics;
 mod pool;
+mod radix;
 mod replay;
 mod scheduler;
 mod server;
@@ -56,7 +57,7 @@ mod telemetry;
 mod topology;
 
 pub use config::{ClusterConfig, WaxSpec};
-pub use engine::Simulation;
+pub use engine::{HorizonTooLong, Simulation};
 pub use farm::{
     default_tick_threads, tick_fan_out, FarmState, FarmTickTotals, GroupView, ServerFarm,
     SweepTiming, SHARD,

@@ -2,8 +2,8 @@
 //!
 //! A [`Snapshot`] captures everything that influences the rest of a run —
 //! the cluster configuration, a self-describing trace descriptor, the
-//! scheduler's cross-tick state, every farm state array, the departure
-//! calendar, both RNG streams, and the partially accumulated result
+//! scheduler's cross-tick state, every farm state array, the pending
+//! departures, both RNG streams, and the partially accumulated result
 //! series — at a tick boundary. Restoring it yields a simulation whose
 //! remaining ticks are bit-identical to the run it was taken from, at any
 //! thread count; `tests/snapshot.rs` pins that equivalence per tick.
@@ -107,8 +107,11 @@ pub enum SnapshotError {
     },
     /// The container is well framed but describes an inconsistent state
     /// (bad JSON, misplaced blocks, column shapes that disagree with the
-    /// config, a departure calendar the farm cannot drain).
+    /// config, departures the farm cannot retire).
     Corrupt(String),
+    /// The snapshot's trace horizon has more ticks than a simulation
+    /// can run ([`Simulation::MAX_TICKS`](crate::Simulation::MAX_TICKS)).
+    Horizon(crate::HorizonTooLong),
     /// A [`SavedState`]'s kind tag does not match the component asked to
     /// restore from it.
     KindMismatch {
@@ -147,6 +150,7 @@ impl core::fmt::Display for SnapshotError {
                 "{block} digest mismatch: container declares {expected:#018x}, bytes hash to {actual:#018x}"
             ),
             SnapshotError::Corrupt(reason) => write!(f, "corrupt snapshot: {reason}"),
+            SnapshotError::Horizon(err) => write!(f, "snapshot cannot run: {err}"),
             SnapshotError::KindMismatch { expected, found } => write!(
                 f,
                 "saved state is for {found:?}, cannot restore a {expected:?}"
@@ -319,11 +323,13 @@ impl JobIds {
     }
 }
 
-/// The pending departure calendar in columnar form.
+/// The pending departures in columnar form, derived from the job
+/// table's due ticks.
 ///
 /// Non-empty buckets in ascending tick order; bucket `b` owns the next
-/// `lens[b]` entries of `jobs` and `servers`, in the order the engine
-/// drains them.
+/// `lens[b]` entries of `jobs` and `servers`, in strictly ascending job
+/// id order — the order the engine retires them in. Jobs that outlive
+/// the horizon have no entry.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Departures {
     /// Tick of each bucket.

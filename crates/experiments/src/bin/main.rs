@@ -270,6 +270,19 @@ fn gv_flag(flags: &HashMap<String, String>) -> f64 {
     gv
 }
 
+/// `--hours` sets `run`'s horizon: positive and finite, and at most
+/// `Simulation::MAX_TICKS` ticks, past which no job could name its due
+/// tick.
+fn set_hours(run: &mut Run, hours: f64) {
+    if !hours.is_finite() || hours <= 0.0 {
+        die("`--hours` must be positive");
+    }
+    run.trace.horizon = vmt_units::Hours::new(hours);
+    if let Err(err) = vmt_dcsim::Simulation::check_horizon(&run.cluster, run.trace.horizon) {
+        die(&format!("`--hours {hours}` is too long: {err}"));
+    }
+}
+
 /// `VMT_THREADS`, when set, must be a positive integer. The engine's
 /// `default_tick_threads` reads it in every verb and would silently fall
 /// back to every core on anything else.
@@ -373,13 +386,8 @@ fn cmd_run(rest: &[String]) {
         Err(err) => die(&err),
     };
     let servers = servers_flag(&flags).unwrap_or(1000);
-    let hours: f64 = numeric(&flags, "--hours").unwrap_or(48.0);
-    if !hours.is_finite() || hours <= 0.0 {
-        die("`--hours` must be positive");
-    }
-
     let mut run = Run::new(servers, policy);
-    run.trace.horizon = vmt_units::Hours::new(hours);
+    set_hours(&mut run, numeric(&flags, "--hours").unwrap_or(48.0));
     if let Some(seed) = numeric::<u64>(&flags, "--seed") {
         run.cluster.seed = seed;
         run.trace.seed = seed;
@@ -569,12 +577,8 @@ fn cmd_record(rest: &[String]) {
     // file, so the default trace stays in the megabytes.
     let servers = servers_flag(&flags).unwrap_or(100);
     let hours: f64 = numeric(&flags, "--hours").unwrap_or(24.0);
-    if !hours.is_finite() || hours <= 0.0 {
-        die("`--hours` must be positive");
-    }
-
     let mut run = Run::new(servers, policy);
-    run.trace.horizon = vmt_units::Hours::new(hours);
+    set_hours(&mut run, hours);
     if let Some(seed) = numeric::<u64>(&flags, "--seed") {
         run.cluster.seed = seed;
         run.trace.seed = seed;
@@ -658,6 +662,10 @@ fn cmd_replay(rest: &[String]) {
     let policy_name = trace.header.policy.clone();
     let report = vmt_dcsim::ReplayHandle::new();
     let replayer = vmt_dcsim::ReplayScheduler::new(trace, report.clone());
+    if let Err(err) = vmt_dcsim::Simulation::check_horizon(&cluster, trace_cfg.horizon) {
+        eprintln!("invalid trace: {err}");
+        std::process::exit(1);
+    }
     let mut sim = vmt_dcsim::Simulation::new(
         cluster,
         vmt_workload::DiurnalTrace::new(trace_cfg),
@@ -741,10 +749,8 @@ fn cmd_snapshot(rest: &[String]) {
     // `record`-sized defaults: the farm arrays land in the file verbatim.
     let servers = servers_flag(&flags).unwrap_or(100);
     let threads = threads_flag(&flags);
-    let hours: f64 = numeric(&flags, "--hours").unwrap_or(24.0);
-    if !hours.is_finite() || hours <= 0.0 {
-        die("`--hours` must be positive");
-    }
+    let mut run = Run::new(servers, policy);
+    set_hours(&mut run, numeric(&flags, "--hours").unwrap_or(24.0));
 
     // The checkpoint tick: given directly, or lifted from a flight-
     // recorder dump's header so the run can be frozen exactly where a
@@ -768,8 +774,6 @@ fn cmd_snapshot(rest: &[String]) {
         (None, None) => die("snapshot requires `--at TICK` or `--from-flight DUMP`"),
     };
 
-    let mut run = Run::new(servers, policy);
-    run.trace.horizon = vmt_units::Hours::new(hours);
     if let Some(seed) = numeric::<u64>(&flags, "--seed") {
         run.cluster.seed = seed;
         run.trace.seed = seed;

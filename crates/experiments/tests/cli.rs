@@ -103,6 +103,11 @@ fn run_usage_errors() {
         assert!(err.contains(name), "error must list `{name}`: {err}");
     }
     assert_usage_error(&["run", "--hours", "0"], "`--hours` must be positive");
+    // 6e13 one-minute ticks: more than a job's u32 due tick can name.
+    assert_usage_error(
+        &["run", "--servers", "10", "--hours", "1e12"],
+        "`--hours 1000000000000` is too long",
+    );
     assert_usage_error(&["run", "--servers", "0"], "`--servers` must be at least 1");
     assert_usage_error(
         &["run", "--servers", "100", "--hours", "1", "--threads", "0"],
@@ -158,6 +163,10 @@ fn record_usage_errors() {
         &["record", "/tmp/x.trace", "--threads", "0"],
         "`--threads` must be at least 1",
     );
+    assert_usage_error(
+        &["record", "/tmp/x.trace", "--hours", "1e12"],
+        "is too long",
+    );
 }
 
 #[test]
@@ -169,6 +178,38 @@ fn replay_usage_errors() {
         &["replay", "/nonexistent/t.trace", "--threads", "0"],
         "`--threads` must be at least 1",
     );
+}
+
+/// A trace whose header stretches its ticks until the horizon outruns a
+/// job's due tick is invalid input (exit 1), not an abort.
+#[test]
+fn replay_rejects_a_horizon_past_the_due_tick_range_with_exit_1() {
+    let trace = scratch("long.trace");
+    let out = bin()
+        .arg("record")
+        .arg(&trace)
+        .args(["--servers", "3", "--hours", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let text = std::fs::read_to_string(&trace).unwrap();
+    assert!(
+        text.contains("\"tick_seconds\":60.0"),
+        "header: {text:.200}"
+    );
+    std::fs::write(
+        &trace,
+        text.replacen("\"tick_seconds\":60.0", "\"tick_seconds\":1e12", 1),
+    )
+    .unwrap();
+    let out = bin().arg("replay").arg(&trace).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("invalid trace: the horizon spans"),
+        "got: {err}"
+    );
+    let _ = std::fs::remove_file(&trace);
 }
 
 #[test]
@@ -429,6 +470,10 @@ fn snapshot_usage_errors() {
     assert_usage_error(
         &["snapshot", "/tmp/x.snap", "--at", "1", "--threads", "0"],
         "`--threads` must be at least 1",
+    );
+    assert_usage_error(
+        &["snapshot", "/tmp/x.snap", "--at", "1", "--hours", "1e12"],
+        "is too long",
     );
 }
 

@@ -13,7 +13,7 @@ use std::time::Duration;
 pub enum TickPhase {
     /// Time-varying inlet refresh.
     Inlet,
-    /// Draining the departure calendar.
+    /// Retiring the jobs due this tick.
     Departures,
     /// The scheduler's per-tick refresh (`on_tick_indexed`).
     SchedulerTick,
@@ -102,7 +102,7 @@ pub struct PhaseProfiler {
 pub struct PhaseBreakdown {
     /// Time-varying inlet refresh.
     pub inlet_s: f64,
-    /// Departure-calendar drain.
+    /// Retiring the jobs due each tick.
     pub departures_s: f64,
     /// Scheduler per-tick refresh.
     pub scheduler_tick_s: f64,

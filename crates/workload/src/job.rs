@@ -34,11 +34,18 @@ impl core::fmt::Display for JobId {
 pub struct Job {
     id: JobId,
     kind: WorkloadKind,
+    /// Engine tick the job departs at; sits in the padding after `kind`,
+    /// so a job stays 24 bytes.
+    due_tick: u32,
     duration: Seconds,
 }
 
 impl Job {
-    /// Creates a job.
+    /// Due tick of a job no engine has scheduled a departure for: it
+    /// runs until something ends it by id.
+    pub const NEVER_DUE: u32 = u32::MAX;
+
+    /// Creates a job, due [`Job::NEVER_DUE`].
     ///
     /// # Panics
     ///
@@ -48,7 +55,12 @@ impl Job {
             duration.get() > 0.0 && duration.get().is_finite(),
             "job duration must be positive and finite, got {duration}"
         );
-        Self { id, kind, duration }
+        Self {
+            id,
+            kind,
+            due_tick: Self::NEVER_DUE,
+            duration,
+        }
     }
 
     /// Replaces the job's identifier (engines stamp ids in final
@@ -58,9 +70,22 @@ impl Job {
         self.id = id;
     }
 
+    /// Sets the engine tick the job departs at (stamped with its id).
+    #[inline]
+    pub fn set_due_tick(&mut self, tick: u32) {
+        self.due_tick = tick;
+    }
+
     /// The job's identifier.
     pub fn id(&self) -> JobId {
         self.id
+    }
+
+    /// The engine tick the job departs at; [`Job::NEVER_DUE`] until an
+    /// engine stamps one.
+    #[inline]
+    pub fn due_tick(&self) -> u32 {
+        self.due_tick
     }
 
     /// The workload the job belongs to.
@@ -90,6 +115,15 @@ mod tests {
         assert_eq!(job.kind(), WorkloadKind::Clustering);
         assert_eq!(job.duration(), Seconds::new(720.0));
         assert_eq!(job.core_power(), WorkloadKind::Clustering.core_power());
+        assert_eq!(job.due_tick(), Job::NEVER_DUE);
+    }
+
+    #[test]
+    fn due_tick_rides_in_padding() {
+        let mut job = Job::new(JobId(7), WorkloadKind::WebSearch, Seconds::new(60.0));
+        job.set_due_tick(42);
+        assert_eq!(job.due_tick(), 42);
+        assert_eq!(std::mem::size_of::<Job>(), 24);
     }
 
     #[test]

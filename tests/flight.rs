@@ -17,7 +17,7 @@ use vmt_dcsim::{
     ReplayScheduler, Simulation, TelemetryConfig, TraceHandle,
 };
 use vmt_telemetry::replay::{PlacementTrace, ReplayVerdict, TraceHeader, TRACE_SCHEMA_VERSION};
-use vmt_telemetry::{validate_dump, WatchdogKind, WatchdogSpec};
+use vmt_telemetry::{validate_dump, TraceRecord, WatchdogKind, WatchdogSpec};
 use vmt_units::Hours;
 use vmt_workload::{DiurnalTrace, TraceConfig};
 
@@ -220,4 +220,60 @@ fn thermal_violation_fires_watchdog_and_dumps_context() {
 
     let _ = std::fs::remove_file(&dump_path);
     let _ = std::fs::remove_file(&anomaly_path);
+}
+
+/// Departures reach the flight ring in ascending job-id order within
+/// each tick, although the sweep finds them server by server, and
+/// whether it runs inline or
+/// on the tick pool: 4,160 servers fan out to two participants at two
+/// threads. The end-of-run dumps at one and two threads are identical.
+#[test]
+fn departures_are_recorded_in_id_order_at_any_thread_count() {
+    let cluster = ClusterConfig::paper_default(4160);
+    let trace_cfg = TraceConfig {
+        horizon: Hours::new(1.0),
+        ..TraceConfig::paper_default()
+    };
+    let policy = PolicyKind::vmt_wa(22.0);
+    let mut dumps = Vec::new();
+    for threads in [1usize, 2] {
+        let dump_path = scratch(&format!("order_t{threads}.dump"));
+        let telemetry = TelemetryConfig::new().with_flight(FlightConfig {
+            capacity: 1 << 16,
+            dump_path: Some(dump_path.clone()),
+            max_anomaly_dumps: 0,
+        });
+        Simulation::new(
+            cluster.clone(),
+            DiurnalTrace::new(trace_cfg.clone()),
+            policy.build(&cluster),
+        )
+        .with_threads(threads)
+        .with_telemetry(telemetry)
+        .run();
+        let text = std::fs::read_to_string(&dump_path).expect("end-of-run dump written");
+        let _ = std::fs::remove_file(&dump_path);
+        validate_dump(&text).expect("end-of-run dump validates");
+        let mut departed = 0;
+        let mut last: Option<(u64, u64)> = None;
+        for line in text.lines().skip(1) {
+            let record: TraceRecord = serde_json::from_str(line).expect("a flight record");
+            if let TraceRecord::JobDeparted { tick, job, .. } = record {
+                if let Some((last_tick, last_job)) = last.filter(|&(t, _)| t == tick) {
+                    assert!(
+                        job > last_job,
+                        "threads {threads}, tick {last_tick}: {job} departs after {last_job}"
+                    );
+                }
+                last = Some((tick, job));
+                departed += 1;
+            }
+        }
+        assert!(
+            departed > 4096,
+            "threads {threads}: {departed} departures in the dump"
+        );
+        dumps.push(text);
+    }
+    assert!(dumps[0] == dumps[1], "dumps differ between 1 and 2 threads");
 }

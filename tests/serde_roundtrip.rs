@@ -188,7 +188,7 @@ fn trace_descriptor_round_trips_and_rebuilds() {
 fn snapshot_round_trips_through_plain_serde() {
     // The container format has its own tests; this pins the `Snapshot`
     // struct itself as a plain serde document — every field, the
-    // columnar farm and calendar images included, survives JSON.
+    // columnar farm and departure images included, survives JSON.
     use vmt::dcsim::Snapshot;
 
     let mut trace = TraceConfig::paper_default();

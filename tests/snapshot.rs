@@ -274,6 +274,51 @@ fn golden_v2_snapshot_stays_readable() {
     assert_resumes_to_pinned_state(&snapshot, "golden v2");
 }
 
+/// The engine still writes the v2 fixture's bytes: its command line
+/// (`snapshot --at 30 --servers 4 --hours 2 --policy vmt-wa --seed 7`)
+/// run through `Simulation::snapshot` encodes to `golden_v2.snap`, at
+/// one tick thread and at two.
+#[test]
+fn engine_writes_the_golden_v2_bytes() {
+    for threads in [1, 2] {
+        let mut sim = build_sized(7, PolicyKind::vmt_wa(22.0), threads, 4, 2.0);
+        sim.run_until(30);
+        let snapshot = sim.snapshot().expect("snapshot");
+        assert!(
+            snapshot.encode() == GOLDEN_V2,
+            "threads {threads}: the engine no longer writes golden_v2.snap"
+        );
+    }
+}
+
+/// A mid-run snapshot of 4,160 servers (`snapshot --at 60 --servers
+/// 4160 --hours 2 --policy vmt-wa`), whose ticks 56–59 each retire
+/// 7,800–8,700 jobs, keeps its pinned container digest: enough
+/// departures per tick that every pooled and ordered path runs. The
+/// same bytes come out at one and two tick threads, with the departure
+/// sweep inline and on the pool.
+#[test]
+fn busy_mid_run_snapshot_keeps_its_pinned_digest() {
+    const PINNED: u64 = 0x893d_70de_a2a6_560d;
+    let cluster = ClusterConfig::paper_default(4160);
+    let trace = TraceConfig {
+        horizon: Hours::new(2.0),
+        ..TraceConfig::paper_default()
+    };
+    for threads in [1, 2] {
+        let mut sim = Simulation::new(
+            cluster.clone(),
+            DiurnalTrace::new(trace.clone()),
+            PolicyKind::vmt_wa(22.0).build(&cluster),
+        )
+        .with_threads(threads);
+        sim.run_until(60);
+        let snapshot = sim.snapshot().expect("snapshot");
+        assert!(snapshot.departures.lens.iter().any(|&len| len >= 4096));
+        assert_eq!(snapshot.digest(), PINNED, "threads {threads}");
+    }
+}
+
 /// A v1 archive transcodes losslessly: decode v1, encode v2, decode
 /// that, and resume to the pinned state. The v2 bytes equal the v2
 /// fixture's, since both describe the same run at the same tick.
@@ -363,11 +408,11 @@ fn assert_restore_rejects(snapshot: &Snapshot, needle: &str, context: &str) {
     }
 }
 
-/// A digest-valid container whose departure calendar names a job its
-/// server does not run, or lets a job depart twice, must fail restore
-/// with a typed error; accepting it panics the first drain that reaches
-/// the entry. Checked through a v2 container (an 8-server run) and a v1
-/// container (the golden fixture).
+/// A digest-valid container whose departures name a job its server
+/// does not run, or let a job depart twice, must fail restore with a
+/// typed error; accepting it would retire the wrong job or none.
+/// Checked through a v2 container (an 8-server run) and a v1 container
+/// (the golden fixture).
 #[test]
 fn restore_rejects_departures_the_farm_cannot_drain() {
     let snapshot = eight_server_snapshot(PolicyKind::vmt_wa(22.0));
@@ -422,8 +467,10 @@ fn set_field(mut node: &mut serde::Value, path: &[&str], value: serde::Value) {
 }
 
 /// Restore also holds each kind's occupancy to the running jobs of that
-/// kind (each departure decrements its kind's count) and requires the
-/// calendar's buckets to ascend from the snapshot tick. The VMT
+/// kind (each departure decrements its kind's count), requires the
+/// departure buckets to ascend from the snapshot tick and each bucket's
+/// job ids to ascend strictly (the order the sweep retires them in,
+/// checked on v2 containers and on the v1 fixture). The VMT
 /// policies' saved state must fit the farm and pass the checks their
 /// constructors make: a hot group past the farm's end would index out
 /// of it at the first refresh, and a config no constructor would build
@@ -447,6 +494,39 @@ fn restore_rejects_inconsistent_occupancy_and_bucket_order() {
     stale.departures.ticks[0] = snapshot.tick - 1;
     assert_restore_rejects(&stale, "precedes tick", "bucket before the snapshot tick");
 
+    // Two entries of one bucket traded places (with their servers): the
+    // farm runs both jobs, but the bucket no longer ascends. A repeated
+    // entry inside its bucket is caught first as a double departure.
+    let bucket = snapshot
+        .departures
+        .lens
+        .iter()
+        .position(|&len| len >= 2)
+        .expect("a bucket with two departures");
+    let first: usize = snapshot.departures.lens[..bucket]
+        .iter()
+        .map(|&len| len as usize)
+        .sum();
+    let mut traded = snapshot.clone();
+    traded.departures.jobs.deltas.swap(first, first + 1);
+    traded.departures.servers.swap(first, first + 1);
+    let traded = Snapshot::decode(&traded.encode()).expect("framing is intact");
+    assert_restore_rejects(&traded, "must ascend", "v2, entries out of id order");
+    let mut repeated = snapshot.clone();
+    let departures = &mut repeated.departures;
+    departures.jobs.deltas[first + 1] = departures.jobs.deltas[first];
+    departures.servers[first + 1] = departures.servers[first];
+    let repeated = Snapshot::decode(&repeated.encode()).expect("framing is intact");
+    assert_restore_rejects(&repeated, "twice", "v2, entry repeated in its bucket");
+    let traded = golden_v1_with_departures(|buckets| {
+        let bucket = (0..buckets.len())
+            .find(|&b| v1_entries(&mut buckets[b]).len() >= 2)
+            .expect("a v1 bucket with two departures");
+        v1_entries(&mut buckets[bucket]).swap(0, 1);
+    });
+    let traded = Snapshot::decode(&traded).expect("v1 framing is intact");
+    assert_restore_rejects(&traded, "must ascend", "v1, entries out of id order");
+
     let ta = eight_server_snapshot(PolicyKind::VmtTa { gv: 22.0 });
     let cases: [(&Snapshot, &[&str], serde::Value, &str); 5] = [
         (&snapshot, &["hot_size"], U64(9), "hot group has 9 servers"),
@@ -465,6 +545,28 @@ fn restore_rejects_inconsistent_occupancy_and_bucket_order() {
         set_field(&mut tampered.scheduler.state, path, value);
         let context = format!("{} {}", base.scheduler.kind, path.join("."));
         assert_restore_rejects(&tampered, needle, &context);
+    }
+}
+
+/// A snapshot whose trace horizon has more ticks than a job's due tick
+/// can name is a typed error on restore, not a panic or an allocation
+/// sized by the horizon.
+#[test]
+fn restore_rejects_a_horizon_past_the_due_tick_range() {
+    let mut long = eight_server_snapshot(PolicyKind::vmt_wa(22.0));
+    let trace = TraceConfig {
+        horizon: Hours::new(1e12),
+        seed: 7,
+        ..TraceConfig::paper_default()
+    };
+    long.trace = vmt::workload::TraceDescriptor::Diurnal(DiurnalTrace::new(trace));
+    match restore_simulation(&long) {
+        Err(SnapshotError::Horizon(err)) => {
+            assert_eq!(err.ticks, 60_000_000_000_000);
+            assert!(err.ticks > Simulation::MAX_TICKS);
+        }
+        Err(other) => panic!("expected a horizon error, got {other}"),
+        Ok(_) => panic!("restore accepted a 1e12-hour horizon"),
     }
 }
 
