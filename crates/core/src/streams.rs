@@ -142,6 +142,12 @@ pub(crate) trait TwoGroups {
     /// The edge: servers `..hot_size()` are the hot group.
     fn hot_size(&self) -> usize;
 
+    /// Whether each group's balancer holds only servers on its own side
+    /// of the edge, which the streams need. It holds from a refresh
+    /// until a rung moves the edge: VMT-WA's hot-group growth leaves the
+    /// grown servers in the cold balancer for the rest of the tick.
+    fn split_at_edge(&self) -> bool;
+
     /// The hot and the cold group's first rungs.
     fn rungs(&mut self) -> (Rungs<'_>, Rungs<'_>);
 
@@ -182,7 +188,9 @@ pub(crate) fn stop_point(jobs: &[Job], free: &[u32], edge: usize) -> usize {
 /// Places `jobs` as the engine's batch hook does: the two streams up to
 /// the stop point, the serial ladder after it. Outcomes are appended to
 /// `out`; with a probe, sampled jobs' decision detail reaches it in
-/// arrival order.
+/// arrival order. When the balancers no longer split at the edge (a
+/// later call in a tick whose hot group grew), every job takes the
+/// serial ladder.
 pub(crate) fn place_batch<P: TwoGroups>(
     policy: &mut P,
     jobs: &[Job],
@@ -191,7 +199,10 @@ pub(crate) fn place_batch<P: TwoGroups>(
     out: &mut Vec<Option<ServerId>>,
     probe: Option<&mut dyn PlacementProbe>,
 ) {
-    let stop = stop_point(jobs, index.free_cores(), policy.hot_size());
+    let stop = match policy.split_at_edge() {
+        true => stop_point(jobs, index.free_cores(), policy.hot_size()),
+        false => 0,
+    };
     place_batch_at(policy, jobs, farm, index, out, probe, stop);
 }
 

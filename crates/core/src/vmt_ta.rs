@@ -169,6 +169,11 @@ impl TwoGroups for VmtTa {
         self.hot_size
     }
 
+    /// VMT-TA spills instead of growing: its edge never moves mid-tick.
+    fn split_at_edge(&self) -> bool {
+        true
+    }
+
     fn rungs(&mut self) -> (Rungs<'_>, Rungs<'_>) {
         let rungs = |balancer, label| Rungs {
             balancer,

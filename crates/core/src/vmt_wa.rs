@@ -116,6 +116,9 @@ pub struct VmtWa {
     hot: ThermalBalancer,
     /// Temperature balancer over the cold group.
     cold: ThermalBalancer,
+    /// The hot-group size both balancers were last rebuilt at; growth
+    /// moves `hot_size` past it until the next refresh.
+    split: usize,
     /// Per-server "reported melt ≥ threshold" flags, refreshed per tick.
     melted: Vec<bool>,
     /// The previous tick's `melted` flags (swapped in during refresh) —
@@ -156,6 +159,7 @@ impl VmtWa {
             keep_warm: Vec::new(),
             hot: ThermalBalancer::new(),
             cold: ThermalBalancer::new(),
+            split: 0,
             melted: Vec::new(),
             prev_melted: Vec::new(),
             counters: SchedulerCounters::default(),
@@ -299,6 +303,7 @@ impl VmtWa {
         }
         self.hot.rebuild_biased(self.members.iter().copied(), farm);
         self.cold.rebuild(self.hot_size..n, farm);
+        self.split = self.hot_size;
         self.cursor_hot_unmelted = 0;
         self.cursor_hot_any = 0;
         self.cursor_cold_melted_warm = 0;
@@ -547,6 +552,10 @@ impl SnapshotState for VmtWa {
 impl TwoGroups for VmtWa {
     fn hot_size(&self) -> usize {
         self.hot_size
+    }
+
+    fn split_at_edge(&self) -> bool {
+        self.hot_size == self.split
     }
 
     fn rungs(&mut self) -> (Rungs<'_>, Rungs<'_>) {

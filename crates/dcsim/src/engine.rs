@@ -6,7 +6,6 @@ use crate::index::ClusterIndex;
 use crate::metrics::{Heatmap, SimulationResult};
 use crate::radix::sort_by_high_word;
 use crate::scheduler::{DecisionDetail, PlacementProbe, Scheduler};
-use crate::server::Server;
 use crate::server::ServerId;
 use crate::snapshot::{Departures, JobIds, Snapshot, SnapshotError};
 use crate::telemetry::{EngineTelemetry, PhaseClock};
@@ -59,13 +58,20 @@ pub struct Simulation {
     arrival_rng: rand::rngs::SmallRng,
     /// Incremental per-server state handed to the scheduler.
     index: ClusterIndex,
-    /// Per-workload arrival staging, reused across ticks.
-    per_kind: [Vec<JobSpec>; 5],
-    /// Materialized jobs of the tick's batch, reused across ticks.
-    batch: Vec<Job>,
-    /// Per-job placement outcomes of the tick's batch, reused across
+    /// The tick's planned arrivals, kind after kind, reused across
     /// ticks.
+    specs: Vec<JobSpec>,
+    /// The tick's arrival order as positions into `specs`, reused
+    /// across ticks.
+    order: Vec<u32>,
+    /// One chunk of materialized jobs ([`PLACE_CHUNK`] at most),
+    /// reused across chunks and ticks.
+    batch: Vec<Job>,
+    /// The chunk's placement outcomes, reused across chunks and ticks.
     outcomes: Vec<Option<ServerId>>,
+    /// Sampled jobs' placement instants, held until the tick's last
+    /// chunk is placed; empty between ticks.
+    sampled: Vec<SampledPlacement>,
     /// The tick's departures as `(id − id base) << 32 | server` words,
     /// and the radix sort's scratch: filled only while a flight
     /// recorder is armed, empty between ticks.
@@ -203,9 +209,11 @@ impl Simulation {
             next_job_id: 0,
             arrival_rng,
             index,
-            per_kind: std::array::from_fn(|_| Vec::new()),
+            specs: Vec::new(),
+            order: Vec::new(),
             batch: Vec::new(),
             outcomes: Vec::new(),
+            sampled: Vec::new(),
             departed: Vec::new(),
             departed_scratch: Vec::new(),
             zones,
@@ -254,13 +262,14 @@ impl Simulation {
 
     /// Runs the simulation over the trace's full horizon.
     pub fn run(self) -> SimulationResult {
-        self.run_returning_servers().0
+        self.run_returning_farm().0
     }
 
-    /// Runs the simulation and also returns the servers' final state —
-    /// useful for post-mortem inspection (rack power balance, wax state)
-    /// at the exact moment the trace ends.
-    pub fn run_returning_servers(mut self) -> (SimulationResult, Vec<Server>) {
+    /// Runs the simulation and also returns the farm in its final
+    /// state — for post-mortem inspection (rack power balance, wax
+    /// state) at the exact moment the trace ends.
+    /// [`ServerFarm::to_servers`] turns it into per-object servers.
+    pub fn run_returning_farm(mut self) -> (SimulationResult, ServerFarm) {
         self.start_run();
         while self.step() {}
         self.finish()
@@ -403,11 +412,11 @@ impl Simulation {
         }
     }
 
-    /// Ends the run, returning the result recorded so far and the
-    /// servers' final state. Called mid-horizon this yields a partial
-    /// result: series hold one sample per executed tick and unreached
-    /// heatmap rows stay zero.
-    pub fn finish(mut self) -> (SimulationResult, Vec<Server>) {
+    /// Ends the run, returning the result recorded so far and the farm
+    /// in its final state (moved out, not copied). Called mid-horizon
+    /// this yields a partial result: series hold one sample per
+    /// executed tick and unreached heatmap rows stay zero.
+    pub fn finish(mut self) -> (SimulationResult, ServerFarm) {
         self.start_run();
         let run = self.run.take().expect("start_run just installed the run");
         let result = SimulationResult {
@@ -434,7 +443,7 @@ impl Simulation {
                 result.electrical.peak().get(),
             );
         }
-        (result, self.farm.to_servers())
+        (result, self.farm)
     }
 
     /// The body of one tick, operating on accumulators taken out of
@@ -928,9 +937,11 @@ impl Simulation {
             index: self.index.clone(),
             // Scratch buffers are semantically empty between ticks; the
             // fork warms up its own.
-            per_kind: std::array::from_fn(|_| Vec::new()),
+            specs: Vec::new(),
+            order: Vec::new(),
             batch: Vec::new(),
             outcomes: Vec::new(),
+            sampled: Vec::new(),
             departed: Vec::new(),
             departed_scratch: Vec::new(),
             zones: self.zones.clone(),
@@ -984,6 +995,14 @@ impl Simulation {
     }
 
     /// Plans this tick's arrivals from the trace and places each job.
+    ///
+    /// The planner appends every workload's arrivals to `specs`, kind
+    /// after kind; `order` interleaves their positions and is shuffled.
+    /// Jobs are then materialized, id- and due-stamped and placed one
+    /// [`PLACE_CHUNK`] at a time, so the job and outcome buffers stay
+    /// one chunk long whatever the tick's fill. `place_batch` promises
+    /// the per-job decision sequence, so the chunks place exactly what
+    /// one call over the whole tick would.
     fn plan_and_place(
         &mut self,
         tick: u64,
@@ -993,30 +1012,34 @@ impl Simulation {
         telemetry: Option<&mut EngineTelemetry>,
     ) {
         let total_cores = self.config.total_cores();
-        // Plan all workloads first, then interleave the batches so that
+        // Plan all workloads first, then interleave them so that
         // placement sees a realistic arrival mix — a long run of one
         // kind would let composition clump on whichever servers happen
         // to be preferred this tick. All staging buffers live on the
         // simulation and are recycled, so the steady-state hot loop
         // performs no per-tick allocations here.
-        for (kind, queue) in WorkloadKind::ALL.into_iter().zip(self.per_kind.iter_mut()) {
-            queue.clear();
+        self.specs.clear();
+        let mut ranges = [(0, 0); 5];
+        for (kind, range) in WorkloadKind::ALL.into_iter().zip(&mut ranges) {
             let target = self.trace.target_cores(kind, now_hours, total_cores);
             let current = self.occupancy[kind.index()];
-            self.planner.plan_into(kind, target, current, queue);
+            let start = self.specs.len();
+            self.planner
+                .plan_into(kind, target, current, &mut self.specs);
+            *range = (start, self.specs.len());
         }
-        // Jobs are materialized directly during the interleave (no
-        // intermediate spec buffer), shuffled, then id-stamped in final
-        // order — so ids are sequential in arrival order, exactly as a
-        // spec-then-materialize pipeline would assign them.
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        batch.reserve(self.per_kind.iter().map(Vec::len).sum());
-        let longest = self.per_kind.iter().map(Vec::len).max().unwrap_or(0);
+        let arrivals = self.specs.len();
+        assert!(
+            u32::try_from(arrivals).is_ok(),
+            "{arrivals} arrivals in one tick overflow the u32 arrival order"
+        );
+        self.order.clear();
+        self.order.reserve(arrivals);
+        let longest = ranges.iter().map(|&(s, e)| e - s).max().unwrap_or(0);
         for position in 0..longest {
-            for queue in &self.per_kind {
-                if let Some(&spec) = queue.get(position) {
-                    batch.push(Job::new(JobId(0), spec.kind, spec.duration));
+            for &(start, end) in &ranges {
+                if start + position < end {
+                    self.order.push((start + position) as u32);
                 }
             }
         }
@@ -1024,28 +1047,78 @@ impl Simulation {
         // (e.g. round robin over a server count divisible by the number
         // of workloads would stripe kinds across servers); a seeded
         // shuffle models the real, unordered arrival stream. The RNG
-        // draw sequence depends only on the batch length, so shuffling
-        // jobs instead of specs leaves the arrival stream unchanged.
-        batch.shuffle(&mut self.arrival_rng);
-        let tick_s = self.config.tick.get();
-        for job in &mut batch {
-            job.set_id(JobId(self.next_job_id));
-            self.next_job_id += 1;
-            let due = tick.saturating_add(duration_ticks(job, tick_s));
-            job.set_due_tick(due.min(u64::from(Job::NEVER_DUE)) as u32);
+        // draw sequence depends only on the slice length, so shuffling
+        // positions draws exactly what shuffling the jobs would.
+        self.order.shuffle(&mut self.arrival_rng);
+
+        // A tick without arrivals still makes one (empty) call, so every
+        // tick reaches the policy's batch hook at least once.
+        let mut telemetry = telemetry;
+        for start in (0..arrivals.max(1)).step_by(PLACE_CHUNK) {
+            let end = (start + PLACE_CHUNK).min(arrivals);
+            self.place_chunk(
+                tick,
+                start..end,
+                placements,
+                dropped,
+                telemetry.as_deref_mut(),
+            );
         }
 
-        // Hand the whole batch to the scheduler in one call:
-        // `place_batch`'s default body runs the identical per-job
-        // decision sequence, but monomorphized per policy, so the whole
-        // placement loop costs one dynamic dispatch per tick. With the
-        // span tracer armed the traced variant runs instead, feeding
-        // sampled decision detail through a probe — the decision
-        // sequence itself is identical either way.
+        // Placement instants for sampled jobs: outcome, zone, and
+        // departure horizon, emitted after the tick's last chunk so
+        // every instant follows the tick's decision records and
+        // reflects the final engine-visible decision.
+        if let Some(tr) = telemetry.and_then(|tel| tel.tracer.as_mut()) {
+            for s in self.sampled.drain(..) {
+                tr.placement(s.job, s.kind, s.server, s.zone, s.duration_ticks);
+            }
+        }
+    }
+
+    /// Materializes the arrivals at `positions` of the tick's order,
+    /// stamps their ids and due ticks, places them in one
+    /// `place_batch` call and books the outcomes.
+    fn place_chunk(
+        &mut self,
+        tick: u64,
+        positions: std::ops::Range<usize>,
+        placements: &mut u64,
+        dropped: &mut u64,
+        telemetry: Option<&mut EngineTelemetry>,
+    ) {
+        // Ids are stamped in arrival order, so they are sequential in
+        // the shuffled order, exactly as the whole tick's batch would
+        // number them. The spec gather is a random walk over `specs`;
+        // prefetching a few dozen positions ahead hides its misses.
+        let tick_s = self.config.tick.get();
+        let order = &self.order[positions];
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        reserve_chunk(&mut batch, order.len());
+        for (i, &at) in order.iter().enumerate() {
+            if let Some(&ahead) = order.get(i + SPEC_PREFETCH) {
+                prefetch(&self.specs[ahead as usize]);
+            }
+            let spec = self.specs[at as usize];
+            let mut job = Job::new(JobId(self.next_job_id), spec.kind, spec.duration);
+            self.next_job_id += 1;
+            let due = tick.saturating_add(duration_ticks(&job, tick_s));
+            job.set_due_tick(due.min(u64::from(Job::NEVER_DUE)) as u32);
+            batch.push(job);
+        }
+
+        // Hand the chunk to the scheduler in one call: `place_batch`'s
+        // default body runs the identical per-job decision sequence,
+        // but monomorphized per policy, so the placement loop costs one
+        // dynamic dispatch per chunk. With the span tracer armed the
+        // traced variant runs instead, feeding sampled decision detail
+        // through a probe — the decision sequence itself is identical
+        // either way.
         let mut telemetry = telemetry;
         let mut outcomes = std::mem::take(&mut self.outcomes);
         outcomes.clear();
-        outcomes.reserve(batch.len());
+        reserve_chunk(&mut outcomes, batch.len());
         match telemetry.as_deref_mut().and_then(|tel| tel.tracer.as_mut()) {
             Some(tracer) => {
                 let mut probe = TraceProbe { tracer };
@@ -1056,6 +1129,21 @@ impl Simulation {
                     &mut outcomes,
                     &mut probe,
                 );
+                // Batch ids are consecutive (assigned above), so the
+                // sampled offsets come from one arithmetic pass — no
+                // per-job sampling check over tens of thousands of jobs.
+                let layout = self.zones.as_ref().map(|z| z.layout());
+                let first_id = batch.first().map_or(0, |job| job.id().0);
+                for i in probe.tracer.sampled_offsets(first_id, batch.len()) {
+                    let (job, placed) = (&batch[i], outcomes[i]);
+                    self.sampled.push(SampledPlacement {
+                        job: job.id().0,
+                        kind: job.kind().index() as u8,
+                        server: placed.map(|sid| sid.0 as u32),
+                        zone: placed.and_then(|sid| layout.map(|l| l.zone_of(sid.0) as u32)),
+                        duration_ticks: (job.duration().get() / tick_s).round().max(1.0) as u32,
+                    });
+                }
             }
             None => {
                 self.scheduler
@@ -1063,32 +1151,6 @@ impl Simulation {
             }
         }
         debug_assert_eq!(outcomes.len(), batch.len());
-
-        // Placement instants for sampled jobs: outcome, zone, and
-        // departure horizon, emitted after the batch so every instant
-        // reflects the final engine-visible decision.
-        if let Some(tr) = telemetry.as_deref_mut().and_then(|tel| tel.tracer.as_mut()) {
-            let layout = self.zones.as_ref().map(|z| z.layout());
-            // Batch ids are consecutive (assigned above), so the
-            // sampled offsets come from one arithmetic pass — no
-            // per-job sampling check over tens of thousands of jobs.
-            let first_id = batch.first().map_or(0, |job| job.id().0);
-            for i in tr.sampled_offsets(first_id, batch.len()) {
-                let (job, placed) = (&batch[i], outcomes[i]);
-                let duration_ticks = (job.duration().get() / self.config.tick.get())
-                    .round()
-                    .max(1.0) as u32;
-                let server = placed.map(|sid| sid.0 as u32);
-                let zone = placed.and_then(|sid| layout.map(|l| l.zone_of(sid.0) as u32));
-                tr.placement(
-                    job.id().0,
-                    job.kind().index() as u8,
-                    server,
-                    zone,
-                    duration_ticks,
-                );
-            }
-        }
 
         // Engine bookkeeping over the outcomes, in batch order. The
         // flight-record calls are compiled into a separate loop body so
@@ -1130,6 +1192,47 @@ impl Simulation {
         self.batch = batch;
         self.outcomes = outcomes;
     }
+}
+
+/// Arrivals materialized and placed per `place_batch` call: the job
+/// and outcome buffers never grow past it, whatever a tick's fill.
+const PLACE_CHUNK: usize = 65_536;
+
+/// How many arrival positions ahead of the one being materialized the
+/// spec gather prefetches.
+const SPEC_PREFETCH: usize = 32;
+
+/// A sampled job's placement instant, as the span tracer records it.
+struct SampledPlacement {
+    job: u64,
+    kind: u8,
+    server: Option<u32>,
+    zone: Option<u32>,
+    duration_ticks: u32,
+}
+
+/// Grows an emptied chunk buffer to hold `len` items, doubling as a
+/// `Vec` does but never past [`PLACE_CHUNK`].
+fn reserve_chunk<T>(buffer: &mut Vec<T>, len: usize) {
+    debug_assert!(buffer.is_empty() && len <= PLACE_CHUNK);
+    if buffer.capacity() < len {
+        buffer.reserve_exact((2 * buffer.capacity()).clamp(len, PLACE_CHUNK));
+    }
+}
+
+/// Hints the CPU to pull `item`'s cache line toward L1. Architecturally
+/// a no-op: nothing depends on whether the hint fired.
+#[inline]
+fn prefetch<T>(item: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the pointer comes from a live reference, and prefetch
+    // never faults architecturally.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((item as *const T).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = item;
 }
 
 /// A job's duration in whole ticks of `tick_s` seconds, at least one —
@@ -1319,6 +1422,62 @@ mod tests {
         assert_eq!(a.placements, b.placements);
     }
 
+    /// First fit from a cursor that only moves forward within a tick:
+    /// one pass over the farm per tick, so a first tick of 10,000
+    /// servers places in milliseconds.
+    struct CursorFit {
+        next: usize,
+    }
+
+    impl crate::SnapshotState for CursorFit {}
+
+    impl Scheduler for CursorFit {
+        fn name(&self) -> &str {
+            "cursor-fit"
+        }
+
+        fn on_tick(&mut self, _farm: &ServerFarm, _now: vmt_units::Seconds) {
+            self.next = 0;
+        }
+
+        fn place(&mut self, _job: &Job, farm: &ServerFarm) -> Option<ServerId> {
+            while self.next < farm.len() && farm.free_cores(self.next) == 0 {
+                self.next += 1;
+            }
+            (self.next < farm.len()).then_some(ServerId(self.next))
+        }
+    }
+
+    #[test]
+    fn chunk_buffers_stay_one_chunk_after_a_large_first_tick() {
+        let servers = 10_000;
+        let mut sim = Simulation::new(
+            ClusterConfig::paper_default(servers),
+            DiurnalTrace::new(TraceConfig::paper_default()),
+            Box::new(CursorFit { next: 0 }),
+        );
+        assert!(sim.step());
+        let placed: u64 = (0..servers)
+            .map(|i| u64::from(sim.farm().used_cores(i)))
+            .sum();
+        assert!(
+            placed > 2 * PLACE_CHUNK as u64,
+            "the first tick placed {placed} jobs, not more than two chunks"
+        );
+        assert_eq!(sim.order.len() as u64, placed);
+        assert!(
+            sim.batch.capacity() <= PLACE_CHUNK,
+            "{}",
+            sim.batch.capacity()
+        );
+        assert!(
+            sim.outcomes.capacity() <= PLACE_CHUNK,
+            "{}",
+            sim.outcomes.capacity()
+        );
+        assert!(sim.sampled.is_empty());
+    }
+
     #[test]
     fn time_varying_inlet_is_applied() {
         let mut config = ClusterConfig::paper_default(3);
@@ -1329,20 +1488,20 @@ mod tests {
         );
         let mut trace_cfg = TraceConfig::paper_default();
         trace_cfg.horizon = Hours::new(16.0);
-        let (_, servers) = Simulation::new(
+        let (_, farm) = Simulation::new(
             config,
             DiurnalTrace::new(trace_cfg),
             Box::new(FirstFit::new()),
         )
-        .run_returning_servers();
+        .run_returning_farm();
         // At the end of the run (hour 16, one tick past the 15:00
         // ambient peak) every server's inlet sits near the top of the
         // swing.
-        for s in &servers {
+        for i in 0..farm.len() {
             assert!(
-                (s.inlet().get() - 22.93).abs() < 0.05,
+                (farm.inlet(i).get() - 22.93).abs() < 0.05,
                 "inlet {} should track ambient",
-                s.inlet()
+                farm.inlet(i)
             );
         }
     }
@@ -1368,14 +1527,14 @@ mod tests {
                 config.seed = seed;
                 let mut trace_cfg = TraceConfig::paper_default();
                 trace_cfg.horizon = Hours::new(horizon_h);
-                let (result, final_servers) = Simulation::new(
+                let (result, farm) = Simulation::new(
                     config,
                     DiurnalTrace::new(trace_cfg),
                     Box::new(FirstFit::new()),
                 )
-                .run_returning_servers();
+                .run_returning_farm();
                 prop_assert_eq!(result.dropped_jobs, 0);
-                let running: u32 = final_servers.iter().map(Server::used_cores).sum();
+                let running: u32 = (0..farm.len()).map(|i| farm.used_cores(i)).sum();
                 prop_assert!(u64::from(running) <= result.placements);
                 // Electrical floor: idle power of every server.
                 let idle_floor = servers as f64 * 100.0;

@@ -24,7 +24,7 @@ use crate::farm::ServerFarm;
 use crate::index::ClusterIndex;
 use crate::metrics::SimulationResult;
 use crate::scheduler::Scheduler;
-use crate::server::{Server, ServerId};
+use crate::server::ServerId;
 use std::sync::{Arc, Mutex};
 use vmt_telemetry::replay::{
     PlacementTrace, ReplayVerdict, StateHasher, TickTrace, TraceFooter, TraceHeader,
@@ -60,9 +60,10 @@ pub fn digest_index(index: &ClusterIndex) -> u64 {
 }
 
 /// Digest of a finished run: the result's full series plus every
-/// server's final occupancy and thermal state. Two runs with equal
-/// final digests produced bit-identical trajectories.
-pub fn digest_final_state(result: &SimulationResult, servers: &[Server]) -> u64 {
+/// server's final occupancy and thermal state, read from the farm in
+/// server order. Two runs with equal final digests produced
+/// bit-identical trajectories.
+pub fn digest_final_state(result: &SimulationResult, farm: &ServerFarm) -> u64 {
     let mut h = StateHasher::new();
     h.write_u64(result.placements);
     h.write_u64(result.dropped_jobs);
@@ -84,10 +85,10 @@ pub fn digest_final_state(result: &SimulationResult, servers: &[Server]) -> u64 
     for j in &result.stored_energy {
         h.write_f64(j.get());
     }
-    for s in servers {
-        h.write_u64(u64::from(s.used_cores()));
-        h.write_f64(s.air_at_wax().get());
-        h.write_f64(s.reported_melt_fraction().get());
+    for i in 0..farm.len() {
+        h.write_u64(u64::from(farm.used_cores(i)));
+        h.write_f64(farm.air_at_wax(i).get());
+        h.write_f64(farm.reported_melt_fraction(i).get());
     }
     h.finish()
 }
@@ -118,7 +119,7 @@ impl TraceHandle {
         &self,
         header: TraceHeader,
         result: &SimulationResult,
-        servers: &[Server],
+        farm: &ServerFarm,
     ) -> PlacementTrace {
         let log = self.0.lock().expect("trace handle poisoned");
         PlacementTrace {
@@ -127,7 +128,7 @@ impl TraceHandle {
             footer: TraceFooter {
                 placements: result.placements,
                 dropped_jobs: result.dropped_jobs,
-                final_digest: digest_final_state(result, servers),
+                final_digest: digest_final_state(result, farm),
                 ticks_run: log.ticks.len() as u64,
             },
         }
@@ -388,7 +389,7 @@ mod tests {
     use vmt_units::Hours;
     use vmt_workload::{DiurnalTrace, TraceConfig};
 
-    fn record_run(servers: usize, hours: f64) -> (PlacementTrace, SimulationResult, Vec<Server>) {
+    fn record_run(servers: usize, hours: f64) -> (PlacementTrace, SimulationResult, ServerFarm) {
         let cluster = ClusterConfig::paper_default(servers);
         let mut trace_cfg = TraceConfig::paper_default();
         trace_cfg.horizon = Hours::new(hours);
@@ -404,15 +405,15 @@ mod tests {
             tick_seconds: cluster.tick.get(),
             ticks: 0,
         };
-        let (result, end_servers) =
+        let (result, end_farm) =
             Simulation::new(cluster, DiurnalTrace::new(trace_cfg), Box::new(recorder))
-                .run_returning_servers();
-        let mut trace = handle.into_trace(header, &result, &end_servers);
+                .run_returning_farm();
+        let mut trace = handle.into_trace(header, &result, &end_farm);
         trace.header.ticks = trace.footer.ticks_run;
-        (trace, result, end_servers)
+        (trace, result, end_farm)
     }
 
-    fn replay_run(trace: &PlacementTrace) -> (ReplayVerdict, SimulationResult, Vec<Server>) {
+    fn replay_run(trace: &PlacementTrace) -> (ReplayVerdict, SimulationResult, ServerFarm) {
         let mut cluster = ClusterConfig::paper_default(trace.header.servers as usize);
         cluster.seed = trace.header.cluster_seed;
         let mut trace_cfg = TraceConfig::paper_default();
@@ -420,10 +421,10 @@ mod tests {
         trace_cfg.seed = trace.header.trace_seed;
         let report = ReplayHandle::new();
         let replayer = ReplayScheduler::new(trace.clone(), report.clone());
-        let (result, servers) =
+        let (result, farm) =
             Simulation::new(cluster, DiurnalTrace::new(trace_cfg), Box::new(replayer))
-                .run_returning_servers();
-        (report.verdict(), result, servers)
+                .run_returning_farm();
+        (report.verdict(), result, farm)
     }
 
     #[test]
@@ -445,9 +446,9 @@ mod tests {
 
     #[test]
     fn replay_reproduces_the_run_bit_identically() {
-        let (trace, original, original_servers) = record_run(4, 6.0);
+        let (trace, original, original_farm) = record_run(4, 6.0);
         assert!(trace.decision_count() > 0, "trace recorded decisions");
-        let (verdict, replayed, replayed_servers) = replay_run(&trace);
+        let (verdict, replayed, replayed_farm) = replay_run(&trace);
         assert!(
             verdict.is_identical(),
             "per-tick digests diverged: {verdict:?}"
@@ -463,11 +464,11 @@ mod tests {
         assert_eq!(original.placements, replayed.placements);
         assert_eq!(original.dropped_jobs, replayed.dropped_jobs);
         assert_eq!(
-            digest_final_state(&replayed, &replayed_servers),
+            digest_final_state(&replayed, &replayed_farm),
             trace.footer.final_digest
         );
         assert_eq!(
-            digest_final_state(&original, &original_servers),
+            digest_final_state(&original, &original_farm),
             trace.footer.final_digest
         );
     }

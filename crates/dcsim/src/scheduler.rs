@@ -137,7 +137,7 @@ pub trait Scheduler: SnapshotState {
         self.place(job, farm)
     }
 
-    /// Places one tick's arrival batch in order: every placed job is
+    /// Places a batch of arrivals in order: every placed job is
     /// started on the farm and recorded in the index before the next
     /// decision, and each job's outcome is pushed onto `out`.
     ///
@@ -148,8 +148,13 @@ pub trait Scheduler: SnapshotState {
     /// and the outcomes (hence results, counters, and replay digests)
     /// are bit-identical to per-job placement. Batching exists to
     /// devirtualize the hot loop: the engine pays one dynamic dispatch
-    /// per tick instead of one per job, and each policy's monomorphized
+    /// per call instead of one per job, and each policy's monomorphized
     /// body can inline its own `place_indexed`.
+    ///
+    /// The engine may split one tick's arrivals across several calls
+    /// (it places them in bounded chunks), so an override must keep the
+    /// per-job sequence across calls too: placing a batch as several
+    /// consecutive calls must equal placing it in one.
     fn place_batch(
         &mut self,
         jobs: &[Job],

@@ -51,6 +51,46 @@ use vmt_experiments::heatmaps::HeatmapFigure;
 use vmt_experiments::runner::Run;
 use vmt_experiments::*;
 
+/// `print!` to stdout through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` to stdout through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes verb output to stdout. A reader that closes the pipe early
+/// (`| head -1`) is not a failure: the rest of the output is dropped and
+/// the verb finishes its work and keeps its exit code. Any other write
+/// error exits 1.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(err) if err.kind() == std::io::ErrorKind::BrokenPipe => {
+            CLOSED.store(true, Ordering::Relaxed);
+        }
+        Err(err) => {
+            eprintln!("error: cannot write to stdout: {err}");
+            std::process::exit(1);
+        }
+    }
+}
+
 const EXPERIMENT_IDS: [&str; 26] = [
     "table1",
     "table2",
@@ -81,106 +121,106 @@ const EXPERIMENT_IDS: [&str; 26] = [
 ];
 
 fn print_help() {
-    println!("vmt-experiments — VMT paper reproduction harness");
-    println!();
-    println!("usage:");
-    println!("  vmt-experiments <id|all> [--servers N] [--seeds K] [--threads T]");
-    println!("  vmt-experiments run [options]");
-    println!("  vmt-experiments record TRACE [options]");
-    println!("  vmt-experiments replay TRACE [--until TICK] [--threads T]");
-    println!("  vmt-experiments snapshot FILE (--at TICK | --from-flight DUMP) [options]");
-    println!("  vmt-experiments resume FILE [--until TICK] [--threads T]");
-    println!("  vmt-experiments explain JOB_ID TRACE");
-    println!("  vmt-experiments check-telemetry FILE");
-    println!("  vmt-experiments check-flight FILE");
-    println!("  vmt-experiments check-bench FILE");
-    println!("  vmt-experiments check-metrics FILE [--require FAMILIES]");
-    println!("  vmt-experiments check-trace FILE");
-    println!("  vmt-experiments --help");
-    println!();
-    println!("experiment ids:");
-    println!("  {}", EXPERIMENT_IDS.join(" "));
-    println!();
-    println!("run options (single instrumented simulation):");
-    println!("  --policy NAME        round-robin | coolest-first | vmt-ta | vmt-wa |");
-    println!("                       adaptive-gv | vmt-preserve   (default vmt-wa)");
-    println!("  --gv F               grouping value (default 22)");
-    println!("  --servers N          cluster size (default 1000)");
-    println!("  --hours H            trace horizon in simulated hours (default 48)");
-    println!("  --seed S             workload seed (default: paper default)");
-    println!("  --threads T          tick worker threads, >= 1 (results bit-identical)");
-    println!("  --zones              attach the paper-default rack/row/zone topology");
-    println!("                       (per-zone CRAC integrators; observational only,");
-    println!("                       placements and digests are unchanged)");
-    println!("  --telemetry FILE     write a JSONL event stream to FILE");
-    println!("  --snapshot-every N   snapshot cadence in ticks (default 60 = hourly)");
-    println!("  --progress [N]       live progress line every N ticks (default 60)");
-    println!("  --series [CAP]       record per-tick time series (cooling load, mean");
-    println!("                       air, melted fraction, spills, per-zone temps) in");
-    println!("                       ring buffers of CAP samples (default 2880 = 48 h)");
-    println!("  --dashboard [N]      live terminal dashboard redrawn every N ticks");
-    println!("                       (default 60); implies --series, degrades to plain");
-    println!("                       progress lines on dumb terminals and pipes");
-    println!("  --metrics-addr A     serve GET /metrics (OpenMetrics text) on A, e.g.");
-    println!("                       127.0.0.1:9184; refreshed at the snapshot cadence");
-    println!("  --watchdogs          arm the anomaly watchdogs (thermal red-line,");
-    println!("                       wax stall, QoS spill storm, hot-group thrash)");
-    println!("  --red-line C         thermal-violation red-line in deg C (default 45)");
-    println!("  --flight-dump FILE   arm the flight recorder; the end-of-run dump");
-    println!("                       goes to FILE, watchdog dumps to FILE.anomaly<N>");
-    println!("  --flight-capacity N  flight ring capacity in records (default 65536)");
-    println!("  --trace FILE         record deterministic span traces and write them");
-    println!("                       to FILE as Chrome trace-event JSON (loadable in");
-    println!("                       Perfetto / chrome://tracing); per-tick phase and");
-    println!("                       per-zone spans, placement + decision instants");
-    println!("  --trace-sample N     trace every Nth job's placement decision");
-    println!("                       (default 1 = every job; 0 = only --trace-jobs)");
-    println!("  --trace-jobs IDS     comma-separated job ids to always trace, on top");
-    println!("                       of the sample (alone it implies --trace-sample 0)");
-    println!();
-    println!("record writes the run's placement-decision trace to TRACE (same");
-    println!("  --policy/--gv/--servers/--hours/--seed options as run; servers");
-    println!("  default to 100 and hours to 24 to keep traces small).");
-    println!("replay re-drives a simulation from TRACE, bypassing the policy, and");
-    println!("  verifies per-tick state digests; --until TICK replays only the");
-    println!("  first TICK ticks to bisect a divergence. Exits 1 on divergence.");
-    println!();
-    println!("snapshot runs a simulation up to a tick and writes a restorable");
-    println!("  checkpoint to FILE (same --policy/--gv/--servers/--hours/--seed");
-    println!("  options as record); --from-flight takes the tick from a flight-");
-    println!("  recorder dump's header, so a run can be checkpointed exactly where");
-    println!("  a watchdog fired.");
-    println!("resume restores a checkpoint and steps it forward; --until TICK stops");
-    println!("  early and prints the state digest there (restored runs are");
-    println!("  bit-identical to uninterrupted ones at any --threads value).");
-    println!();
-    println!("check-telemetry validates a JSONL stream written by `run --telemetry`:");
-    println!("  RunConfig first, Summary last, schema versions consistent; exits 1");
-    println!("  when the stream is invalid or the run recorded sink write errors.");
-    println!("check-flight validates a flight-recorder dump written by");
-    println!("  `run --flight-dump` (header line, records, tick ordering).");
-    println!("check-bench validates an engine benchmark artifact (BENCH_engine.json):");
-    println!("  schema, per-row sanity, identical placements across thread counts,");
-    println!("  no scaling inversion (threads=N >= 0.9x threads=1 ticks/s), the");
-    println!("  10k/100k vmt-wa groups present at threads 1/2/4/8, the 100k");
-    println!("  48h rows under the wall-clock regression ceiling, and the zoned");
-    println!("  10k observability and tracing overhead rows under their 5% gates.");
-    println!("check-metrics validates an OpenMetrics exposition (a `/metrics` scrape");
-    println!("  saved to FILE, or `-` for stdin) with the strict in-repo parser;");
-    println!("  --require F1,F2 additionally demands those metric families.");
-    println!("check-trace validates a Chrome trace-event file written by");
-    println!("  `run --trace` (FILE, or `-` for stdin): strict parse, span nesting");
-    println!("  per lane, unique (tick, seq) ids, payload fields per category.");
-    println!("explain reconstructs a job's placement from a trace written by");
-    println!("  `run --trace`: arrival tick, the scheduler rung that placed it, the");
-    println!("  top-k candidate servers with their tournament keys, the chosen");
-    println!("  server and its winning key, and the zone it landed in. TRACE is a");
-    println!("  file path or `-` for stdin; exits 1 when the job is not in the");
-    println!("  trace (raise the sample with --trace-sample or pin the id with");
-    println!("  --trace-jobs).");
-    println!();
-    println!("exit codes (all check-* and explain): 0 = valid, 1 = invalid input or");
-    println!("  job/family not found, 2 = usage error (unknown flag, missing file).");
+    outln!("vmt-experiments — VMT paper reproduction harness");
+    outln!();
+    outln!("usage:");
+    outln!("  vmt-experiments <id|all> [--servers N] [--seeds K] [--threads T]");
+    outln!("  vmt-experiments run [options]");
+    outln!("  vmt-experiments record TRACE [options]");
+    outln!("  vmt-experiments replay TRACE [--until TICK] [--threads T]");
+    outln!("  vmt-experiments snapshot FILE (--at TICK | --from-flight DUMP) [options]");
+    outln!("  vmt-experiments resume FILE [--until TICK] [--threads T]");
+    outln!("  vmt-experiments explain JOB_ID TRACE");
+    outln!("  vmt-experiments check-telemetry FILE");
+    outln!("  vmt-experiments check-flight FILE");
+    outln!("  vmt-experiments check-bench FILE");
+    outln!("  vmt-experiments check-metrics FILE [--require FAMILIES]");
+    outln!("  vmt-experiments check-trace FILE");
+    outln!("  vmt-experiments --help");
+    outln!();
+    outln!("experiment ids:");
+    outln!("  {}", EXPERIMENT_IDS.join(" "));
+    outln!();
+    outln!("run options (single instrumented simulation):");
+    outln!("  --policy NAME        round-robin | coolest-first | vmt-ta | vmt-wa |");
+    outln!("                       adaptive-gv | vmt-preserve   (default vmt-wa)");
+    outln!("  --gv F               grouping value (default 22)");
+    outln!("  --servers N          cluster size (default 1000)");
+    outln!("  --hours H            trace horizon in simulated hours (default 48)");
+    outln!("  --seed S             workload seed (default: paper default)");
+    outln!("  --threads T          tick worker threads, >= 1 (results bit-identical)");
+    outln!("  --zones              attach the paper-default rack/row/zone topology");
+    outln!("                       (per-zone CRAC integrators; observational only,");
+    outln!("                       placements and digests are unchanged)");
+    outln!("  --telemetry FILE     write a JSONL event stream to FILE");
+    outln!("  --snapshot-every N   snapshot cadence in ticks (default 60 = hourly)");
+    outln!("  --progress [N]       live progress line every N ticks (default 60)");
+    outln!("  --series [CAP]       record per-tick time series (cooling load, mean");
+    outln!("                       air, melted fraction, spills, per-zone temps) in");
+    outln!("                       ring buffers of CAP samples (default 2880 = 48 h)");
+    outln!("  --dashboard [N]      live terminal dashboard redrawn every N ticks");
+    outln!("                       (default 60); implies --series, degrades to plain");
+    outln!("                       progress lines on dumb terminals and pipes");
+    outln!("  --metrics-addr A     serve GET /metrics (OpenMetrics text) on A, e.g.");
+    outln!("                       127.0.0.1:9184; refreshed at the snapshot cadence");
+    outln!("  --watchdogs          arm the anomaly watchdogs (thermal red-line,");
+    outln!("                       wax stall, QoS spill storm, hot-group thrash)");
+    outln!("  --red-line C         thermal-violation red-line in deg C (default 45)");
+    outln!("  --flight-dump FILE   arm the flight recorder; the end-of-run dump");
+    outln!("                       goes to FILE, watchdog dumps to FILE.anomaly<N>");
+    outln!("  --flight-capacity N  flight ring capacity in records (default 65536)");
+    outln!("  --trace FILE         record deterministic span traces and write them");
+    outln!("                       to FILE as Chrome trace-event JSON (loadable in");
+    outln!("                       Perfetto / chrome://tracing); per-tick phase and");
+    outln!("                       per-zone spans, placement + decision instants");
+    outln!("  --trace-sample N     trace every Nth job's placement decision");
+    outln!("                       (default 1 = every job; 0 = only --trace-jobs)");
+    outln!("  --trace-jobs IDS     comma-separated job ids to always trace, on top");
+    outln!("                       of the sample (alone it implies --trace-sample 0)");
+    outln!();
+    outln!("record writes the run's placement-decision trace to TRACE (same");
+    outln!("  --policy/--gv/--servers/--hours/--seed options as run; servers");
+    outln!("  default to 100 and hours to 24 to keep traces small).");
+    outln!("replay re-drives a simulation from TRACE, bypassing the policy, and");
+    outln!("  verifies per-tick state digests; --until TICK replays only the");
+    outln!("  first TICK ticks to bisect a divergence. Exits 1 on divergence.");
+    outln!();
+    outln!("snapshot runs a simulation up to a tick and writes a restorable");
+    outln!("  checkpoint to FILE (same --policy/--gv/--servers/--hours/--seed");
+    outln!("  options as record); --from-flight takes the tick from a flight-");
+    outln!("  recorder dump's header, so a run can be checkpointed exactly where");
+    outln!("  a watchdog fired.");
+    outln!("resume restores a checkpoint and steps it forward; --until TICK stops");
+    outln!("  early and prints the state digest there (restored runs are");
+    outln!("  bit-identical to uninterrupted ones at any --threads value).");
+    outln!();
+    outln!("check-telemetry validates a JSONL stream written by `run --telemetry`:");
+    outln!("  RunConfig first, Summary last, schema versions consistent; exits 1");
+    outln!("  when the stream is invalid or the run recorded sink write errors.");
+    outln!("check-flight validates a flight-recorder dump written by");
+    outln!("  `run --flight-dump` (header line, records, tick ordering).");
+    outln!("check-bench validates an engine benchmark artifact (BENCH_engine.json):");
+    outln!("  schema, per-row sanity, identical placements across thread counts,");
+    outln!("  no scaling inversion (threads=N >= 0.9x threads=1 ticks/s), the");
+    outln!("  10k/100k vmt-wa groups present at threads 1/2/4/8, the 100k");
+    outln!("  48h rows under the wall-clock regression ceiling, and the zoned");
+    outln!("  10k observability and tracing overhead rows under their 5% gates.");
+    outln!("check-metrics validates an OpenMetrics exposition (a `/metrics` scrape");
+    outln!("  saved to FILE, or `-` for stdin) with the strict in-repo parser;");
+    outln!("  --require F1,F2 additionally demands those metric families.");
+    outln!("check-trace validates a Chrome trace-event file written by");
+    outln!("  `run --trace` (FILE, or `-` for stdin): strict parse, span nesting");
+    outln!("  per lane, unique (tick, seq) ids, payload fields per category.");
+    outln!("explain reconstructs a job's placement from a trace written by");
+    outln!("  `run --trace`: arrival tick, the scheduler rung that placed it, the");
+    outln!("  top-k candidate servers with their tournament keys, the chosen");
+    outln!("  server and its winning key, and the zone it landed in. TRACE is a");
+    outln!("  file path or `-` for stdin; exits 1 when the job is not in the");
+    outln!("  trace (raise the sample with --trace-sample or pin the id with");
+    outln!("  --trace-jobs).");
+    outln!();
+    outln!("exit codes (all check-* and explain): 0 = valid, 1 = invalid input or");
+    outln!("  job/family not found, 2 = usage error (unknown flag, missing file).");
 }
 
 /// Exits with a usage error (status 2).
@@ -344,7 +384,7 @@ fn cmd_experiment(id: &str, rest: &[String]) {
 
     if id == "all" {
         for id in EXPERIMENT_IDS {
-            println!("==================== {id} ====================");
+            outln!("==================== {id} ====================");
             run_one(id, servers, seeds);
         }
         return;
@@ -491,11 +531,11 @@ fn cmd_run(rest: &[String]) {
     let result = run.execute_with_telemetry(telemetry);
 
     match summary.get() {
-        Some(summary) => print!("{}", vmt_telemetry::render_report(&summary)),
+        Some(summary) => out!("{}", vmt_telemetry::render_report(&summary)),
         None => {
             // Telemetry always deposits a summary; this is a belt for a
             // future code path that drops it.
-            println!(
+            outln!(
                 "{}: {} placements, {} dropped, peak cooling {:.1} kW",
                 result.scheduler_name,
                 result.placements,
@@ -505,10 +545,10 @@ fn cmd_run(rest: &[String]) {
         }
     }
     if let Some(path) = flags.get("--telemetry") {
-        println!("telemetry stream: {path}");
+        outln!("telemetry stream: {path}");
     }
     if let Some(path) = flags.get("--flight-dump") {
-        println!("flight dump: {path}");
+        outln!("flight dump: {path}");
     }
     if let Some(path) = flags.get("--trace") {
         match tracer.take() {
@@ -525,11 +565,11 @@ fn cmd_run(rest: &[String]) {
                     eprintln!("error: cannot write `{path}`: {err}");
                     std::process::exit(1);
                 }
-                print!("trace: {path} ({records} span records");
+                out!("trace: {path} ({records} span records");
                 if dropped > 0 {
-                    print!(", {dropped} dropped by the ring");
+                    out!(", {dropped} dropped by the ring");
                 }
-                println!(")");
+                outln!(")");
             }
             // Telemetry always deposits the buffer in `finish`; a miss
             // means the run aborted before its summary.
@@ -599,21 +639,21 @@ fn cmd_record(rest: &[String]) {
         tick_seconds: run.cluster.tick.get(),
         ticks: 0,
     };
-    let (result, end_servers) = vmt_dcsim::Simulation::new(
+    let (result, end_farm) = vmt_dcsim::Simulation::new(
         run.cluster.clone(),
         vmt_workload::DiurnalTrace::new(run.trace.clone()),
         Box::new(recorder),
     )
     .with_threads(run.tick_threads)
-    .run_returning_servers();
-    let mut trace = handle.into_trace(header, &result, &end_servers);
+    .run_returning_farm();
+    let mut trace = handle.into_trace(header, &result, &end_farm);
     trace.header.ticks = trace.footer.ticks_run;
 
     if let Err(err) = std::fs::write(trace_path, trace.to_jsonl()) {
         eprintln!("error: cannot write `{trace_path}`: {err}");
         std::process::exit(1);
     }
-    println!(
+    outln!(
         "recorded {} on {servers} servers: {} ticks, {} decisions ({} placements, {} dropped)",
         policy_name,
         trace.footer.ticks_run,
@@ -621,7 +661,7 @@ fn cmd_record(rest: &[String]) {
         result.placements,
         result.dropped_jobs,
     );
-    println!("trace: {trace_path}");
+    outln!("trace: {trace_path}");
 }
 
 /// Re-drives a simulation from a trace (`vmt-experiments replay`).
@@ -674,7 +714,7 @@ fn cmd_replay(rest: &[String]) {
     if let Some(threads) = threads {
         sim = sim.with_threads(threads);
     }
-    let (result, end_servers) = sim.run_returning_servers();
+    let (result, end_farm) = sim.run_returning_farm();
 
     let full_replay = ticks == recorded_ticks;
     let missing = report.missing_decisions();
@@ -682,7 +722,7 @@ fn cmd_replay(rest: &[String]) {
     let mut failed = missing > 0;
     match verdict {
         vmt_telemetry::replay::ReplayVerdict::BitIdentical { ticks_compared } => {
-            println!(
+            outln!(
                 "replay of {policy_name}: bit-identical over {ticks_compared} ticks{}",
                 if full_replay { "" } else { " (prefix)" }
             );
@@ -692,23 +732,23 @@ fn cmd_replay(rest: &[String]) {
             expected,
             actual,
         } => {
-            println!(
+            outln!(
                 "replay of {policy_name}: DIVERGED at tick {first_tick} \
                  (expected digest {expected:#018x}, got {actual:#018x})"
             );
-            println!("bisect with `--until {first_tick}` to narrow the window");
+            outln!("bisect with `--until {first_tick}` to narrow the window");
             failed = true;
         }
     }
     if missing > 0 {
-        println!("{missing} arrivals had no recorded decision (workload divergence)");
+        outln!("{missing} arrivals had no recorded decision (workload divergence)");
     }
     if full_replay {
-        let final_digest = vmt_dcsim::digest_final_state(&result, &end_servers);
+        let final_digest = vmt_dcsim::digest_final_state(&result, &end_farm);
         if final_digest == expected_final {
-            println!("final state digest matches the recording ({final_digest:#018x})");
+            outln!("final state digest matches the recording ({final_digest:#018x})");
         } else {
-            println!(
+            outln!(
                 "final state digest MISMATCH: recorded {expected_final:#018x}, \
                  replayed {final_digest:#018x}"
             );
@@ -817,11 +857,11 @@ fn cmd_snapshot(rest: &[String]) {
             std::process::exit(1);
         }
     };
-    println!(
+    outln!(
         "snapshot of {policy_name} on {servers} servers at tick {at}/{total}: \
          digest {digest:#018x}"
     );
-    println!("snapshot: {snap_path}");
+    outln!("snapshot: {snap_path}");
 }
 
 /// Restores a checkpoint and steps it forward (`vmt-experiments resume`).
@@ -865,23 +905,24 @@ fn cmd_resume(rest: &[String]) {
     }
     let until = until.min(total);
     sim.run_until(until);
-    println!(
+    outln!(
         "resumed {} at tick {}, ran to tick {until}/{total}",
-        snapshot.scheduler.kind, snapshot.tick
+        snapshot.scheduler.kind,
+        snapshot.tick
     );
-    println!("state digest at tick {until}: {:#018x}", sim.state_digest());
+    outln!("state digest at tick {until}: {:#018x}", sim.state_digest());
     if until == total {
-        let (result, end_servers) = sim.finish();
-        println!(
+        let (result, end_farm) = sim.finish();
+        outln!(
             "{}: {} placements, {} dropped, peak cooling {:.1} kW",
             result.scheduler_name,
             result.placements,
             result.dropped_jobs,
             result.peak_cooling().get() / 1e3
         );
-        println!(
+        outln!(
             "final state digest: {:#018x}",
-            vmt_dcsim::digest_final_state(&result, &end_servers)
+            vmt_dcsim::digest_final_state(&result, &end_farm)
         );
     }
 }
@@ -898,7 +939,7 @@ fn cmd_check_telemetry(rest: &[String]) {
     };
     match vmt_telemetry::validate_stream(&text) {
         Ok(stream) => {
-            println!(
+            outln!(
                 "ok: {} events ({} snapshots, {} melt, {} hot-group, {} anomalies)",
                 stream.events,
                 stream.snapshots,
@@ -906,7 +947,7 @@ fn cmd_check_telemetry(rest: &[String]) {
                 stream.hot_group_events,
                 stream.anomalies,
             );
-            println!(
+            outln!(
                 "run: {} on {} servers, {} ticks planned, {} run at {:.0} ticks/s",
                 stream.run_config.policy,
                 stream.run_config.servers,
@@ -945,10 +986,13 @@ fn cmd_check_flight(rest: &[String]) {
             let trigger = dump.header.watchdog.map_or("on-demand".to_owned(), |w| {
                 format!("watchdog {}", w.label())
             });
-            println!(
+            outln!(
                 "ok: {} records at tick {} ({trigger}), {} ticks of context, \
                  {} recorded over the run",
-                dump.records, dump.header.tick, dump.context_ticks, dump.header.records_total,
+                dump.records,
+                dump.header.tick,
+                dump.context_ticks,
+                dump.header.records_total,
             );
         }
         Err(err) => {
@@ -992,7 +1036,7 @@ fn cmd_check_metrics(rest: &[String]) {
         }
     }
     let samples: usize = exposition.families.iter().map(|f| f.samples.len()).sum();
-    println!(
+    outln!(
         "ok: {} metric families, {samples} samples",
         exposition.families.len()
     );
@@ -1038,7 +1082,7 @@ fn cmd_check_trace(rest: &[String]) {
     let text = read_file_or_stdin(path);
     match vmt_telemetry::validate_trace(&text) {
         Ok(stats) => {
-            println!(
+            outln!(
                 "ok: {} events over {} ticks ({} spans: {} phase, {} zone; \
                  {} placements, {} decisions, {} anomalies)",
                 stats.events,
@@ -1051,7 +1095,7 @@ fn cmd_check_trace(rest: &[String]) {
                 stats.anomalies,
             );
             if stats.dropped > 0 {
-                println!(
+                outln!(
                     "note: the exporter's ring dropped {} records before rendering — \
                      raise the trace capacity or the sampling stride for full coverage",
                     stats.dropped
@@ -1137,7 +1181,7 @@ fn cmd_explain(rest: &[String]) {
         }
     };
 
-    println!("job {job}");
+    outln!("job {job}");
     // The decision instant carries the scheduler's view: the rung of
     // the placement ladder that handled the job and the balancer's
     // candidate snapshot taken just before the job was placed.
@@ -1145,12 +1189,12 @@ fn cmd_explain(rest: &[String]) {
         let tick = field_u64(decision, "tick").unwrap_or(0);
         let rung = field_str(decision, "rung").unwrap_or_default();
         let chosen = field_u64(decision, "chosen");
-        println!("  arrived at tick {tick}, handled by rung `{rung}`");
+        outln!("  arrived at tick {tick}, handled by rung `{rung}`");
         if let Some(serde::Value::Array(candidates)) = decision.args.get_field("candidates") {
             if candidates.is_empty() {
-                println!("  no balancer candidates (priority or cursor rung)");
+                outln!("  no balancer candidates (priority or cursor rung)");
             } else {
-                println!("  top balancer candidates (best key first):");
+                outln!("  top balancer candidates (best key first):");
                 for candidate in candidates {
                     let server = candidate
                         .get_field("server")
@@ -1171,22 +1215,22 @@ fn cmd_explain(rest: &[String]) {
                     } else {
                         ""
                     };
-                    println!("    server {server:>6}  key {key:.4}{marker}");
+                    outln!("    server {server:>6}  key {key:.4}{marker}");
                 }
             }
         }
         match (chosen, field_f64(decision, "winning_key")) {
             (Some(server), Some(key)) => {
-                println!("  chose server {server} with winning key {key:.4}");
+                outln!("  chose server {server} with winning key {key:.4}");
             }
             (Some(server), None) => {
-                println!("  chose server {server} (no tournament key — priority/cursor rung)");
+                outln!("  chose server {server} (no tournament key — priority/cursor rung)");
             }
-            (None, _) => println!("  dropped: the rung ladder found no capacity"),
+            (None, _) => outln!("  dropped: the rung ladder found no capacity"),
         }
     }
     if decisions.is_empty() {
-        println!("  (no decision detail — recorded without a tracing-aware policy)");
+        outln!("  (no decision detail — recorded without a tracing-aware policy)");
     }
     // The placement instant carries the engine's view: what was
     // actually committed to the farm, including the zone.
@@ -1198,21 +1242,21 @@ fn cmd_explain(rest: &[String]) {
             .unwrap_or("unknown");
         let duration = field_u64(placement, "duration_ticks").unwrap_or(0);
         match (field_u64(placement, "server"), field_u64(placement, "zone")) {
-            (Some(server), Some(zone)) => println!(
+            (Some(server), Some(zone)) => outln!(
                 "  placed on server {server} in zone {zone} at tick {tick} \
                  ({kind}, {duration} ticks)"
             ),
-            (Some(server), None) => println!(
+            (Some(server), None) => outln!(
                 "  placed on server {server} at tick {tick} ({kind}, {duration} ticks; \
                  run had no zone topology)"
             ),
             (None, _) => {
-                println!("  not placed at tick {tick} ({kind}, {duration} ticks) — dropped")
+                outln!("  not placed at tick {tick} ({kind}, {duration} ticks) — dropped")
             }
         }
     }
     if placements.is_empty() {
-        println!("  (no placement instant — the job never reached the farm)");
+        outln!("  (no placement instant — the job never reached the farm)");
     }
 }
 
@@ -1633,14 +1677,14 @@ fn cmd_check_bench(rest: &[String]) {
             }
         }
     }
-    println!(
+    outln!(
         "ok: {} measurement rows, {} scaling rows in {} groups",
         report.measurements.len(),
         report.scaling.len(),
         groups.len(),
     );
     if checked > 0 {
-        println!(
+        outln!(
             "scaling holds: worst multi-thread row at {worst_ratio:.2}x single-thread \
              (floor 0.90x), placements identical across thread counts"
         );
@@ -1681,52 +1725,52 @@ fn run_one(id: &str, servers: Option<usize>, seeds: usize) {
     let large = servers.unwrap_or(1000);
     let sweep = servers.unwrap_or(100);
     match id {
-        "table1" => print!("{}", table1::render()),
-        "table2" => print!("{}", table2::render(sweep)),
-        "fig1" => print!("{}", fig1::render()),
-        "fig2" => print!("{}", fig2::render()),
-        "fig6" => print!("{}", fig6::render()),
-        "fig7" => print!("{}", fig7::render(sweep)),
-        "fig8" => print!("{}", fig8::render()),
-        "fig9" => print!("{}", heatmaps::render(HeatmapFigure::Fig9RoundRobin, sweep)),
-        "fig10" => print!(
+        "table1" => out!("{}", table1::render()),
+        "table2" => out!("{}", table2::render(sweep)),
+        "fig1" => out!("{}", fig1::render()),
+        "fig2" => out!("{}", fig2::render()),
+        "fig6" => out!("{}", fig6::render()),
+        "fig7" => out!("{}", fig7::render(sweep)),
+        "fig8" => out!("{}", fig8::render()),
+        "fig9" => out!("{}", heatmaps::render(HeatmapFigure::Fig9RoundRobin, sweep)),
+        "fig10" => out!(
             "{}",
             heatmaps::render(HeatmapFigure::Fig10CoolestFirst, sweep)
         ),
-        "fig11" => print!("{}", heatmaps::render(HeatmapFigure::Fig11VmtTa, sweep)),
-        "fig12" => print!("{}", hot_group::render(&hot_group::fig12(large))),
+        "fig11" => out!("{}", heatmaps::render(HeatmapFigure::Fig11VmtTa, sweep)),
+        "fig12" => out!("{}", hot_group::render(&hot_group::fig12(large))),
         "fig13" => {
             let figure = cooling_load::fig13(large);
             write_series_csv(&figure, "fig13");
-            print!("{}", cooling_load::render(&figure));
+            out!("{}", cooling_load::render(&figure));
         }
-        "fig14" => print!("{}", heatmaps::render(HeatmapFigure::Fig14VmtWa, sweep)),
-        "fig15" => print!("{}", hot_group::render(&hot_group::fig15(large))),
+        "fig14" => out!("{}", heatmaps::render(HeatmapFigure::Fig14VmtWa, sweep)),
+        "fig15" => out!("{}", hot_group::render(&hot_group::fig15(large))),
         "fig16" => {
             let figure = cooling_load::fig16(large);
             write_series_csv(&figure, "fig16");
-            print!("{}", cooling_load::render(&figure));
+            out!("{}", cooling_load::render(&figure));
         }
-        "fig17" => print!("{}", threshold::render(sweep)),
-        "fig18" => print!("{}", gv_sweep::render(sweep)),
-        "fig19" => print!(
+        "fig17" => out!("{}", threshold::render(sweep)),
+        "fig18" => out!("{}", gv_sweep::render(sweep)),
+        "fig19" => out!(
             "{}",
             inlet_variation::render(&inlet_variation::fig19(sweep, seeds))
         ),
-        "fig20" => print!(
+        "fig20" => out!(
             "{}",
             inlet_variation::render(&inlet_variation::fig20(sweep, seeds))
         ),
-        "ablations" => print!("{}", ablations::render(sweep)),
-        "emergency" => print!("{}", emergency::render(sweep)),
-        "bound" => print!("{}", storage_bound::render(sweep)),
-        "qos" => print!("{}", qos_check::render(sweep)),
-        "preserve" => print!("{}", preserve::render(sweep)),
-        "estimator" => print!("{}", estimator_validation::render()),
+        "ablations" => out!("{}", ablations::render(sweep)),
+        "emergency" => out!("{}", emergency::render(sweep)),
+        "bound" => out!("{}", storage_bound::render(sweep)),
+        "qos" => out!("{}", qos_check::render(sweep)),
+        "preserve" => out!("{}", preserve::render(sweep)),
+        "estimator" => out!("{}", estimator_validation::render()),
         "tco" => {
             let (reduction, summary) = tco_summary::measured(large);
-            println!("measured best peak reduction: {:.1}%", reduction * 100.0);
-            print!("{}", tco_summary::render(&summary));
+            outln!("measured best peak reduction: {:.1}%", reduction * 100.0);
+            out!("{}", tco_summary::render(&summary));
         }
         other => die(&format!("unknown experiment id `{other}`")),
     }

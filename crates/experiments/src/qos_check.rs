@@ -99,13 +99,13 @@ pub fn qos_check(servers: usize) -> Vec<QosPoint> {
             run.trace.horizon = Hours::new(20.0);
             let cluster = run.cluster.clone();
             let scheduler = policy.build(&cluster);
-            let (_, final_servers) = vmt_dcsim::Simulation::new(
+            let (_, final_farm) = vmt_dcsim::Simulation::new(
                 cluster,
                 DiurnalTrace::new(run.trace.clone()),
                 scheduler,
             )
-            .run_returning_servers();
-            evaluate(&policy.label(), &final_servers)
+            .run_returning_farm();
+            evaluate(&policy.label(), &final_farm.to_servers())
         })
         .collect()
 }

@@ -791,3 +791,31 @@ fn deeply_nested_input_exits_1_in_every_json_verb() {
         let _ = std::fs::remove_file(file);
     }
 }
+
+/// A reader that closes stdout early (`snapshot … | head -1`) is not a
+/// crash: the verb still writes its file and exits 0, without a panic
+/// message on stderr.
+#[test]
+fn closed_stdout_is_not_a_crash() {
+    use std::process::Stdio;
+
+    let snap = scratch("closed_stdout.snap");
+    let mut child = bin()
+        .arg("snapshot")
+        .arg(&snap)
+        .args(["--at", "30", "--servers", "100", "--hours", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // The verb prints only after the snapshot is written, long after
+    // the read end is gone.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    let bytes = std::fs::read(&snap).expect("the snapshot was written");
+    let snapshot = vmt_dcsim::Snapshot::decode(&bytes).expect("the snapshot decodes");
+    assert_eq!(snapshot.tick, 30);
+    let _ = std::fs::remove_file(&snap);
+}

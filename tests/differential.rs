@@ -16,8 +16,8 @@ use vmt_core::{
     VmtTa, VmtWa,
 };
 use vmt_dcsim::{
-    digest_index, ClusterConfig, ClusterIndex, Scheduler, ServerFarm, Simulation, SimulationResult,
-    TelemetryConfig, TraceSpec,
+    digest_index, ClusterConfig, ClusterIndex, DecisionDetail, FarmState, PlacementProbe,
+    Scheduler, ServerFarm, ServerId, Simulation, SimulationResult, TelemetryConfig, TraceSpec,
 };
 use vmt_pcm::ServerWaxConfig;
 use vmt_telemetry::SchedulerCounters;
@@ -372,6 +372,174 @@ mod batched_placement {
                 for i in 0..servers {
                     prop_assert_eq!(farm_a.free_cores(i), farm_b.free_cores(i));
                     prop_assert_eq!(farm_a.power(i), farm_b.power(i));
+                }
+            }
+        }
+    }
+
+    /// Every policy kind, the beyond-the-paper ones included.
+    fn every_policy() -> [PolicyKind; 6] {
+        [
+            PolicyKind::RoundRobin,
+            PolicyKind::CoolestFirst,
+            PolicyKind::VmtTa { gv: 22.0 },
+            PolicyKind::vmt_wa(22.0),
+            PolicyKind::AdaptiveGv { start_gv: 22.0 },
+            PolicyKind::Preserve {
+                gv: 22.0,
+                engage_hour: 16.0,
+            },
+        ]
+    }
+
+    /// Records every wanted job's decision detail, in the order the
+    /// policy reports it.
+    struct Recorder {
+        every: u64,
+        seen: Vec<(u64, DecisionDetail)>,
+    }
+
+    impl PlacementProbe for Recorder {
+        fn wants(&self, job: &Job) -> bool {
+            job.id().0.is_multiple_of(self.every)
+        }
+
+        fn decision(&mut self, job: &Job, detail: DecisionDetail) {
+            self.seen.push((job.id().0, detail));
+        }
+    }
+
+    /// What one way of placing a batch leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct Placed {
+        outcomes: Vec<Option<ServerId>>,
+        counters: Option<SchedulerCounters>,
+        index_digest: u64,
+        farm: FarmState,
+        decisions: Vec<(u64, DecisionDetail)>,
+    }
+
+    /// A fresh farm and index, and `policy` after its tick refresh at
+    /// hour 17 (past VMT-preserve's engage hour).
+    fn refreshed(
+        policy: &PolicyKind,
+        cluster: &ClusterConfig,
+    ) -> (ServerFarm, ClusterIndex, Box<dyn Scheduler>) {
+        let farm = ServerFarm::from_config(cluster);
+        let index = ClusterIndex::new(&farm);
+        let mut sched = policy.build(cluster);
+        sched.on_tick_indexed(&farm, &index, Seconds::new(17.0 * 3600.0));
+        (farm, index, sched)
+    }
+
+    /// Places `jobs` in one call per window of `bounds` (ascending,
+    /// from 0 to `jobs.len()`; equal neighbours make an empty call),
+    /// through `place_batch_traced` when a probe samples every
+    /// `traced`-th job id.
+    fn place_in_calls(
+        policy: &PolicyKind,
+        cluster: &ClusterConfig,
+        jobs: &[Job],
+        bounds: &[usize],
+        traced: Option<u64>,
+    ) -> Placed {
+        let (mut farm, mut index, mut sched) = refreshed(policy, cluster);
+        let mut outcomes = Vec::new();
+        let mut probe = traced.map(|every| Recorder {
+            every,
+            seen: Vec::new(),
+        });
+        for call in bounds.windows(2) {
+            let chunk = &jobs[call[0]..call[1]];
+            match probe.as_mut() {
+                Some(probe) => {
+                    sched.place_batch_traced(chunk, &mut farm, &mut index, &mut outcomes, probe)
+                }
+                None => sched.place_batch(chunk, &mut farm, &mut index, &mut outcomes),
+            }
+        }
+        Placed {
+            outcomes,
+            counters: sched.counters(),
+            index_digest: digest_index(&index),
+            farm: farm.state(),
+            decisions: probe.map(|p| p.seen).unwrap_or_default(),
+        }
+    }
+
+    /// The first job whose home group has no free core left once every
+    /// earlier job took one in its own group: where the VMT policies'
+    /// two streams hand over to the serial ladder.
+    fn stop_point(jobs: &[Job], free: &[u32], edge: usize) -> usize {
+        let edge = edge.min(free.len());
+        let sum = |lanes: &[u32]| lanes.iter().map(|&c| u64::from(c)).sum::<u64>();
+        let (hot_free, cold_free) = (sum(&free[..edge]), sum(&free[edge..]));
+        let (mut hot, mut cold) = (0u64, 0u64);
+        jobs.iter()
+            .position(|job| {
+                match job.kind().vmt_class() {
+                    VmtClass::Hot => hot += 1,
+                    VmtClass::Cold => cold += 1,
+                }
+                hot > hot_free || cold > cold_free
+            })
+            .unwrap_or(jobs.len())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        /// The engine places one tick's arrivals in chunks of several
+        /// `place_batch` calls. For every policy, a batch split at
+        /// arbitrary points — 0, 1, the VMT stop point and its
+        /// neighbours, the batch length, two drawn points — leaves the
+        /// outcomes, counters, index and farm of one call, and
+        /// `place_batch_traced` reports the same decision detail in the
+        /// same order.
+        #[test]
+        fn chunked_place_batch_equals_one_call(
+            // Up to 3,840 cores against batches of up to 5,000 jobs:
+            // groups fill, jobs spill and drop.
+            servers in 1usize..120,
+            seed_pick in 0usize..3,
+            batch_len in 0usize..5000,
+            job_seed in 0u64..u64::MAX,
+        ) {
+            let mut cluster = ClusterConfig::paper_default(servers);
+            cluster.seed = [0u64, 1, 42][seed_pick];
+            let mut job_rng = SmallRng::seed_from_u64(job_seed);
+            let jobs: Vec<Job> = (0..batch_len)
+                .map(|i| {
+                    let kind = WorkloadKind::ALL[job_rng.gen_range(0..WorkloadKind::ALL.len())];
+                    let duration = job_rng.gen_range(120.0..7200.0);
+                    Job::new(JobId(i as u64), kind, Seconds::new(duration))
+                })
+                .collect();
+            let drawn = [
+                job_rng.gen_range(0..=batch_len),
+                job_rng.gen_range(0..=batch_len),
+            ];
+
+            for policy in every_policy() {
+                let stop = {
+                    let (_, index, sched) = refreshed(&policy, &cluster);
+                    let edge = sched.hot_group_size().unwrap_or(0);
+                    stop_point(&jobs, index.free_cores(), edge)
+                };
+                let mut cuts = vec![0, 1, stop.saturating_sub(1), stop, stop + 1, batch_len];
+                cuts.extend(drawn);
+                cuts.retain(|&cut| cut <= batch_len);
+                cuts.sort_unstable();
+                cuts.dedup();
+                // A leading 0 makes the first call an empty one.
+                let mut bounds = vec![0];
+                bounds.extend(cuts);
+                let whole = [0, batch_len];
+
+                for traced in [None, Some(7)] {
+                    let one = place_in_calls(&policy, &cluster, &jobs, &whole, traced);
+                    let split = place_in_calls(&policy, &cluster, &jobs, &bounds, traced);
+                    prop_assert_eq!(one.outcomes.len(), jobs.len());
+                    prop_assert_eq!(&split, &one);
                 }
             }
         }

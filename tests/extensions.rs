@@ -77,12 +77,13 @@ fn striping_balances_rack_power_under_vmt() {
     let cluster = ClusterConfig::paper_default(60);
     let mut trace = TraceConfig::paper_default();
     trace.horizon = Hours::new(20.0); // stop right at the peak
-    let (_, servers) = Simulation::new(
+    let (_, farm) = Simulation::new(
         cluster.clone(),
         DiurnalTrace::new(trace),
         PolicyKind::VmtTa { gv: 22.0 }.build(&cluster),
     )
-    .run_returning_servers();
+    .run_returning_farm();
+    let servers = farm.to_servers();
 
     let layout = RackLayout::paper_default(60);
     let contiguous = layout.power_stats(&servers, PlacementMap::Contiguous);

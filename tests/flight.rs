@@ -53,11 +53,10 @@ fn record() -> PlacementTrace {
     };
     // Recorded single-threaded; the replay below runs the sharded
     // parallel sweep — the trace must reproduce across thread counts.
-    let (result, servers) =
-        Simulation::new(cluster, DiurnalTrace::new(trace_cfg), Box::new(recorder))
-            .with_threads(1)
-            .run_returning_servers();
-    let mut trace = handle.into_trace(header, &result, &servers);
+    let (result, farm) = Simulation::new(cluster, DiurnalTrace::new(trace_cfg), Box::new(recorder))
+        .with_threads(1)
+        .run_returning_farm();
+    let mut trace = handle.into_trace(header, &result, &farm);
     trace.header.ticks = trace.footer.ticks_run;
     trace
 }
@@ -82,10 +81,9 @@ fn recorded_trace_replays_bit_identically_after_jsonl_round_trip() {
     trace_cfg.seed = reparsed.header.trace_seed;
     let report = ReplayHandle::new();
     let replayer = ReplayScheduler::new(reparsed, report.clone());
-    let (result, servers) =
-        Simulation::new(cluster, DiurnalTrace::new(trace_cfg), Box::new(replayer))
-            .with_threads(4)
-            .run_returning_servers();
+    let (result, farm) = Simulation::new(cluster, DiurnalTrace::new(trace_cfg), Box::new(replayer))
+        .with_threads(4)
+        .run_returning_farm();
 
     assert_eq!(
         report.verdict(),
@@ -97,7 +95,7 @@ fn recorded_trace_replays_bit_identically_after_jsonl_round_trip() {
     assert_eq!(result.placements, trace.footer.placements);
     assert_eq!(result.dropped_jobs, trace.footer.dropped_jobs);
     assert_eq!(
-        digest_final_state(&result, &servers),
+        digest_final_state(&result, &farm),
         trace.footer.final_digest
     );
 }
@@ -117,10 +115,10 @@ fn replay_digest_is_stable_across_thread_counts() {
         trace_cfg.seed = reparsed.header.trace_seed;
         let report = ReplayHandle::new();
         let replayer = ReplayScheduler::new(reparsed, report.clone());
-        let (result, servers) =
+        let (result, farm) =
             Simulation::new(cluster, DiurnalTrace::new(trace_cfg), Box::new(replayer))
                 .with_threads(threads)
-                .run_returning_servers();
+                .run_returning_farm();
         assert_eq!(
             report.verdict(),
             ReplayVerdict::BitIdentical {
@@ -129,7 +127,7 @@ fn replay_digest_is_stable_across_thread_counts() {
             "threads {threads}"
         );
         assert_eq!(
-            digest_final_state(&result, &servers),
+            digest_final_state(&result, &farm),
             trace.footer.final_digest,
             "threads {threads}"
         );

@@ -65,8 +65,8 @@ fn run_with_digests(mut sim: Simulation) -> (Vec<u64>, SimulationResult, u64) {
     while sim.step() {
         digests.push(sim.state_digest());
     }
-    let (result, servers) = sim.finish();
-    let final_digest = digest_final_state(&result, &servers);
+    let (result, farm) = sim.finish();
+    let final_digest = digest_final_state(&result, &farm);
     (digests, result, final_digest)
 }
 
@@ -91,10 +91,10 @@ fn assert_suffix_identical(
         t += 1;
     }
     assert_eq!(t, digests.len(), "{context}: tick count");
-    let (restored_result, end_servers) = sim.finish();
+    let (restored_result, end_farm) = sim.finish();
     assert_eq!(&restored_result, result, "{context}: final result");
     assert_eq!(
-        digest_final_state(&restored_result, &end_servers),
+        digest_final_state(&restored_result, &end_farm),
         final_digest,
         "{context}: final farm digest"
     );
@@ -210,9 +210,9 @@ fn edge_snapshots_restore() {
     assert_eq!(snapshot.tick, total);
     let mut restored = restore_simulation(&Snapshot::decode(&snapshot.encode()).unwrap()).unwrap();
     assert!(!restored.step(), "nothing left past the horizon");
-    let (end_result, end_servers) = restored.finish();
+    let (end_result, end_farm) = restored.finish();
     assert_eq!(end_result, result);
-    assert_eq!(digest_final_state(&end_result, &end_servers), final_digest);
+    assert_eq!(digest_final_state(&end_result, &end_farm), final_digest);
 }
 
 const GOLDEN_V1: &[u8] = include_bytes!("data/golden_v1.snap");
@@ -316,6 +316,49 @@ fn busy_mid_run_snapshot_keeps_its_pinned_digest() {
         let snapshot = sim.snapshot().expect("snapshot");
         assert!(snapshot.departures.lens.iter().any(|&len| len >= 4096));
         assert_eq!(snapshot.digest(), PINNED, "threads {threads}");
+    }
+}
+
+/// The end-of-run digest (`digest_final_state`: result series plus each
+/// server's used cores, air at the wax and reported melt) of two runs to
+/// their horizon, pinned from the engine that still built per-object
+/// servers at the end of a run: the golden fixtures' command line
+/// (`--servers 4 --hours 2 --policy vmt-wa --seed 7`), and 10,000
+/// servers for 2 h under VMT-WA, whose first tick places more jobs
+/// than the engine stages per placement call (65,536). Both hold at one
+/// and two tick threads.
+#[test]
+fn final_state_digests_keep_their_pinned_values() {
+    const GOLDEN_RUN: u64 = 0x3115_27c4_1055_5b91;
+    const TEN_K_RUN: u64 = 0x0ba5_7b40_ae08_26e5;
+    for threads in [1, 2] {
+        let (_, _, digest) =
+            run_with_digests(build_sized(7, PolicyKind::vmt_wa(22.0), threads, 4, 2.0));
+        assert_eq!(digest, GOLDEN_RUN, "golden run, threads {threads}");
+
+        let cluster = ClusterConfig::paper_default(10_000);
+        let trace = TraceConfig {
+            horizon: Hours::new(2.0),
+            ..TraceConfig::paper_default()
+        };
+        let mut sim = Simulation::new(
+            cluster.clone(),
+            DiurnalTrace::new(trace),
+            PolicyKind::vmt_wa(22.0).build(&cluster),
+        )
+        .with_threads(threads);
+        assert!(sim.step());
+        let first_tick: u64 = (0..10_000)
+            .map(|i| u64::from(sim.farm().used_cores(i)))
+            .sum();
+        assert!(first_tick > 65_536, "first tick placed {first_tick}");
+        while sim.step() {}
+        let (result, farm) = sim.finish();
+        assert_eq!(
+            digest_final_state(&result, &farm),
+            TEN_K_RUN,
+            "10k run, threads {threads}"
+        );
     }
 }
 

@@ -134,13 +134,13 @@ fn record_and_replay_emit_identical_traces() {
     let recorder = RecordingScheduler::new(policy.build(&cluster), handle.clone());
     let telemetry = TelemetryConfig::new().with_trace(TraceSpec::default());
     let recording_tracer = telemetry.tracer.clone();
-    let (result, end_servers) = Simulation::new(
+    let (result, end_farm) = Simulation::new(
         cluster.clone(),
         DiurnalTrace::new(trace_cfg.clone()),
         Box::new(recorder),
     )
     .with_telemetry(telemetry)
-    .run_returning_servers();
+    .run_returning_farm();
     let header = vmt_telemetry::replay::TraceHeader {
         schema_version: vmt_telemetry::replay::TRACE_SCHEMA_VERSION,
         policy: "vmt-wa".to_owned(),
@@ -151,7 +151,7 @@ fn record_and_replay_emit_identical_traces() {
         tick_seconds: cluster.tick.get(),
         ticks: 0,
     };
-    let mut placement_trace = handle.into_trace(header, &result, &end_servers);
+    let mut placement_trace = handle.into_trace(header, &result, &end_farm);
     placement_trace.header.ticks = placement_trace.footer.ticks_run;
     let recorded = recording_tracer.take().expect("recording deposits a trace");
 
