@@ -10,12 +10,11 @@ use crate::server::ServerId;
 use crate::snapshot::{Departures, JobIds, Snapshot, SnapshotError};
 use crate::telemetry::{EngineTelemetry, PhaseClock};
 use crate::topology::ZoneCooling;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use vmt_telemetry::{TelemetryConfig, TickPhase, Tracer};
 use vmt_thermal::CoolingLoadSeries;
-use vmt_units::{Celsius, Hours, Joules, Watts};
-use vmt_workload::{ArrivalPlanner, Job, JobId, JobSpec, LoadTrace, WorkloadKind};
+use vmt_units::{Celsius, Hours, Joules, Seconds, Watts};
+use vmt_workload::{ArrivalPlanner, Job, JobId, LoadTrace, WorkloadKind};
 
 /// A configured simulation, ready to run.
 ///
@@ -58,12 +57,11 @@ pub struct Simulation {
     arrival_rng: rand::rngs::SmallRng,
     /// Incremental per-server state handed to the scheduler.
     index: ClusterIndex,
-    /// The tick's planned arrivals, kind after kind, reused across
-    /// ticks.
-    specs: Vec<JobSpec>,
-    /// The tick's arrival order as positions into `specs`, reused
-    /// across ticks.
-    order: Vec<u32>,
+    /// The tick's planned arrivals in arrival order, as parallel
+    /// duration and kind columns reused across ticks (9 bytes an
+    /// arrival).
+    durations: Vec<Seconds>,
+    kinds: Vec<WorkloadKind>,
     /// One chunk of materialized jobs ([`PLACE_CHUNK`] at most),
     /// reused across chunks and ticks.
     batch: Vec<Job>,
@@ -209,8 +207,8 @@ impl Simulation {
             next_job_id: 0,
             arrival_rng,
             index,
-            specs: Vec::new(),
-            order: Vec::new(),
+            durations: Vec::new(),
+            kinds: Vec::new(),
             batch: Vec::new(),
             outcomes: Vec::new(),
             sampled: Vec::new(),
@@ -937,8 +935,8 @@ impl Simulation {
             index: self.index.clone(),
             // Scratch buffers are semantically empty between ticks; the
             // fork warms up its own.
-            specs: Vec::new(),
-            order: Vec::new(),
+            durations: Vec::new(),
+            kinds: Vec::new(),
             batch: Vec::new(),
             outcomes: Vec::new(),
             sampled: Vec::new(),
@@ -996,13 +994,14 @@ impl Simulation {
 
     /// Plans this tick's arrivals from the trace and places each job.
     ///
-    /// The planner appends every workload's arrivals to `specs`, kind
-    /// after kind; `order` interleaves their positions and is shuffled.
-    /// Jobs are then materialized, id- and due-stamped and placed one
-    /// [`PLACE_CHUNK`] at a time, so the job and outcome buffers stay
-    /// one chunk long whatever the tick's fill. `place_batch` promises
-    /// the per-job decision sequence, so the chunks place exactly what
-    /// one call over the whole tick would.
+    /// The planner writes every workload's arrivals straight into their
+    /// interleaved slots of `durations` and `kinds`, which one shuffle
+    /// then permutes in lockstep. Jobs are materialized front to back,
+    /// id- and due-stamped and placed one [`PLACE_CHUNK`] at a time, so
+    /// the job and outcome buffers stay one chunk long whatever the
+    /// tick's fill. `place_batch` promises the per-job decision
+    /// sequence, so the chunks place exactly what one call over the
+    /// whole tick would.
     fn plan_and_place(
         &mut self,
         tick: u64,
@@ -1012,44 +1011,29 @@ impl Simulation {
         telemetry: Option<&mut EngineTelemetry>,
     ) {
         let total_cores = self.config.total_cores();
-        // Plan all workloads first, then interleave them so that
-        // placement sees a realistic arrival mix — a long run of one
-        // kind would let composition clump on whichever servers happen
-        // to be preferred this tick. All staging buffers live on the
-        // simulation and are recycled, so the steady-state hot loop
-        // performs no per-tick allocations here.
-        self.specs.clear();
-        let mut ranges = [(0, 0); 5];
-        for (kind, range) in WorkloadKind::ALL.into_iter().zip(&mut ranges) {
-            let target = self.trace.target_cores(kind, now_hours, total_cores);
-            let current = self.occupancy[kind.index()];
-            let start = self.specs.len();
-            self.planner
-                .plan_into(kind, target, current, &mut self.specs);
-            *range = (start, self.specs.len());
-        }
-        let arrivals = self.specs.len();
-        assert!(
-            u32::try_from(arrivals).is_ok(),
-            "{arrivals} arrivals in one tick overflow the u32 arrival order"
+        // Plan all workloads first, interleaved, so that placement sees
+        // a realistic arrival mix — a long run of one kind would let
+        // composition clump on whichever servers happen to be preferred
+        // this tick. Both columns live on the simulation and are
+        // recycled, so the steady-state hot loop performs no per-tick
+        // allocations here.
+        let targets =
+            WorkloadKind::ALL.map(|kind| self.trace.target_cores(kind, now_hours, total_cores));
+        self.planner.plan_tick(
+            targets,
+            self.occupancy,
+            &mut self.durations,
+            &mut self.kinds,
         );
-        self.order.clear();
-        self.order.reserve(arrivals);
-        let longest = ranges.iter().map(|&(s, e)| e - s).max().unwrap_or(0);
-        for position in 0..longest {
-            for &(start, end) in &ranges {
-                if start + position < end {
-                    self.order.push((start + position) as u32);
-                }
-            }
-        }
+        let arrivals = self.durations.len();
         // A strict cyclic interleave aliases with count-based policies
         // (e.g. round robin over a server count divisible by the number
         // of workloads would stripe kinds across servers); a seeded
         // shuffle models the real, unordered arrival stream. The RNG
-        // draw sequence depends only on the slice length, so shuffling
-        // positions draws exactly what shuffling the jobs would.
-        self.order.shuffle(&mut self.arrival_rng);
+        // draw sequence depends only on the length, so shuffling the
+        // two columns in lockstep draws exactly what shuffling the jobs
+        // would.
+        shuffle_in_lockstep(&mut self.arrival_rng, &mut self.durations, &mut self.kinds);
 
         // A tick without arrivals still makes one (empty) call, so every
         // tick reaches the policy's batch hook at least once.
@@ -1076,8 +1060,8 @@ impl Simulation {
         }
     }
 
-    /// Materializes the arrivals at `positions` of the tick's order,
-    /// stamps their ids and due ticks, places them in one
+    /// Materializes the arrivals at `positions` of the tick's arrival
+    /// order, stamps their ids and due ticks, places them in one
     /// `place_batch` call and books the outcomes.
     fn place_chunk(
         &mut self,
@@ -1089,19 +1073,15 @@ impl Simulation {
     ) {
         // Ids are stamped in arrival order, so they are sequential in
         // the shuffled order, exactly as the whole tick's batch would
-        // number them. The spec gather is a random walk over `specs`;
-        // prefetching a few dozen positions ahead hides its misses.
+        // number them.
         let tick_s = self.config.tick.get();
-        let order = &self.order[positions];
+        let durations = &self.durations[positions.clone()];
+        let kinds = &self.kinds[positions];
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
-        reserve_chunk(&mut batch, order.len());
-        for (i, &at) in order.iter().enumerate() {
-            if let Some(&ahead) = order.get(i + SPEC_PREFETCH) {
-                prefetch(&self.specs[ahead as usize]);
-            }
-            let spec = self.specs[at as usize];
-            let mut job = Job::new(JobId(self.next_job_id), spec.kind, spec.duration);
+        reserve_chunk(&mut batch, durations.len());
+        for (&duration, &kind) in durations.iter().zip(kinds) {
+            let mut job = Job::new(JobId(self.next_job_id), kind, duration);
             self.next_job_id += 1;
             let due = tick.saturating_add(duration_ticks(&job, tick_s));
             job.set_due_tick(due.min(u64::from(Job::NEVER_DUE)) as u32);
@@ -1198,10 +1178,6 @@ impl Simulation {
 /// and outcome buffers never grow past it, whatever a tick's fill.
 const PLACE_CHUNK: usize = 65_536;
 
-/// How many arrival positions ahead of the one being materialized the
-/// spec gather prefetches.
-const SPEC_PREFETCH: usize = 32;
-
 /// A sampled job's placement instant, as the span tracer records it.
 struct SampledPlacement {
     job: u64,
@@ -1220,19 +1196,17 @@ fn reserve_chunk<T>(buffer: &mut Vec<T>, len: usize) {
     }
 }
 
-/// Hints the CPU to pull `item`'s cache line toward L1. Architecturally
-/// a no-op: nothing depends on whether the hint fired.
-#[inline]
-fn prefetch<T>(item: &T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: the pointer comes from a live reference, and prefetch
-    // never faults architecturally.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>((item as *const T).cast());
+/// Fisher–Yates over two parallel columns: the draws
+/// `SliceRandom::shuffle` makes on a slice of their length, each swap
+/// applied to both, so the columns end in the order that shuffle would
+/// leave one column of pairs in.
+fn shuffle_in_lockstep<A, B>(rng: &mut rand::rngs::SmallRng, a: &mut [A], b: &mut [B]) {
+    assert_eq!(a.len(), b.len(), "parallel columns differ in length");
+    for i in (1..a.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        a.swap(i, j);
+        b.swap(i, j);
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = item;
 }
 
 /// A job's duration in whole ticks of `tick_s` seconds, at least one —
@@ -1464,7 +1438,8 @@ mod tests {
             placed > 2 * PLACE_CHUNK as u64,
             "the first tick placed {placed} jobs, not more than two chunks"
         );
-        assert_eq!(sim.order.len() as u64, placed);
+        assert_eq!(sim.durations.len() as u64, placed);
+        assert_eq!(sim.kinds.len(), sim.durations.len());
         assert!(
             sim.batch.capacity() <= PLACE_CHUNK,
             "{}",
@@ -1476,6 +1451,39 @@ mod tests {
             sim.outcomes.capacity()
         );
         assert!(sim.sampled.is_empty());
+    }
+
+    /// The lockstep shuffle leaves both columns in the permutation
+    /// `SliceRandom::shuffle` gives an index vector from the same seed,
+    /// and the RNG where that shuffle leaves it: at lengths 0, 1, 2,
+    /// either side of a placement chunk, and drawn lengths.
+    #[test]
+    fn lockstep_shuffle_permutes_as_slice_shuffle() {
+        use rand::rngs::SmallRng;
+        use rand::seq::SliceRandom;
+        use rand::RngCore;
+        let mut lengths = vec![0, 1, 2, PLACE_CHUNK - 1, PLACE_CHUNK, PLACE_CHUNK + 1];
+        let mut draw = SmallRng::seed_from_u64(5);
+        lengths.extend((0..16).map(|_| draw.gen_range(3..300_000usize)));
+        for (seed, n) in lengths.into_iter().enumerate() {
+            let mut index_rng = SmallRng::seed_from_u64(seed as u64 ^ 0xA11C_E5ED);
+            let mut lockstep_rng = index_rng.clone();
+            let mut index: Vec<u32> = (0..n as u32).collect();
+            index.shuffle(&mut index_rng);
+            let mut a: Vec<u32> = (0..n as u32).collect();
+            let mut b: Vec<WorkloadKind> =
+                (0..n).map(|i| WorkloadKind::from_index(i % 5)).collect();
+            shuffle_in_lockstep(&mut lockstep_rng, &mut a, &mut b);
+            assert_eq!(a, index, "length {n}");
+            for (&at, &kind) in a.iter().zip(&b) {
+                assert_eq!(
+                    kind,
+                    WorkloadKind::from_index(at as usize % 5),
+                    "length {n}"
+                );
+            }
+            assert_eq!(index_rng.next_u64(), lockstep_rng.next_u64(), "length {n}");
+        }
     }
 
     #[test]

@@ -2420,6 +2420,26 @@ mod tests {
         assert_eq!((a, b), (2, 4));
     }
 
+    /// A shard task or a group stream that panics on a worker or on the
+    /// calling thread reaches the caller of the section, and the pool
+    /// carries on.
+    #[test]
+    fn a_panicking_section_task_reaches_the_caller() {
+        use crate::pool::tests::{assert_panic_reaches_caller, Victim};
+        for participants in [2, 3, 5] {
+            for victim in [Victim::Worker, Victim::Caller] {
+                assert_panic_reaches_caller(participants, participants, victim, |pool, hold| {
+                    let parts = pool.workers() + 1;
+                    let shards: Vec<usize> = (0..parts).collect();
+                    run_ranges(pool, parts, 1, shards, |_| hold(), None);
+                });
+                assert_panic_reaches_caller(participants, 2, victim, |pool, hold| {
+                    run_pair(Some(pool), hold, hold);
+                });
+            }
+        }
+    }
+
     /// The edge-split pool sections give the serial result wherever the
     /// edge falls: at the midpoint (no hot group), inside a shard, on a
     /// shard boundary and at either end.

@@ -40,10 +40,22 @@
 //! borrows) after `run` returns. Shutdown joins every worker in
 //! [`Drop`], so a pool owner never leaks threads.
 //!
+//! # Panics
+//!
+//! A task that panics ends its participant's claims for the
+//! generation, never the wait. Workers run each generation under
+//! `catch_unwind`, always check in, and keep the first panic payload;
+//! the caller waits for every check-in through a guard that holds even
+//! while its own task unwinds, and then resumes the kept panic on its
+//! own thread. So a panic anywhere reaches the caller of `run`, after
+//! every worker has let go of the closure, and the pool stays usable.
+//!
 //! [`Simulation`]: crate::Simulation
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// A persistent pool of parked worker threads for sharded tick work.
@@ -61,6 +73,8 @@ struct Handoff {
     job: Option<Job>,
     /// Workers still running the current generation.
     active: usize,
+    /// The first panic a worker caught in the current generation.
+    panic: Option<Box<dyn Any + Send>>,
     shutdown: bool,
 }
 
@@ -100,6 +114,7 @@ impl TickPool {
                 generation: 0,
                 job: None,
                 active: 0,
+                panic: None,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
@@ -129,6 +144,13 @@ impl TickPool {
     /// all tasks finished. Tasks must touch only disjoint state (the
     /// caller's responsibility; the farm's shard views enforce it by
     /// construction).
+    ///
+    /// # Panics
+    ///
+    /// Resumes a task's panic on the calling thread once every worker
+    /// has checked back in: the caller's own first, else the first a
+    /// worker caught. Tasks left unclaimed by a panicking participant
+    /// run on the others.
     pub fn run(&self, count: usize, task: &(dyn Fn(usize) + Sync)) {
         self.dispatch(count, task, None);
     }
@@ -157,9 +179,10 @@ impl TickPool {
         }
         self.shared.next.store(0, Ordering::Relaxed);
         // SAFETY: erases the closure's borrow lifetime for the raw
-        // pointer in `Job`. Sound because this function does not return
-        // until every worker checked back in for this generation, so no
-        // worker holds the pointer after the borrow ends.
+        // pointer in `Job`. Sound because this function neither returns
+        // nor unwinds until every worker checked back in for this
+        // generation (the `Completion` guard below), so no worker holds
+        // the pointer after the borrow ends.
         let erased: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
         {
             let mut state = self.shared.state.lock().unwrap();
@@ -173,29 +196,22 @@ impl TickPool {
         }
         self.shared.work_ready.notify_all();
 
-        // Participate: claim tasks alongside the workers.
-        let started = timed.then(Instant::now);
-        let mut caller_busy = 0u64;
-        loop {
-            let i = self.shared.next.fetch_add(1, Ordering::Relaxed);
-            if i >= count {
-                break;
-            }
-            task(i);
+        // Participate: claim tasks alongside the workers. The guard's
+        // completion wait runs on every way out of this block, unwinding
+        // included, so no worker holds `erased` once `dispatch` is left.
+        let mut worker_panic = None;
+        let caller_busy = {
+            let _completion = Completion {
+                shared: &self.shared,
+                panic: &mut worker_panic,
+            };
+            let started = timed.then(Instant::now);
+            claim_tasks(&self.shared.next, count, task);
+            started.map_or(0, |t0| t0.elapsed().as_nanos() as u64)
+        };
+        if let Some(payload) = worker_panic {
+            resume_unwind(payload);
         }
-        if let Some(t0) = started {
-            caller_busy = t0.elapsed().as_nanos() as u64;
-        }
-
-        // Completion barrier: the mutex hand-back is also the
-        // happens-before edge that publishes worker writes (shard state,
-        // busy slots) to the caller.
-        let mut state = self.shared.state.lock().unwrap();
-        while state.active > 0 {
-            state = self.shared.work_done.wait(state).unwrap();
-        }
-        state.job = None;
-        drop(state);
         if let Some(out) = busy_out {
             for (dst, slot) in out.iter_mut().zip(&self.shared.busy_ns) {
                 *dst = slot.load(Ordering::Relaxed);
@@ -209,6 +225,50 @@ impl TickPool {
     #[cfg(test)]
     fn shared_weak(&self) -> std::sync::Weak<Shared> {
         Arc::downgrade(&self.shared)
+    }
+}
+
+/// The caller's completion barrier for one generation: dropping it waits
+/// until every worker checked in, clears the published job and hands
+/// over the first panic a worker caught. The mutex hand-back is also the
+/// happens-before edge that publishes worker writes (shard state, busy
+/// slots) to the caller.
+struct Completion<'a> {
+    shared: &'a Shared,
+    panic: &'a mut Option<Box<dyn Any + Send>>,
+}
+
+impl Drop for Completion<'_> {
+    fn drop(&mut self) {
+        // This drop may run while the caller unwinds, where a panic
+        // would abort. Every update under the lock leaves the handoff
+        // valid, so a poisoned lock is taken as is.
+        let mut state = self
+            .shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        while state.active > 0 {
+            state = self
+                .shared
+                .work_done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.job = None;
+        *self.panic = state.panic.take();
+    }
+}
+
+/// Claims task indices from `next` and runs them until the batch's
+/// `count` runs out.
+fn claim_tasks(next: &AtomicUsize, count: usize, task: &(dyn Fn(usize) + Sync)) {
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= count {
+            break;
+        }
+        task(i);
     }
 }
 
@@ -254,17 +314,18 @@ fn worker_loop(shared: &Shared, slot: usize) {
         // SAFETY: the publisher blocks in `dispatch` until this worker
         // checks back in below, so the closure outlives this use.
         let task = unsafe { &*job.task };
-        loop {
-            let i = shared.next.fetch_add(1, Ordering::Relaxed);
-            if i >= job.count {
-                break;
-            }
-            task(i);
-        }
+        // A panicking task must not skip the check-in: the caller waits
+        // for it, and resumes the payload.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            claim_tasks(&shared.next, job.count, task);
+        }));
         if let Some(t0) = started {
             shared.busy_ns[slot].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         let mut state = shared.state.lock().unwrap();
+        if let Err(payload) = outcome {
+            state.panic.get_or_insert(payload);
+        }
         state.active -= 1;
         if state.active == 0 {
             shared.work_done.notify_one();
@@ -273,9 +334,107 @@ fn worker_loop(shared: &Shared, slot: usize) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::sync::Barrier;
+    use std::time::Duration;
+
+    /// Where a test injects its panic.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Victim {
+        /// The thread that called into the pool.
+        Caller,
+        /// Every pool worker that holds a task.
+        Worker,
+    }
+
+    /// Runs `section` on a fresh pool of `participants` threads (the
+    /// caller and `participants − 1` workers) and asserts that the
+    /// panic injected on `victim` reaches the caller, that the pool then
+    /// still runs every task, and that it drops cleanly. Every task of
+    /// the section calls `hold`, which waits on a barrier of `holders`
+    /// before the victim panics, so each participant holds one task when
+    /// the panic fires.
+    ///
+    /// It all runs on a helper thread the test waits for with a
+    /// timeout, so a pool that hangs fails the test instead of stalling
+    /// the suite.
+    pub(crate) fn assert_panic_reaches_caller(
+        participants: usize,
+        holders: usize,
+        victim: Victim,
+        section: fn(&TickPool, &(dyn Fn() + Sync)),
+    ) {
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let pool = TickPool::new(participants - 1);
+            let caller = std::thread::current().id();
+            // With fewer holders than participants the caller may claim
+            // no task, and then nothing panics on it; run again.
+            let message = (0..1000)
+                .find_map(|_| {
+                    let barrier = Barrier::new(holders);
+                    let hold = || {
+                        barrier.wait();
+                        let on_caller = std::thread::current().id() == caller;
+                        if on_caller == (victim == Victim::Caller) {
+                            panic!("injected on {victim:?}");
+                        }
+                    };
+                    let payload = catch_unwind(AssertUnwindSafe(|| section(&pool, &hold))).err()?;
+                    let message = payload.downcast_ref::<String>().cloned();
+                    Some(message.unwrap_or_else(|| "a payload that is not a String".into()))
+                })
+                .expect("the caller never held a task");
+            let hits: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+            pool.run(hits.len(), &|i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            let weak = pool.shared_weak();
+            drop(pool);
+            let _ = tx.send((
+                message,
+                hits.iter().all(|hit| hit.load(Ordering::Relaxed) == 1),
+                weak.upgrade().is_none(),
+            ));
+        });
+        let label = format!("{participants} participants, panic on {victim:?}");
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok((message, reran, dropped)) => {
+                helper.join().expect("the helper thread finished");
+                assert_eq!(message, format!("injected on {victim:?}"), "{label}");
+                assert!(reran, "{label}: the pool did not rerun every task");
+                assert!(dropped, "{label}: a worker outlived the pool");
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("{label}: the pool hung"),
+            Err(RecvTimeoutError::Disconnected) => panic!("{label}: the helper thread failed"),
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_reaches_the_caller_of_run() {
+        for participants in [2, 3, 5] {
+            for victim in [Victim::Worker, Victim::Caller] {
+                assert_panic_reaches_caller(participants, participants, victim, |pool, hold| {
+                    pool.run(pool.workers() + 1, &|_| hold());
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_reaches_the_caller_of_run_timed() {
+        for participants in [2, 3, 5] {
+            for victim in [Victim::Worker, Victim::Caller] {
+                assert_panic_reaches_caller(participants, participants, victim, |pool, hold| {
+                    let mut busy = vec![0; pool.workers() + 1];
+                    pool.run_timed(pool.workers() + 1, &|_| hold(), &mut busy);
+                });
+            }
+        }
+    }
 
     #[test]
     fn runs_every_task_exactly_once() {

@@ -25,15 +25,6 @@ impl Default for DurationModel {
     }
 }
 
-/// A planned job arrival: which workload and for how long.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct JobSpec {
-    /// The workload the job belongs to.
-    pub kind: WorkloadKind,
-    /// How long the job will occupy its core.
-    pub duration: Seconds,
-}
-
 /// Plans job arrivals so that per-workload core occupancy tracks the
 /// trace.
 ///
@@ -51,10 +42,17 @@ pub struct JobSpec {
 ///
 /// ```
 /// use vmt_workload::{ArrivalPlanner, WorkloadKind};
+/// use WorkloadKind::{DataCaching, WebSearch};
 ///
 /// let mut planner = ArrivalPlanner::new(7);
-/// let jobs = planner.plan(WorkloadKind::WebSearch, 10, 4);
-/// assert_eq!(jobs.len(), 6);
+/// let (mut durations, mut kinds) = (Vec::new(), Vec::new());
+/// // Web search has 4 of its 10 target cores busy, data caching none
+/// // of its 2.
+/// let targets = [10, 2, 0, 0, 0];
+/// let busy = [4, 0, 0, 0, 0];
+/// planner.plan_tick(targets, busy, &mut durations, &mut kinds);
+/// assert_eq!(durations.len(), 8);
+/// assert_eq!(kinds[..5], [WebSearch, DataCaching, WebSearch, DataCaching, WebSearch]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ArrivalPlanner {
@@ -118,34 +116,75 @@ impl ArrivalPlanner {
         Seconds::new(typical * factor)
     }
 
-    /// Plans the arrivals needed to bring `current` occupied cores of
-    /// `kind` up to `target`. Returns an empty vector when already at or
-    /// above target.
-    pub fn plan(&mut self, kind: WorkloadKind, target: usize, current: usize) -> Vec<JobSpec> {
-        let mut out = Vec::new();
-        self.plan_into(kind, target, current, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`ArrivalPlanner::plan`]: appends the
-    /// planned arrivals to `out` (which the caller typically recycles
-    /// across ticks). Draws from the RNG exactly as `plan` does, so the
-    /// two are interchangeable without perturbing the jitter stream.
-    pub fn plan_into(
+    /// Plans one tick's arrivals for all five workloads and stores them
+    /// in arrival order.
+    ///
+    /// Workload `kind` gets `max(0, targets[k] − current[k])` arrivals,
+    /// with `k = kind.index()`. Durations are drawn workload after
+    /// workload in [`WorkloadKind::ALL`] order, and each lands in its
+    /// arrival slot: the arrivals interleave round by round, round `j`
+    /// holding arrival `j` of every workload that has one, in kind
+    /// order. `durations` and `kinds` are refilled in parallel (slot `i`
+    /// is the `i`-th arrival) and keep their capacity, so a caller that
+    /// recycles them allocates only when a tick outgrows every earlier
+    /// one.
+    pub fn plan_tick(
         &mut self,
-        kind: WorkloadKind,
-        target: usize,
-        current: usize,
-        out: &mut Vec<JobSpec>,
+        targets: [usize; 5],
+        current: [usize; 5],
+        durations: &mut Vec<Seconds>,
+        kinds: &mut Vec<WorkloadKind>,
     ) {
-        let deficit = target.saturating_sub(current);
-        out.reserve(deficit);
-        for _ in 0..deficit {
-            out.push(JobSpec {
-                kind,
-                duration: self.draw_duration(kind),
+        let counts: [usize; 5] = std::array::from_fn(|k| targets[k].saturating_sub(current[k]));
+        let arrivals = counts.iter().sum();
+        durations.clear();
+        durations.resize(arrivals, Seconds::new(0.0));
+        kinds.clear();
+        kinds.resize(arrivals, WorkloadKind::WebSearch);
+        for kind in WorkloadKind::ALL {
+            for_each_slot(&counts, kind.index(), |slot| {
+                durations[slot] = self.draw_duration(kind);
+                kinds[slot] = kind;
             });
         }
+    }
+}
+
+/// Calls `visit` with the arrival slot of each of kind `k`'s
+/// `counts[k]` arrivals, in draw order, when every kind's arrivals
+/// interleave round by round (round `j` holds arrival `j` of every kind
+/// with more than `j`, in kind order).
+///
+/// Arrival `j` of kind `k` lands at
+/// `j + Σ_{k'<k} min(counts[k'], j + 1) + Σ_{k'>k} min(counts[k'], j)`.
+/// Two consecutive arrivals of `k` are `1 + #{k' < k still in round
+/// j + 1} + #{k' > k still in round j}` slots apart, a stride that only
+/// changes when another kind runs out, so the slots come out one
+/// addition each, over at most five constant-stride stretches.
+fn for_each_slot(counts: &[usize; 5], k: usize, mut visit: impl FnMut(usize)) {
+    let mut slot = counts[..k].iter().filter(|&&count| count > 0).count();
+    let mut j = 0;
+    while j < counts[k] {
+        let mut stride = 1;
+        let mut end = counts[k];
+        for (other, &count) in counts.iter().enumerate() {
+            // From arrival `last` of `k` on, `other` has no arrival
+            // between two of `k`'s.
+            let last = match other.cmp(&k) {
+                std::cmp::Ordering::Less => count.saturating_sub(1),
+                std::cmp::Ordering::Greater => count,
+                std::cmp::Ordering::Equal => continue,
+            };
+            if last > j {
+                stride += 1;
+                end = end.min(last);
+            }
+        }
+        for _ in j..end {
+            visit(slot);
+            slot += stride;
+        }
+        j = end;
     }
 }
 
@@ -153,23 +192,56 @@ impl ArrivalPlanner {
 mod tests {
     use super::*;
 
+    /// Plans `deficit` arrivals of `kind` alone: the interleave is then
+    /// the draw order.
+    fn plan_one(p: &mut ArrivalPlanner, kind: WorkloadKind, deficit: usize) -> Vec<Seconds> {
+        let mut targets = [0; 5];
+        targets[kind.index()] = deficit;
+        let (mut durations, mut kinds) = (Vec::new(), Vec::new());
+        p.plan_tick(targets, [0; 5], &mut durations, &mut kinds);
+        assert!(kinds.iter().all(|&k| k == kind));
+        durations
+    }
+
+    /// The round-by-round interleave as a loop over rounds: slot `i`
+    /// holds arrival `.1` of kind `.0`.
+    fn interleave_by_rounds(counts: &[usize; 5]) -> Vec<(usize, usize)> {
+        let longest = counts.iter().copied().max().unwrap_or(0);
+        let mut order = Vec::new();
+        for round in 0..longest {
+            for (kind, &count) in counts.iter().enumerate() {
+                if round < count {
+                    order.push((kind, round));
+                }
+            }
+        }
+        order
+    }
+
     #[test]
     fn fills_the_deficit_exactly() {
         let mut p = ArrivalPlanner::new(1);
-        assert_eq!(p.plan(WorkloadKind::VirusScan, 12, 5).len(), 7);
-        assert!(p.plan(WorkloadKind::VirusScan, 5, 5).is_empty());
-        assert!(p.plan(WorkloadKind::VirusScan, 3, 5).is_empty());
+        let (mut durations, mut kinds) = (Vec::new(), Vec::new());
+        p.plan_tick(
+            [0, 0, 0, 12, 9],
+            [3, 0, 0, 5, 9],
+            &mut durations,
+            &mut kinds,
+        );
+        assert_eq!(durations.len(), 7);
+        assert_eq!(kinds, vec![WorkloadKind::VirusScan; 7]);
+        p.plan_tick([5, 0, 0, 3, 0], [5, 0, 0, 5, 0], &mut durations, &mut kinds);
+        assert!(durations.is_empty() && kinds.is_empty());
     }
 
     #[test]
     fn durations_are_jittered_around_typical() {
         let mut p = ArrivalPlanner::new(2);
-        let jobs = p.plan(WorkloadKind::WebSearch, 1000, 0);
+        let durations = plan_one(&mut p, WorkloadKind::WebSearch, 1000);
         let typical = WorkloadKind::WebSearch.typical_duration_minutes() * 60.0;
-        let mean: f64 = jobs.iter().map(|j| j.duration.get()).sum::<f64>() / jobs.len() as f64;
+        let mean: f64 = durations.iter().map(|d| d.get()).sum::<f64>() / durations.len() as f64;
         assert!((mean - typical).abs() < typical * 0.05, "mean {mean}");
-        for j in &jobs {
-            let d = j.duration.get();
+        for d in durations.iter().map(|d| d.get()) {
             assert!(d >= typical * 0.74 && d <= typical * 1.26, "duration {d}");
         }
     }
@@ -179,8 +251,8 @@ mod tests {
         let mut a = ArrivalPlanner::new(3);
         let mut b = ArrivalPlanner::new(3);
         assert_eq!(
-            a.plan(WorkloadKind::Clustering, 10, 0),
-            b.plan(WorkloadKind::Clustering, 10, 0)
+            plan_one(&mut a, WorkloadKind::Clustering, 10),
+            plan_one(&mut b, WorkloadKind::Clustering, 10)
         );
     }
 
@@ -189,8 +261,8 @@ mod tests {
         let mut a = ArrivalPlanner::new(4);
         let mut b = ArrivalPlanner::new(5);
         assert_ne!(
-            a.plan(WorkloadKind::Clustering, 10, 0),
-            b.plan(WorkloadKind::Clustering, 10, 0)
+            plan_one(&mut a, WorkloadKind::Clustering, 10),
+            plan_one(&mut b, WorkloadKind::Clustering, 10)
         );
     }
 
@@ -203,22 +275,113 @@ mod tests {
     #[test]
     fn exponential_durations_have_the_right_mean_and_tail() {
         let mut p = ArrivalPlanner::with_model(9, DurationModel::Exponential);
-        let jobs = p.plan(WorkloadKind::DataCaching, 5000, 0);
+        let durations: Vec<f64> = plan_one(&mut p, WorkloadKind::DataCaching, 5000)
+            .iter()
+            .map(|d| d.get())
+            .collect();
         let typical = WorkloadKind::DataCaching.typical_duration_minutes() * 60.0;
-        let mean: f64 = jobs.iter().map(|j| j.duration.get()).sum::<f64>() / jobs.len() as f64;
+        let mean: f64 = durations.iter().sum::<f64>() / durations.len() as f64;
         assert!((mean - typical).abs() < typical * 0.06, "mean {mean}");
         // A genuine tail: some jobs run more than twice the typical.
-        let long = jobs
-            .iter()
-            .filter(|j| j.duration.get() > 2.0 * typical)
-            .count();
-        assert!(long > jobs.len() / 40, "tail too thin: {long}");
+        let long = durations.iter().filter(|&&d| d > 2.0 * typical).count();
+        assert!(long > durations.len() / 40, "tail too thin: {long}");
         // ... but the clamp holds.
-        assert!(jobs
-            .iter()
-            .all(|j| j.duration.get() <= 6.0 * typical + 1e-9));
-        assert!(jobs
-            .iter()
-            .all(|j| j.duration.get() >= 0.1 * typical - 1e-9));
+        assert!(durations.iter().all(|&d| d <= 6.0 * typical + 1e-9));
+        assert!(durations.iter().all(|&d| d >= 0.1 * typical - 1e-9));
+    }
+
+    /// The strided slots are the positions the loop over rounds gives
+    /// each kind's arrivals: with zeros, ties, one kind alone, totals on
+    /// either side of 65,536 (the engine's placement chunk), and drawn
+    /// counts.
+    #[test]
+    fn strided_slots_match_the_interleave_by_rounds() {
+        let mut cases: Vec<[usize; 5]> = vec![
+            [0; 5],
+            [1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1],
+            [0, 0, 7, 0, 0],
+            [3; 5],
+            [4, 4, 0, 4, 4],
+            [0, 5, 5, 0, 2],
+            [1, 2, 3, 4, 5],
+            [5, 4, 3, 2, 1],
+            [9, 1, 9, 1, 9],
+            [65_536, 0, 0, 0, 0],
+            [65_535, 1, 0, 0, 0],
+            [0, 0, 0, 1, 65_536],
+            [13_107, 13_107, 13_107, 13_107, 13_107],
+            [13_107, 13_107, 13_107, 13_107, 13_108],
+            [13_107, 13_107, 13_108, 13_108, 13_107],
+            [39_321, 26_214, 1, 0, 0],
+            [40_000, 30_000, 20_000, 10_000, 5],
+        ];
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(23);
+        for _ in 0..200 {
+            let scale = [3, 40, 30_000][rng.gen_range(0..3usize)];
+            cases.push(std::array::from_fn(|_| {
+                if rng.gen_range(0..4u32) == 0 {
+                    0
+                } else {
+                    rng.gen_range(0..=scale)
+                }
+            }));
+        }
+        for counts in cases {
+            let rounds = interleave_by_rounds(&counts);
+            let mut covered = vec![false; rounds.len()];
+            for k in 0..5 {
+                let mut slots = Vec::new();
+                for_each_slot(&counts, k, |slot| slots.push(slot));
+                let expected: Vec<usize> =
+                    (0..rounds.len()).filter(|&i| rounds[i].0 == k).collect();
+                assert_eq!(slots, expected, "kind {k} of {counts:?}");
+                for (j, &slot) in slots.iter().enumerate() {
+                    assert_eq!(rounds[slot], (k, j), "{counts:?}");
+                    covered[slot] = true;
+                }
+            }
+            assert!(covered.iter().all(|&c| c), "{counts:?}");
+        }
+    }
+
+    /// `plan_tick` stores what drawing kind after kind into one list and
+    /// then interleaving it by rounds produced, with the planner's RNG
+    /// left in the same state.
+    #[test]
+    fn plan_tick_equals_draws_interleaved_by_rounds() {
+        for (seed, model) in [
+            (11, DurationModel::default()),
+            (12, DurationModel::Exponential),
+        ] {
+            let mut planner = ArrivalPlanner::with_model(seed, model);
+            let mut reference = planner.clone();
+            let (mut durations, mut kinds) = (Vec::new(), Vec::new());
+            for (targets, current) in [
+                ([30, 20, 10, 5, 0], [0, 0, 0, 0, 0]),
+                ([30, 20, 10, 5, 4], [31, 10, 10, 0, 1]),
+                ([0; 5], [0; 5]),
+                ([2, 900, 0, 70_000, 3], [0, 1, 0, 0, 0]),
+            ] {
+                planner.plan_tick(targets, current, &mut durations, &mut kinds);
+                let counts: [usize; 5] =
+                    std::array::from_fn(|k| targets[k].saturating_sub(current[k]));
+                let drawn: Vec<Vec<Seconds>> = WorkloadKind::ALL
+                    .iter()
+                    .map(|&kind| {
+                        (0..counts[kind.index()])
+                            .map(|_| reference.draw_duration(kind))
+                            .collect()
+                    })
+                    .collect();
+                let rounds = interleave_by_rounds(&counts);
+                assert_eq!(durations.len(), rounds.len());
+                for (i, &(k, j)) in rounds.iter().enumerate() {
+                    assert_eq!(kinds[i], WorkloadKind::ALL[k]);
+                    assert_eq!(durations[i].get().to_bits(), drawn[k][j].get().to_bits());
+                }
+                assert_eq!(planner.rng_state(), reference.rng_state());
+            }
+        }
     }
 }

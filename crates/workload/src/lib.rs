@@ -50,7 +50,7 @@ mod recorded;
 mod source;
 mod trace;
 
-pub use arrivals::{ArrivalPlanner, DurationModel, JobSpec};
+pub use arrivals::{ArrivalPlanner, DurationModel};
 pub use catalog::{QosClass, VmtClass, WorkloadKind};
 pub use classify::ThermalClassifier;
 pub use job::{Job, JobId};

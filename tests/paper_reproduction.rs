@@ -7,7 +7,7 @@
 //! fall). `EXPERIMENTS.md` records the exact numbers.
 
 use vmt::core::PolicyKind;
-use vmt::dcsim::{ClusterConfig, Simulation};
+use vmt::dcsim::{ClusterConfig, ServerFarm, Simulation};
 use vmt::experiments::runner::{execute_all, Run};
 use vmt::workload::{DiurnalTrace, TraceConfig};
 
@@ -149,19 +149,36 @@ fn no_drops_under_any_policy() {
     }
 }
 
-/// Energy sanity across the whole run: heat rejected = electrical energy
-/// − net change in stored wax energy (first law, cluster level).
+/// First law at the cluster level, closed to rounding: heat rejected =
+/// electrical energy − the change in the farm's total wax enthalpy
+/// (latent and sensible), for a baseline and both VMT variants.
 #[test]
 fn energy_conservation_over_the_run() {
-    let r = run(PolicyKind::VmtTa { gv: 22.0 });
-    let rejected = r.cooling.total_heat().get();
-    let electrical = r.electrical.total_heat().get();
-    let net_stored = r.stored_energy.last().expect("non-empty").get()
-        - r.stored_energy.first().expect("non-empty").get();
-    // Latent accounting only (sensible wax heating is a second-order
-    // term, bounded by ≈5% here).
-    let imbalance = (electrical - rejected - net_stored).abs() / electrical;
-    assert!(imbalance < 0.05, "energy imbalance {imbalance:.3}");
+    let enthalpy = |farm: &ServerFarm| farm.state().enthalpy_j.iter().sum::<f64>();
+    for policy in [
+        PolicyKind::RoundRobin,
+        PolicyKind::VmtTa { gv: 22.0 },
+        PolicyKind::vmt_wa(20.0),
+    ] {
+        let run = Run::new(SERVERS, policy);
+        let before = enthalpy(&ServerFarm::from_config(&run.cluster));
+        let (r, farm) = Simulation::new(
+            run.cluster.clone(),
+            DiurnalTrace::new(run.trace.clone()),
+            run.policy.build(&run.cluster),
+        )
+        .with_threads(run.tick_threads)
+        .run_returning_farm();
+        let rejected = r.cooling.total_heat().get();
+        let electrical = r.electrical.total_heat().get();
+        let stored = enthalpy(&farm) - before;
+        let residual = (electrical - rejected - stored) / electrical;
+        assert!(
+            residual.abs() < 1e-12,
+            "{}: energy residual {residual:e}",
+            r.scheduler_name
+        );
+    }
 }
 
 /// §V-E: the measured reduction converts into the paper's TCO headlines.
