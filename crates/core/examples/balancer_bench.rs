@@ -1,26 +1,25 @@
 //! Quick balancer microbenchmark: `cargo run --release -p vmt-core
 //! --example balancer_bench [n] [prefetch]`. Emulates the engine's
-//! placement loop — hot/cold balancer mix plus farm/index bookkeeping —
+//! placement loop — hot/cold balancer mix plus farm bookkeeping —
 //! the dominant per-job cost of the VMT policies at 100k servers, then
 //! isolates the two tournament primitives (argmin selection via
-//! `place_indexed`, key update via `account_external_indexed`).
+//! `place`, key update via `account_external_by`).
 
 use std::time::Instant;
 use vmt_core::ThermalBalancer;
-use vmt_dcsim::{ClusterConfig, ClusterIndex, ServerFarm};
+use vmt_dcsim::{ClusterConfig, ServerFarm};
 use vmt_units::Seconds;
 use vmt_workload::{Job, JobId, WorkloadKind};
 
-/// Primitive costs: the selection path (`place_indexed` —
+/// Primitive costs: the selection path (`place` —
 /// root argmin, winner key bump, path replay to the root) and the pure
-/// update path (`account_external_indexed` — key bump and path replay,
+/// update path (`account_external_by` — key bump and path replay,
 /// no selection). Free cores never drop (no jobs are started), so
 /// neither loop exhausts the tree; keys only drift upward, which is the
 /// steady-state shape of a mid-tick balancer anyway.
 fn primitives(n: usize) {
     let config = ClusterConfig::paper_default(n);
     let farm = ServerFarm::from_config(&config);
-    let index = ClusterIndex::new(&farm);
     let iters = (n * 4).max(1 << 16);
     let mut best_argmin = f64::INFINITY;
     let mut best_update = f64::INFINITY;
@@ -30,7 +29,7 @@ fn primitives(n: usize) {
         let t0 = Instant::now();
         let mut picked = 0u64;
         for _ in 0..iters {
-            picked += b.place_indexed(&index, 7.6).is_some() as u64;
+            picked += b.place(&farm, 7.6).is_some() as u64;
         }
         best_argmin = best_argmin.min(t0.elapsed().as_nanos() as f64 / picked.max(1) as f64);
 
@@ -42,7 +41,8 @@ fn primitives(n: usize) {
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            b.account_external_indexed(((rng >> 33) as usize) % n, 7.6, &index);
+            let idx = ((rng >> 33) as usize) % n;
+            b.account_external_by(idx, 7.6, farm.free_cores(idx));
         }
         best_update = best_update.min(t0.elapsed().as_nanos() as f64 / iters as f64);
     }
@@ -64,7 +64,6 @@ fn main() {
     let mut best = f64::INFINITY;
     for _ in 0..rounds {
         let mut farm = ServerFarm::from_config(&config);
-        let mut index = ClusterIndex::new(&farm);
         let mut hot = ThermalBalancer::new();
         let mut cold = ThermalBalancer::new();
         hot.rebuild(0..hot_size, &farm);
@@ -78,7 +77,7 @@ fn main() {
                 .wrapping_add(1442695040888963407);
             let is_hot = (rng >> 33) % 5 < 3;
             let b = if is_hot { &mut hot } else { &mut cold };
-            if let Some(idx) = b.place_indexed(&index, 7.6) {
+            if let Some(idx) = b.place(&farm, 7.6) {
                 farm.start_job(
                     idx,
                     &Job::new(
@@ -87,14 +86,12 @@ fn main() {
                         Seconds::new(300.0),
                     ),
                 );
-                index.record_start(idx);
                 placed += 1;
             }
             if prefetch {
                 let b = if is_hot { &hot } else { &cold };
                 if let Some(next) = b.peek() {
                     farm.prefetch_server(next);
-                    index.prefetch_server(next);
                     b.prefetch_member(next);
                 }
             }

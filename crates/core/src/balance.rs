@@ -1,6 +1,6 @@
 //! Projected-temperature load balancing within a set of servers.
 
-use vmt_dcsim::{ClusterIndex, ServerFarm};
+use vmt_dcsim::{prefetch, ServerFarm};
 
 /// Children per tournament-tree node.
 ///
@@ -364,35 +364,17 @@ impl ThermalBalancer {
         }
     }
 
-    /// [`ThermalBalancer::place_by`] reading free cores from the farm.
+    /// [`ThermalBalancer::place_by`] reading free cores from the farm's
+    /// used-core lane.
     pub fn place(&mut self, farm: &ServerFarm, core_power_w: f64) -> Option<usize> {
         self.place_by(|idx| farm.free_cores(idx), core_power_w)
     }
 
-    /// [`ThermalBalancer::place_by`] reading free cores from the engine's
-    /// [`ClusterIndex`] — a flat array probe instead of chasing through
-    /// `Server`'s substructures, for the indexed scheduler fast path.
-    pub fn place_indexed(&mut self, index: &ClusterIndex, core_power_w: f64) -> Option<usize> {
-        let free = index.free_cores();
-        self.place_by(|idx| free[idx], core_power_w)
-    }
-
     /// Accounts for a placement made *outside* the balancer (e.g.
     /// VMT-WA's keep-warm priority path), so the member's projection
-    /// stays truthful for subsequent balanced placements. Free cores
-    /// are read from the engine's [`ClusterIndex`].
-    pub fn account_external_indexed(
-        &mut self,
-        idx: usize,
-        core_power_w: f64,
-        index: &ClusterIndex,
-    ) {
-        self.account_external_by(idx, core_power_w, index.free_cores()[idx]);
-    }
-
-    /// [`ThermalBalancer::account_external_indexed`] given the member's
-    /// free cores before the placement.
-    pub(crate) fn account_external_by(&mut self, idx: usize, core_power_w: f64, free: u32) {
+    /// stays truthful for subsequent balanced placements. `free` is the
+    /// member's free cores before the placement.
+    pub fn account_external_by(&mut self, idx: usize, core_power_w: f64, free: u32) {
         if idx >= self.leaves {
             return;
         }
@@ -549,22 +531,14 @@ impl ThermalBalancer {
                         // prefetch needs. (The first emission's path is
                         // the tree's winner path, already hot from the
                         // placement loop's `prefetch_member` hints.)
-                        #[cfg(target_arch = "x86_64")]
-                        if l > 0 {
-                            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                            let mut group = node_leaf / FANOUT;
-                            for pl in 0..l {
-                                let base = self.level_off[pl] + group * FANOUT;
-                                // SAFETY: `base` addresses a full padded
-                                // group inside `key`/`win` (layout
-                                // invariant above); prefetch never
-                                // faults architecturally.
-                                unsafe {
-                                    _mm_prefetch::<_MM_HINT_T0>(self.key.as_ptr().add(base).cast());
-                                    _mm_prefetch::<_MM_HINT_T0>(self.win.as_ptr().add(base).cast());
-                                }
-                                group /= FANOUT;
-                            }
+                        // Every level is padded to a FANOUT multiple, so
+                        // each group start is in bounds.
+                        let mut group = node_leaf / FANOUT;
+                        for pl in 0..l {
+                            let base = self.level_off[pl] + group * FANOUT;
+                            prefetch(&self.key[base]);
+                            prefetch(&self.win[base]);
+                            group /= FANOUT;
                         }
                         pool.insert(at, (sort, node_key, l as u8));
                     }
@@ -582,29 +556,19 @@ impl ThermalBalancer {
     /// winner is always sound.
     #[inline]
     pub fn prefetch_member(&self, idx: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if idx < self.leaves {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // `refresh_path` scans the FANOUT-aligned group holding the
-            // current node at every level; all indices are in bounds
-            // because each level is padded to a FANOUT multiple. This
-            // runs once per placement, so its address arithmetic is on
-            // the issuing loop's critical path even though the fills
-            // are not.
-            let mut group = idx / FANOUT;
-            for lvl in 0..self.level_off.len() - 1 {
-                let base = self.level_off[lvl] + group * FANOUT;
-                // SAFETY: `base` addresses a full padded group inside
-                // `key` (layout invariant above); prefetch never faults
-                // architecturally.
-                unsafe {
-                    _mm_prefetch::<_MM_HINT_T0>(self.key.as_ptr().add(base).cast());
-                }
-                group /= FANOUT;
-            }
+        if idx >= self.leaves {
+            return;
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = idx;
+        // `refresh_path` scans the FANOUT-aligned group holding the
+        // current node at every level; every group start is in bounds
+        // because each level is padded to a FANOUT multiple. This runs
+        // once per placement, so its address arithmetic is on the
+        // issuing loop's critical path even though the fills are not.
+        let mut group = idx / FANOUT;
+        for lvl in 0..self.level_off.len() - 1 {
+            prefetch(&self.key[self.level_off[lvl] + group * FANOUT]);
+            group /= FANOUT;
+        }
     }
 }
 

@@ -87,30 +87,11 @@ impl Scheduler for CoolestFirst {
         placed.map(ServerId)
     }
 
-    fn place_indexed(
-        &mut self,
-        job: &Job,
-        farm: &ServerFarm,
-        index: &ClusterIndex,
-    ) -> Option<ServerId> {
-        if !self.initialized {
-            self.balancer.rebuild(0..farm.len(), farm);
-            self.initialized = true;
-        }
-        // The balancer's heap is the ordered index: it persists across
-        // ticks (buffers recycled by `rebuild`) and placements pop/push
-        // it in O(log n) with free cores probed from the flat
-        // `ClusterIndex` array rather than the server structs.
-        let placed = self.balancer.place_indexed(index, job.core_power().get());
-        self.counters.placements += u64::from(placed.is_some());
-        placed.map(ServerId)
-    }
-
     fn place_batch(
         &mut self,
         jobs: &[Job],
         farm: &mut ServerFarm,
-        index: &mut ClusterIndex,
+        _index: &mut ClusterIndex,
         out: &mut Vec<Option<ServerId>>,
     ) {
         if !self.initialized {
@@ -118,28 +99,25 @@ impl Scheduler for CoolestFirst {
             self.initialized = true;
         }
         // Software-pipelined batch placement: while this job's
-        // bookkeeping commits, the *predicted* next winner's farm row,
-        // index entry, and balancer path are already being pulled in —
+        // bookkeeping commits, the *predicted* next winner's farm lanes
+        // and balancer path are already being pulled in —
         // the balancer's root winner only changes when a placement
         // lands, so the prediction is almost always right and a miss
         // costs one wasted cache fill. Prime the first iteration's
         // winner before the loop.
         if let Some(first) = self.balancer.peek() {
             farm.prefetch_server(first);
-            index.prefetch_server(first);
             self.balancer.prefetch_member(first);
         }
         for job in jobs {
-            let placed = self.balancer.place_indexed(index, job.core_power().get());
+            let placed = self.balancer.place(farm, job.core_power().get());
             self.counters.placements += u64::from(placed.is_some());
             if let Some(idx) = placed {
                 farm.start_job(idx, job);
-                index.record_start(idx);
             }
             out.push(placed.map(ServerId));
             if let Some(next) = self.balancer.peek() {
                 farm.prefetch_server(next);
-                index.prefetch_server(next);
                 self.balancer.prefetch_member(next);
             }
         }

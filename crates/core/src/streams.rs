@@ -21,8 +21,7 @@
 
 use crate::balance::ThermalBalancer;
 use vmt_dcsim::{
-    ClusterIndex, DecisionCandidate, DecisionDetail, GroupView, PlacementProbe, ServerFarm,
-    ServerId,
+    DecisionCandidate, DecisionDetail, GroupView, PlacementProbe, ServerFarm, ServerId,
 };
 use vmt_telemetry::DECISION_TOP_K;
 use vmt_units::{Celsius, DegC};
@@ -31,9 +30,8 @@ use vmt_workload::{Job, VmtClass};
 /// The per-server state a group's first rungs read, by global server id:
 /// free cores and the steady-state air temperature a server is heading
 /// toward at its current draw. Implemented by a group's view (the
-/// streams), the engine's farm plus index (the serial ladder) and the
-/// bare farm (the index-free reference path), so all three run the same
-/// rung code.
+/// streams) and by the whole farm (the serial ladder), so both run the
+/// same rung code.
 pub(crate) trait Lanes {
     /// Free cores of server `idx`.
     fn free(&self, idx: usize) -> u32;
@@ -62,24 +60,6 @@ impl Lanes for ServerFarm {
     #[inline]
     fn projected_temp(&self, idx: usize) -> Celsius {
         self.inlet(idx) + DegC::new(self.power(idx).get() / self.air().capacity_rate().get())
-    }
-}
-
-/// The engine's farm with free cores read from its flat index.
-pub(crate) struct Cluster<'a> {
-    pub(crate) farm: &'a ServerFarm,
-    pub(crate) index: &'a ClusterIndex,
-}
-
-impl Lanes for Cluster<'_> {
-    #[inline]
-    fn free(&self, idx: usize) -> u32 {
-        self.index.free_cores()[idx]
-    }
-
-    #[inline]
-    fn projected_temp(&self, idx: usize) -> Celsius {
-        self.farm.projected_temp(idx)
     }
 }
 
@@ -157,20 +137,21 @@ pub(crate) trait TwoGroups {
 
     /// The full serial ladder for one job on the whole cluster, counted
     /// in the policy's counters; returns the decision and its rung.
-    fn place_serial(&mut self, job: &Job, lanes: &Cluster<'_>) -> (Option<ServerId>, &'static str);
+    fn place_serial(&mut self, job: &Job, farm: &ServerFarm) -> (Option<ServerId>, &'static str);
 
     /// The balancer of `class`'s home group.
     fn home_balancer(&self, class: VmtClass) -> &ThermalBalancer;
 }
 
-/// The stop point of `jobs` for a farm whose free cores are `free`,
-/// split at `edge`: the first job whose home group has no free core
-/// left once every earlier job took one in its own home group
-/// (`jobs.len()` when there is none).
-pub(crate) fn stop_point(jobs: &[Job], free: &[u32], edge: usize) -> usize {
-    let edge = edge.min(free.len());
-    let sum = |lanes: &[u32]| lanes.iter().map(|&c| u64::from(c)).sum::<u64>();
-    let (hot_free, cold_free) = (sum(&free[..edge]), sum(&free[edge..]));
+/// The stop point of `jobs` on `farm` split at `edge`: the first job
+/// whose home group has no free core left once every earlier job took
+/// one in its own home group (`jobs.len()` when there is none).
+pub(crate) fn stop_point(jobs: &[Job], farm: &ServerFarm, edge: usize) -> usize {
+    let edge = edge.min(farm.len());
+    let sum = |servers: std::ops::Range<usize>| {
+        servers.map(|i| u64::from(farm.free_cores(i))).sum::<u64>()
+    };
+    let (hot_free, cold_free) = (sum(0..edge), sum(edge..farm.len()));
     // Count both classes without branching on the (shuffled) class; the
     // one branch left only fires at the stop point.
     let (mut hot, mut cold) = (0u64, 0u64);
@@ -195,15 +176,14 @@ pub(crate) fn place_batch<P: TwoGroups>(
     policy: &mut P,
     jobs: &[Job],
     farm: &mut ServerFarm,
-    index: &mut ClusterIndex,
     out: &mut Vec<Option<ServerId>>,
     probe: Option<&mut dyn PlacementProbe>,
 ) {
     let stop = match policy.split_at_edge() {
-        true => stop_point(jobs, index.free_cores(), policy.hot_size()),
+        true => stop_point(jobs, farm, policy.hot_size()),
         false => 0,
     };
-    place_batch_at(policy, jobs, farm, index, out, probe, stop);
+    place_batch_at(policy, jobs, farm, out, probe, stop);
 }
 
 /// [`place_batch`] with the stream prefix cut at `stop`, which may be any
@@ -212,7 +192,6 @@ pub(crate) fn place_batch_at<P: TwoGroups>(
     policy: &mut P,
     jobs: &[Job],
     farm: &mut ServerFarm,
-    index: &mut ClusterIndex,
     out: &mut Vec<Option<ServerId>>,
     mut probe: Option<&mut dyn PlacementProbe>,
     stop: usize,
@@ -235,7 +214,6 @@ pub(crate) fn place_batch_at<P: TwoGroups>(
     let (mut hot_done, mut cold_done) = (None, None);
     let (hot_slot, cold_slot) = (&mut hot_done, &mut cold_done);
     let ran = farm.place_groups(
-        index,
         edge,
         &jobs[..stop],
         &mut out[..stop],
@@ -273,10 +251,9 @@ pub(crate) fn place_batch_at<P: TwoGroups>(
             (Some(_), true) => Some(candidates(policy.home_balancer(class), &mut scratch)),
             _ => None,
         };
-        let (placed, rung) = policy.place_serial(job, &Cluster { farm, index });
+        let (placed, rung) = policy.place_serial(job, farm);
         if let Some(sid) = placed {
             farm.start_job(sid.0, job);
-            index.record_start(sid.0);
         }
         out[at] = placed;
         if let (Some(candidates), Some(probe)) = (candidates, probe.as_deref_mut()) {
@@ -285,7 +262,6 @@ pub(crate) fn place_batch_at<P: TwoGroups>(
         let balancer = policy.home_balancer(class);
         if let Some(next) = balancer.peek() {
             farm.prefetch_server(next);
-            index.prefetch_server(next);
             balancer.prefetch_member(next);
         }
     }
@@ -433,7 +409,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use vmt_dcsim::{digest_index, ClusterConfig, FarmState, Scheduler};
+    use vmt_dcsim::{digest_index, ClusterConfig, ClusterIndex, FarmState, Scheduler};
     use vmt_telemetry::SchedulerCounters;
     use vmt_units::Seconds;
     use vmt_workload::{JobId, WorkloadKind};
@@ -460,7 +436,6 @@ mod tests {
     struct After {
         outcomes: Vec<Option<ServerId>>,
         digest: u64,
-        free: Vec<u32>,
         farm: FarmState,
         counters: Option<SchedulerCounters>,
     }
@@ -473,8 +448,7 @@ mod tests {
     ) -> After {
         After {
             outcomes,
-            digest: digest_index(index),
-            free: index.free_cores().to_vec(),
+            digest: digest_index(farm, index),
             farm: farm.state(),
             counters: policy.counters(),
         }
@@ -490,7 +464,7 @@ mod tests {
             let placed = policy.place_indexed(job, &farm, &index);
             if let Some(sid) = placed {
                 farm.start_job(sid.0, job);
-                index.record_start(sid.0);
+                index.record_starts(1);
             }
             outcomes.push(placed);
         }
@@ -515,11 +489,11 @@ mod tests {
             &mut policy,
             jobs,
             &mut farm,
-            &mut index,
             &mut outcomes,
             Some(&mut probe),
             stop,
         );
+        index.record_starts(outcomes.iter().flatten().count() as u64);
         (after(&policy, &farm, &index, outcomes), probe.seen)
     }
 
@@ -531,8 +505,7 @@ mod tests {
         jobs: &[Job],
         cut_seed: u64,
     ) -> Result<usize, TestCaseError> {
-        let index = ClusterIndex::new(farm);
-        let stop = stop_point(jobs, index.free_cores(), policy.hot_size());
+        let stop = stop_point(jobs, farm, policy.hot_size());
         let reference = serial(policy, farm, jobs);
         let (all_serial, detail) = cut(policy, farm, jobs, 0);
         prop_assert_eq!(&all_serial, &reference);
@@ -621,7 +594,7 @@ mod tests {
             let (n, edge) = SHAPES[shape];
             let (farm, config) = setup(n, edge, load_seed);
             let index = ClusterIndex::new(&farm);
-            let free: u64 = index.free_cores().iter().map(|&c| u64::from(c)).sum();
+            let free: u64 = (0..n).map(|i| u64::from(farm.free_cores(i))).sum();
             // Small farms get batches past their free cores, so spills,
             // growth and drops all reach the serial tail.
             let len = ((free as f64 * fill) as usize).min(3000);
@@ -642,9 +615,18 @@ mod tests {
 
     #[test]
     fn stop_point_is_the_first_job_whose_home_group_is_full() {
-        let free = [2, 0, 1, 1];
+        // Free cores [2, 0, 1, 1], the hot group the first two servers.
+        let mut farm = ServerFarm::from_config(&ClusterConfig::paper_default(4));
+        let mut id = 1000;
+        for (server, free) in [2, 0, 1, 1].into_iter().enumerate() {
+            for _ in free..farm.cores() {
+                let job = Job::new(JobId(id), WorkloadKind::VirusScan, Seconds::new(60.0));
+                farm.start_job(server, &job);
+                id += 1;
+            }
+        }
         let jobs = batch(64, 0.5, 3);
-        let stop = stop_point(&jobs, &free, 2);
+        let stop = stop_point(&jobs, &farm, 2);
         let hot_before = jobs[..stop]
             .iter()
             .filter(|j| j.kind().vmt_class() == VmtClass::Hot)
@@ -655,7 +637,14 @@ mod tests {
             VmtClass::Hot => assert_eq!(hot_before, 2),
             VmtClass::Cold => assert_eq!(cold_before, 2),
         }
-        assert_eq!(stop_point(&jobs[..0], &free, 2), 0);
-        assert_eq!(stop_point(&jobs, &[0; 4], 2), 0);
+        assert_eq!(stop_point(&jobs[..0], &farm, 2), 0);
+        for server in 0..4 {
+            while farm.free_cores(server) > 0 {
+                let job = Job::new(JobId(id), WorkloadKind::VirusScan, Seconds::new(60.0));
+                farm.start_job(server, &job);
+                id += 1;
+            }
+        }
+        assert_eq!(stop_point(&jobs, &farm, 2), 0);
     }
 }

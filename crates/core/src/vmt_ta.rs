@@ -2,7 +2,7 @@
 
 use crate::balance::ThermalBalancer;
 use crate::grouping::VmtConfig;
-use crate::streams::{self, Cluster, Lanes, Rungs, TwoGroups};
+use crate::streams::{self, Rungs, TwoGroups};
 use vmt_dcsim::{
     ClusterIndex, PlacementProbe, SavedState, Scheduler, ServerFarm, ServerId, SnapshotError,
     SnapshotState,
@@ -79,7 +79,7 @@ impl VmtTa {
 
     /// The placement ladder: the home group's balancer, then a spill
     /// into the other group's. Returns the decision and its rung label.
-    fn ladder(&mut self, job: &Job, lanes: &impl Lanes) -> (Option<ServerId>, &'static str) {
+    fn ladder(&mut self, job: &Job, farm: &ServerFarm) -> (Option<ServerId>, &'static str) {
         let power = job.core_power().get();
         let home_is_hot = job.kind().vmt_class() == VmtClass::Hot;
         let (mut hot, mut cold) = self.rungs();
@@ -91,9 +91,9 @@ impl VmtTa {
             true => ("hot-spill", "hot-exhausted"),
             false => ("cold-spill", "cold-exhausted"),
         };
-        let (placed, rung) = match home.place(lanes, power) {
+        let (placed, rung) = match home.place(farm, power) {
             Some((idx, rung)) => (Some((idx, home_is_hot)), rung),
-            None => match other.place(lanes, power) {
+            None => match other.place(farm, power) {
                 Some((idx, _)) => (Some((idx, !home_is_hot)), spill),
                 None => (None, exhausted),
             },
@@ -193,8 +193,8 @@ impl TwoGroups for VmtTa {
         self.counters.cold_placements += cold;
     }
 
-    fn place_serial(&mut self, job: &Job, lanes: &Cluster<'_>) -> (Option<ServerId>, &'static str) {
-        self.ladder(job, lanes)
+    fn place_serial(&mut self, job: &Job, farm: &ServerFarm) -> (Option<ServerId>, &'static str) {
+        self.ladder(job, farm)
     }
 
     fn home_balancer(&self, class: VmtClass) -> &ThermalBalancer {
@@ -225,32 +225,19 @@ impl Scheduler for VmtTa {
         self.ladder(job, farm).0
     }
 
-    fn place_indexed(
-        &mut self,
-        job: &Job,
-        farm: &ServerFarm,
-        index: &ClusterIndex,
-    ) -> Option<ServerId> {
-        if !self.initialized {
-            self.refresh(farm);
-        }
-        // Free cores probed from the engine's flat index.
-        self.ladder(job, &Cluster { farm, index }).0
-    }
-
     /// Two streams, one per group, up to the stop point, then the
     /// ladder; see [`crate::streams`].
     fn place_batch(
         &mut self,
         jobs: &[Job],
         farm: &mut ServerFarm,
-        index: &mut ClusterIndex,
+        _index: &mut ClusterIndex,
         out: &mut Vec<Option<ServerId>>,
     ) {
         if !self.initialized {
             self.refresh(farm);
         }
-        streams::place_batch(self, jobs, farm, index, out, None);
+        streams::place_batch(self, jobs, farm, out, None);
     }
 
     /// [`VmtTa::place_batch`] reporting sampled jobs' rung, candidates
@@ -259,14 +246,14 @@ impl Scheduler for VmtTa {
         &mut self,
         jobs: &[Job],
         farm: &mut ServerFarm,
-        index: &mut ClusterIndex,
+        _index: &mut ClusterIndex,
         out: &mut Vec<Option<ServerId>>,
         probe: &mut dyn PlacementProbe,
     ) {
         if !self.initialized {
             self.refresh(farm);
         }
-        streams::place_batch(self, jobs, farm, index, out, Some(probe));
+        streams::place_batch(self, jobs, farm, out, Some(probe));
     }
 
     fn hot_group_size(&self) -> Option<usize> {

@@ -2,7 +2,7 @@
 
 use crate::balance::ThermalBalancer;
 use crate::grouping::VmtConfig;
-use crate::streams::{self, Cluster, KeepWarm, Lanes, Rungs, TwoGroups};
+use crate::streams::{self, KeepWarm, Lanes, Rungs, TwoGroups};
 use vmt_dcsim::{
     ClusterIndex, PlacementProbe, SavedState, Scheduler, ServerFarm, ServerId, SnapshotError,
     SnapshotState,
@@ -131,12 +131,13 @@ pub struct VmtWa {
     /// Scratch for the hot balancer's `(member, bias)` list, recycled
     /// across ticks so refresh allocates nothing in steady state.
     members: Vec<(usize, f64)>,
-    /// Resume points for the fallback scans in `place_hot_indexed` /
-    /// `place_cold_indexed`, reset each tick. Within a tick free cores
-    /// only shrink and the wax flags are frozen, so once an index fails a
-    /// fallback predicate it fails it for the rest of the tick — each
-    /// scan can resume where the previous one stopped instead of
-    /// rescanning `0..hot_size` per job.
+    /// Resume points for the fallback scans in `place_hot_explained` /
+    /// `place_cold_explained`, reset each tick. Within a tick free cores
+    /// only shrink and the wax flags are frozen (the [`Scheduler`]
+    /// contract: `on_tick` runs after departures and before placements),
+    /// so once an index fails a fallback predicate it fails it for the
+    /// rest of the tick — each scan can resume where the previous one
+    /// stopped instead of rescanning `0..hot_size` per job.
     cursor_hot_unmelted: usize,
     cursor_hot_any: usize,
     cursor_cold_melted_warm: usize,
@@ -189,52 +190,37 @@ impl VmtWa {
         self.config.pmt + vmt_units::DegC::new(KEEP_WARM_MARGIN_K)
     }
 
-    /// Refreshes per-tick state: wax flags, group shrink, placement
-    /// lists. Reads everything through the farm's accessors — the
-    /// reference (index-free) path.
+    /// [`VmtWa::refresh_at`] at the cluster utilization summed over the
+    /// farm's servers.
     fn refresh(&mut self, farm: &ServerFarm) {
+        let used: u64 = (0..farm.len()).map(|i| u64::from(farm.used_cores(i))).sum();
+        let utilization = match farm.len() as u64 * u64::from(farm.cores()) {
+            0 => 0.0,
+            total => used as f64 / total as f64,
+        };
+        self.refresh_at(farm, utilization);
+    }
+
+    /// Refreshes per-tick state at cluster utilization `utilization`:
+    /// wax flags, group shrink and growth, the keep-warm list, both
+    /// balancers and the fallback cursors. Every per-server value is
+    /// read from the farm.
+    ///
+    /// The engine's tick passes the index's O(1) total
+    /// ([`Scheduler::on_tick_indexed`]): summing the used-core lane there
+    /// instead read 8–11% slower on `core.on_tick_s` (perfbench
+    /// `place-100k`, traced, slower in 8 of 8 alternating pairs, 2-vCPU
+    /// Xeon).
+    fn refresh_at(&mut self, farm: &ServerFarm, utilization: f64) {
+        let n = farm.len();
         std::mem::swap(&mut self.prev_melted, &mut self.melted);
         self.melted.clear();
         self.below_melt.clear();
-        for i in 0..farm.len() {
-            self.melted
-                .push(farm.reported_melt_fraction(i).get() >= self.config.wax_threshold);
+        for i in 0..n {
+            let reported = farm.reported_melt_fraction(i).get();
+            self.melted.push(reported >= self.config.wax_threshold);
             self.below_melt.push(farm.air_at_wax(i) < self.config.pmt);
         }
-        let used: u32 = (0..farm.len()).map(|i| farm.used_cores(i)).sum();
-        let total: u32 = (0..farm.len()).map(|_| farm.cores()).sum();
-        let utilization = f64::from(used) / f64::from(total);
-        self.refresh_groups(farm, utilization, None);
-    }
-
-    /// [`VmtWa::refresh`] with the wax flags and cluster utilization read
-    /// from the engine's [`ClusterIndex`]: two contiguous f64 slices and
-    /// an O(1) utilization, instead of an O(n·cores) core-count sum and a
-    /// pointer chase through every server's wax substructures. The values
-    /// are bit-identical to what the accessors would return, so both
-    /// refresh paths compute the same flags and groups.
-    fn refresh_indexed_impl(&mut self, farm: &ServerFarm, index: &ClusterIndex) {
-        std::mem::swap(&mut self.prev_melted, &mut self.melted);
-        self.melted.clear();
-        self.below_melt.clear();
-        let pmt = self.config.pmt.get();
-        for (&melt, &air) in index.reported_melt().iter().zip(index.air_c()) {
-            self.melted.push(melt >= self.config.wax_threshold);
-            self.below_melt.push(air < pmt);
-        }
-        self.refresh_groups(farm, index.utilization(), Some(index));
-    }
-
-    /// Shared tail of the two refresh paths: shrink/grow the hot group,
-    /// rebuild the keep-warm list and both balancers, reset the fallback
-    /// cursors.
-    fn refresh_groups(
-        &mut self,
-        farm: &ServerFarm,
-        utilization: f64,
-        index: Option<&ClusterIndex>,
-    ) {
-        let n = farm.len();
         if self.base_hot == 0 {
             self.base_hot = self.config.hot_group_size(n);
             self.hot_size = self.base_hot;
@@ -258,11 +244,8 @@ impl VmtWa {
         // hot group to the cold group during the peak".
         while utilization < SHRINK_MAX_UTILIZATION && self.hot_size > self.base_hot {
             let idx = self.hot_size - 1;
-            let report = match index {
-                Some(ix) => ix.reported_melt()[idx],
-                None => farm.reported_melt_fraction(idx).get(),
-            };
-            let refrozen = report < REFREEZE_FRACTION && self.below_melt[idx];
+            let refrozen =
+                farm.reported_melt_fraction(idx).get() < REFREEZE_FRACTION && self.below_melt[idx];
             if refrozen {
                 self.hot_size -= 1;
                 self.counters.hot_group_shrink += 1;
@@ -310,21 +293,14 @@ impl VmtWa {
         self.cursor_cold_any = 0;
     }
 
-    /// The hot group's rungs 1–2 (keep-warm, then the balancer) on
-    /// `lanes`, with keep-warm placements counted.
-    fn place_hot_group(
+    /// The hot-job ladder. Returns the decision and the static label of
+    /// the rung that made it (the labels the trace `explain` workflow
+    /// surfaces).
+    fn place_hot_explained(
         &mut self,
-        lanes: &impl Lanes,
+        farm: &ServerFarm,
         core_power_w: f64,
-    ) -> Option<(usize, &'static str)> {
-        let (mut hot, _) = self.rungs();
-        let placed = hot.place(lanes, core_power_w);
-        let kept_warm = hot.kept_warm;
-        self.counters.keep_warm += kept_warm;
-        placed
-    }
-
-    fn place_hot(&mut self, farm: &ServerFarm, core_power_w: f64) -> Option<ServerId> {
+    ) -> (Option<ServerId>, &'static str) {
         let n = farm.len();
         // 1. Keep-warm: top up melted servers that are about to dip below
         //    the melt line. Placing here both prevents heat release and
@@ -332,8 +308,12 @@ impl VmtWa {
         // 2. Then temperature-balanced placement across the hot group
         //    (saturated members carry a key penalty, so new wax melts
         //    preferentially without abandoning molten servers).
-        if let Some((idx, _)) = self.place_hot_group(farm, core_power_w) {
-            return Some(ServerId(idx));
+        let (mut hot, _) = self.rungs();
+        let placed = hot.place(farm, core_power_w);
+        let kept_warm = hot.kept_warm;
+        self.counters.keep_warm += kept_warm;
+        if let Some((idx, rung)) = placed {
+            return (Some(ServerId(idx)), rung);
         }
         // 3. The whole group is out of cores: grow one server at a time;
         //    the next cold-group server has unmelted wax by construction.
@@ -343,67 +323,17 @@ impl VmtWa {
             self.counters.hot_group_growth += 1;
             self.hot.add_member(idx, farm);
             if let Some(found) = self.hot.place(farm, core_power_w) {
-                return Some(ServerId(found));
-            }
-        }
-        // 4. Corner case: the whole cluster is the hot group. Any server
-        //    below the melted threshold, then any server at all.
-        (0..n)
-            .find(|&i| !self.melted[i] && farm.free_cores(i) > 0)
-            .or_else(|| (0..n).find(|&i| farm.free_cores(i) > 0))
-            .map(ServerId)
-    }
-
-    fn place_cold(&mut self, farm: &ServerFarm, core_power_w: f64) -> Option<ServerId> {
-        // 1. The cold group, temperature balanced.
-        let (_, mut cold) = self.rungs();
-        if let Some((idx, _)) = cold.place(farm, core_power_w) {
-            return Some(ServerId(idx));
-        }
-        // 2. A hot-group server already melted and above the melting
-        //    temperature — placing a cold job there has minimal thermal
-        //    impact.
-        (0..self.hot_size)
-            .find(|&i| self.melted[i] && !self.below_melt[i] && farm.free_cores(i) > 0)
-            // 3. Any remaining hot-group server.
-            .or_else(|| (0..self.hot_size).find(|&i| farm.free_cores(i) > 0))
-            .map(ServerId)
-    }
-
-    /// [`VmtWa::place_hot`] on the engine's index: the same four-rung
-    /// ladder, with free cores probed from the flat index array and the
-    /// rung-4 linear fallbacks resuming from per-tick cursors instead of
-    /// rescanning from zero for every job. Returns the decision and the
-    /// static label of the rung that made it (the labels the trace
-    /// `explain` workflow surfaces).
-    fn place_hot_explained(
-        &mut self,
-        lanes: &Cluster<'_>,
-        core_power_w: f64,
-    ) -> (Option<ServerId>, &'static str) {
-        let (farm, index) = (lanes.farm, lanes.index);
-        let n = farm.len();
-        // 1–2. Keep-warm, then the hot group's balancer.
-        if let Some((idx, rung)) = self.place_hot_group(lanes, core_power_w) {
-            return (Some(ServerId(idx)), rung);
-        }
-        // 3. Grow one server at a time.
-        while self.hot_size < n {
-            let idx = self.hot_size;
-            self.hot_size += 1;
-            self.counters.hot_group_growth += 1;
-            self.hot.add_member(idx, farm);
-            if let Some(found) = self.hot.place_indexed(index, core_power_w) {
                 return (Some(ServerId(found)), "hot-grow");
             }
         }
-        // 4. Whole-cluster fallbacks, cursor-resumed: a cursor only skips
+        // 4. Corner case: the whole cluster is the hot group. Any server
+        //    below the melted threshold, then any server at all. The
+        //    scans resume from per-tick cursors: a cursor only skips
         //    indices that already failed the predicate this tick, and
         //    both failure causes (melted flag set, no free cores) are
         //    permanent until the next refresh.
-        let free = index.free_cores();
         let mut cursor = self.cursor_hot_unmelted;
-        while cursor < n && (self.melted[cursor] || free[cursor] == 0) {
+        while cursor < n && (self.melted[cursor] || farm.free_cores(cursor) == 0) {
             cursor += 1;
         }
         self.cursor_hot_unmelted = cursor;
@@ -411,7 +341,7 @@ impl VmtWa {
             return (Some(ServerId(cursor)), "hot-fallback-unmelted");
         }
         let mut cursor = self.cursor_hot_any;
-        while cursor < n && free[cursor] == 0 {
+        while cursor < n && farm.free_cores(cursor) == 0 {
             cursor += 1;
         }
         self.cursor_hot_any = cursor;
@@ -421,24 +351,24 @@ impl VmtWa {
         }
     }
 
-    /// [`VmtWa::place_cold`] on the engine's index; see
-    /// [`VmtWa::place_hot_explained`] for the cursor argument and the
-    /// rung labels.
+    /// The cold-job ladder; see [`VmtWa::place_hot_explained`] for the
+    /// cursor argument and the rung labels.
     fn place_cold_explained(
         &mut self,
-        lanes: &Cluster<'_>,
+        farm: &ServerFarm,
         core_power_w: f64,
     ) -> (Option<ServerId>, &'static str) {
         // 1. The cold group, temperature balanced.
         let (_, mut cold) = self.rungs();
-        if let Some((idx, rung)) = cold.place(lanes, core_power_w) {
+        if let Some((idx, rung)) = cold.place(farm, core_power_w) {
             return (Some(ServerId(idx)), rung);
         }
-        // 2. Melted-and-warm hot-group servers, cursor-resumed.
-        let free = lanes.index.free_cores();
+        // 2. A hot-group server already melted and above the melting
+        //    temperature — placing a cold job there has minimal thermal
+        //    impact. Cursor-resumed.
         let mut cursor = self.cursor_cold_melted_warm;
         while cursor < self.hot_size
-            && !(self.melted[cursor] && !self.below_melt[cursor] && free[cursor] > 0)
+            && !(self.melted[cursor] && !self.below_melt[cursor] && farm.free_cores(cursor) > 0)
         {
             cursor += 1;
         }
@@ -448,7 +378,7 @@ impl VmtWa {
         }
         // 3. Any remaining hot-group server.
         let mut cursor = self.cursor_cold_any;
-        while cursor < self.hot_size && free[cursor] == 0 {
+        while cursor < self.hot_size && farm.free_cores(cursor) == 0 {
             cursor += 1;
         }
         self.cursor_cold_any = cursor;
@@ -586,11 +516,11 @@ impl TwoGroups for VmtWa {
         self.counters.keep_warm += kept_warm;
     }
 
-    fn place_serial(&mut self, job: &Job, lanes: &Cluster<'_>) -> (Option<ServerId>, &'static str) {
+    fn place_serial(&mut self, job: &Job, farm: &ServerFarm) -> (Option<ServerId>, &'static str) {
         let class = job.kind().vmt_class();
         let (placed, rung) = match class {
-            VmtClass::Hot => self.place_hot_explained(lanes, job.core_power().get()),
-            VmtClass::Cold => self.place_cold_explained(lanes, job.core_power().get()),
+            VmtClass::Hot => self.place_hot_explained(farm, job.core_power().get()),
+            VmtClass::Cold => self.place_cold_explained(farm, job.core_power().get()),
         };
         self.count_placement(class, placed);
         (placed, rung)
@@ -621,45 +551,27 @@ impl Scheduler for VmtWa {
         if self.melted.len() != farm.len() {
             self.refresh(farm);
         }
-        let class = job.kind().vmt_class();
-        let placed = match class {
-            VmtClass::Hot => self.place_hot(farm, job.core_power().get()),
-            VmtClass::Cold => self.place_cold(farm, job.core_power().get()),
-        };
-        self.count_placement(class, placed);
-        placed
+        self.place_serial(job, farm).0
     }
 
     fn on_tick_indexed(&mut self, farm: &ServerFarm, index: &ClusterIndex, _now: Seconds) {
-        self.refresh_indexed_impl(farm, index);
-    }
-
-    fn place_indexed(
-        &mut self,
-        job: &Job,
-        farm: &ServerFarm,
-        index: &ClusterIndex,
-    ) -> Option<ServerId> {
-        if self.melted.len() != farm.len() {
-            self.refresh_indexed_impl(farm, index);
-        }
-        self.place_serial(job, &Cluster { farm, index }).0
+        self.refresh_at(farm, index.utilization());
     }
 
     /// Two streams, one per group, up to the stop point, then the
     /// ladder; see [`crate::streams`]. The decision sequence is exactly
-    /// `place_indexed` per job.
+    /// `place` per job.
     fn place_batch(
         &mut self,
         jobs: &[Job],
         farm: &mut ServerFarm,
-        index: &mut ClusterIndex,
+        _index: &mut ClusterIndex,
         out: &mut Vec<Option<ServerId>>,
     ) {
         if self.melted.len() != farm.len() {
-            self.refresh_indexed_impl(farm, index);
+            self.refresh(farm);
         }
-        streams::place_batch(self, jobs, farm, index, out, None);
+        streams::place_batch(self, jobs, farm, out, None);
     }
 
     /// [`VmtWa::place_batch`] with per-job decision detail for sampled
@@ -671,14 +583,14 @@ impl Scheduler for VmtWa {
         &mut self,
         jobs: &[Job],
         farm: &mut ServerFarm,
-        index: &mut ClusterIndex,
+        _index: &mut ClusterIndex,
         out: &mut Vec<Option<ServerId>>,
         probe: &mut dyn PlacementProbe,
     ) {
         if self.melted.len() != farm.len() {
-            self.refresh_indexed_impl(farm, index);
+            self.refresh(farm);
         }
-        streams::place_batch(self, jobs, farm, index, out, Some(probe));
+        streams::place_batch(self, jobs, farm, out, Some(probe));
     }
 
     fn hot_group_size(&self) -> Option<usize> {

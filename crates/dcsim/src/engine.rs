@@ -317,7 +317,7 @@ impl Simulation {
     /// flight-recorder replay checks, so a restored run can be compared
     /// tick-for-tick against the original.
     pub fn state_digest(&self) -> u64 {
-        crate::replay::digest_index(&self.index)
+        crate::replay::digest_index(&self.farm, &self.index)
     }
 
     /// Lazily initializes the run accumulators. Idempotent: a second
@@ -338,15 +338,8 @@ impl Simulation {
         // Both heatmaps are preallocated in full and their rows written
         // in place on sample ticks — no per-tick row allocations.
         let row_interval = dt.get() * self.config.heatmap_stride as f64;
-        let cores_per_server = self.farm.cores();
         let telemetry = self.telemetry.take().map(|config| {
-            let tel = EngineTelemetry::new(
-                config,
-                num_servers,
-                cores_per_server,
-                ticks as u64,
-                self.zones.as_ref(),
-            );
+            let tel = EngineTelemetry::new(config, num_servers, ticks as u64, self.zones.as_ref());
             tel.emit_run_config(
                 self.scheduler.name(),
                 &self.config,
@@ -486,6 +479,7 @@ impl Simulation {
         // when telemetry is attached.
         let mut sweep_timing = run.telemetry.as_ref().map(|_| SweepTiming::default());
         self.process_departures(t as u64, run.telemetry.as_mut(), sweep_timing.as_mut());
+        self.debug_check_ledger();
         lap!(Departures);
         self.scheduler.on_tick_indexed(&self.farm, &self.index, now);
         lap!(SchedulerTick);
@@ -498,12 +492,13 @@ impl Simulation {
             &mut run.dropped_jobs,
             run.telemetry.as_mut(),
         );
+        self.debug_check_ledger();
         lap!(Placement);
 
         // Physics tick and metric accumulation in one sharded sweep
         // over the farm's arrays: per-shard partial sums (electrical,
         // heat into wax, temperature sums, stored energy) are folded
-        // in shard order, the index's thermal columns and the
+        // in shard order, the index's reported-melt lane and the
         // optional heatmap rows are written in place. The sweep is
         // deterministic at any thread count — see `farm`.
         let hot_size = self.hot_size();
@@ -565,6 +560,7 @@ impl Simulation {
             tel.record_tick(
                 tick_1based,
                 tick_1based as f64 * dt.get() / 3600.0,
+                &self.farm,
                 &self.index,
                 mean_air_c,
                 hot_size,
@@ -948,6 +944,38 @@ impl Simulation {
         })
     }
 
+    /// The occupancy and report ledger, checked in builds with debug
+    /// assertions after departures and after placement: the index's used
+    /// total, the farm's per-server used cores and the per-kind
+    /// occupancy count the same jobs, and every reported melt in the
+    /// index is the farm's, bit for bit.
+    fn debug_check_ledger(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let used: u64 = self
+            .farm
+            .used_cores_lane()
+            .iter()
+            .map(|&c| u64::from(c))
+            .sum();
+        let occupied: usize = self.occupancy.iter().sum();
+        assert_eq!(
+            self.index.used_cores_total(),
+            used,
+            "index used total vs farm"
+        );
+        assert_eq!(occupied as u64, used, "occupancy vs farm");
+        for (i, report) in self.index.reported_melt().iter().enumerate() {
+            let farm = self.farm.reported_melt_fraction(i).get();
+            assert_eq!(
+                report.to_bits(),
+                farm.to_bits(),
+                "reported melt of server {i}: index {report}, farm {farm}"
+            );
+        }
+    }
+
     /// The policy's hot-group size clamped to the farm. The physics
     /// sweep bounds its hot-group totals by it, and both pooled tick
     /// sections (departure drain and sweep) split their shard ranges at
@@ -1136,7 +1164,10 @@ impl Simulation {
         // flight-record calls are compiled into a separate loop body so
         // the common unrecorded run carries no per-job telemetry branch.
         // Departures need nothing here: each placed job's due tick went
-        // into the job table with it.
+        // into the job table with it. The engine is the index's only
+        // writer of starts: the chunk's placed jobs join its used total
+        // here, once, whatever the policy's batch body.
+        let placed_before = *placements;
         let flight = telemetry.filter(|tel| tel.flight_armed());
         if let Some(tel) = flight {
             for (job, placed) in batch.iter().zip(&outcomes) {
@@ -1169,6 +1200,7 @@ impl Simulation {
                 }
             }
         }
+        self.index.record_starts(*placements - placed_before);
         self.batch = batch;
         self.outcomes = outcomes;
     }

@@ -28,7 +28,7 @@ use crate::index::ClusterIndex;
 use crate::pool::TickPool;
 use crate::server::{Server, ServerId};
 use crate::snapshot::JobIds;
-use std::cell::UnsafeCell;
+use std::sync::Mutex;
 use vmt_pcm::{PcmMaterial, WaxKernel, WaxPack, WaxStateEstimator};
 use vmt_power::ServerPowerModel;
 use vmt_thermal::{AirStream, ServerThermalModel};
@@ -67,6 +67,28 @@ const JOB_PAGE: usize = 8;
 
 /// Chain terminator / "no page" sentinel in job-table page links.
 const NO_PAGE: u32 = u32::MAX;
+
+/// Hints the CPU to pull the cache line holding `value` toward L1.
+///
+/// Architecturally a no-op — no result ever depends on whether the hint
+/// fired — so a caller may hint a *predicted* target while the current
+/// job's bookkeeping still runs; at 100k+ servers the lanes a placement
+/// writes are far out of cache, and each placement otherwise eats the
+/// full miss latency serially. Taking a live reference keeps every hint
+/// in bounds: a caller takes its element with `get()` or indexing, and
+/// no call site does pointer arithmetic.
+#[inline(always)]
+pub fn prefetch<T>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the address comes from a live reference, and a prefetch
+    // never faults architecturally; SSE is part of the x86_64 baseline.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(value).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
+}
 
 /// One page of the pooled job table: the ids and due ticks of
 /// [`JOB_PAGE`] slots side by side in one cache line, so a placement
@@ -127,21 +149,10 @@ impl JobPool {
     /// toward L1 (a no-op for a page the pool does not hold).
     #[inline]
     fn prefetch_page(&self, page: u32) {
-        #[cfg(target_arch = "x86_64")]
-        if (page as usize) < self.pages.len() {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // SAFETY: `page` is in bounds of `pages` (checked above) and
-            // `kinds` holds `JOB_PAGE` bytes per page; prefetch never
-            // faults architecturally.
-            unsafe {
-                _mm_prefetch::<_MM_HINT_T0>(self.pages.as_ptr().add(page as usize).cast());
-                _mm_prefetch::<_MM_HINT_T0>(
-                    self.kinds.as_ptr().add(page as usize * JOB_PAGE).cast(),
-                );
-            }
+        if let Some(lanes) = self.pages.get(page as usize) {
+            prefetch(lanes);
+            prefetch(&self.kinds[page as usize * JOB_PAGE]);
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = page;
     }
 
     /// [`JobPool::prefetch_page`] over every page of the chain from
@@ -637,12 +648,6 @@ pub struct ServerFarm {
     /// sweep and rebuilt when the thread count changes. Clones of the
     /// farm start poolless and spin up their own on demand.
     pool: Option<TickPool>,
-    /// Reusable index-column sinks for the standalone
-    /// [`ServerFarm::tick_physics`] entry point (tests and benches) —
-    /// hoisted here so repeated standalone ticks allocate nothing.
-    /// Semantically empty between ticks; never serialized or compared.
-    scratch_air: Vec<f64>,
-    scratch_melt: Vec<f64>,
     /// Per-shard departure logs of [`ServerFarm::end_due_jobs`], filled
     /// only when the engine records departures; empty between ticks.
     depart_logs: Vec<Vec<u64>>,
@@ -669,8 +674,6 @@ impl Clone for ServerFarm {
             job_counts: self.job_counts.clone(),
             id_base: self.id_base,
             pool: None,
-            scratch_air: Vec::new(),
-            scratch_melt: Vec::new(),
             depart_logs: Vec::new(),
         }
     }
@@ -704,8 +707,6 @@ impl ServerFarm {
             job_counts: vec![0; n],
             id_base: 0,
             pool: None,
-            scratch_air: Vec::new(),
-            scratch_melt: Vec::new(),
             depart_logs: Vec::new(),
         };
         for i in 0..n {
@@ -801,8 +802,6 @@ impl ServerFarm {
             job_counts,
             id_base,
             pool: None,
-            scratch_air: Vec::new(),
-            scratch_melt: Vec::new(),
             depart_logs: Vec::new(),
         };
         for s in servers {
@@ -1099,6 +1098,16 @@ impl ServerFarm {
         &self.active_power_w
     }
 
+    /// The per-server air-at-wax lane (°C), in server order.
+    pub(crate) fn air_at_wax_lane(&self) -> &[f64] {
+        &self.at_wax_c
+    }
+
+    /// The per-server used-core lane, in server order.
+    pub(crate) fn used_cores_lane(&self) -> &[u32] {
+        &self.job_counts
+    }
+
     /// Uniform per-server idle draw (W).
     pub(crate) fn idle_w(&self) -> f64 {
         self.power_model.idle().get()
@@ -1274,11 +1283,8 @@ impl ServerFarm {
 
     /// Hints the CPU to pull server `i`'s placement-hot lanes (chain
     /// anchors, occupancy count, power lane, and the tail page's id and
-    /// due-tick line and kind bytes) toward L1. Architecturally a no-op — no result ever depends on
-    /// whether the hint fired — so callers may prefetch a *predicted*
-    /// placement target while the current job's bookkeeping still runs;
-    /// at 100k+ servers these lanes are far out of cache and each
-    /// placement otherwise eats the full miss latency serially.
+    /// due-tick line and kind bytes) toward L1 ([`prefetch`]); a no-op
+    /// for a server the farm does not hold.
     ///
     /// The tail page (where `start_job` writes) is hinted through a
     /// plain read of `job_tails[i]`: the read has no side effects, and
@@ -1287,25 +1293,16 @@ impl ServerFarm {
     /// the page.
     #[inline]
     pub fn prefetch_server(&self, i: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if i < self.len() {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // SAFETY: `i` is in bounds (checked above), so every
-            // pointer is derived in-bounds; prefetch has no other
-            // requirements and never faults architecturally.
-            unsafe {
-                _mm_prefetch::<_MM_HINT_T0>(self.job_heads.as_ptr().add(i).cast());
-                _mm_prefetch::<_MM_HINT_T0>(self.job_tails.as_ptr().add(i).cast());
-                _mm_prefetch::<_MM_HINT_T0>(self.job_counts.as_ptr().add(i).cast());
-                _mm_prefetch::<_MM_HINT_T0>(self.active_power_w.as_ptr().add(i).cast());
-            }
-            let page = self.job_tails[i];
-            if page != NO_PAGE {
-                self.pools[i / SHARD].prefetch_page(page);
-            }
+        let Some(tail) = self.job_tails.get(i) else {
+            return;
+        };
+        prefetch(&self.job_heads[i]);
+        prefetch(tail);
+        prefetch(&self.job_counts[i]);
+        prefetch(&self.active_power_w[i]);
+        if *tail != NO_PAGE {
+            self.pools[i / SHARD].prefetch_page(*tail);
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = i;
     }
 
     /// Ensures the persistent pool exists with one parked thread fewer
@@ -1335,13 +1332,13 @@ impl ServerFarm {
     /// contiguous shard range ([`part_range`]); two split at the
     /// hot/cold edge server `hot_limit` (0 without a hot group, see
     /// [`edge_shard`]). Each shard task mutates only its own pool, chain
-    /// anchors, power lanes and free-core window, and the integer
-    /// per-shard outcomes are folded in shard order, so the result is
-    /// the same at any thread count.
+    /// anchors, counts and power lanes, and the integer per-shard
+    /// outcomes are folded in shard order, so the result is the same at
+    /// any thread count.
     ///
     /// Returns the number of jobs ended. `occupancy` is decremented per
-    /// workload kind; the index's free-core column and used total are
-    /// updated in place. When `log` is supplied it receives one
+    /// workload kind and the index's used total by the jobs ended. When
+    /// `log` is supplied it receives one
     /// `(id − id_base) << 32 | server` word per ended job, in shard
     /// order and by ascending id within each server.
     pub(crate) fn end_due_jobs(
@@ -1370,7 +1367,6 @@ impl ServerFarm {
             let mut tails = self.job_tails.as_mut_slice();
             let mut counts = self.job_counts.as_mut_slice();
             let mut power = self.active_power_w.as_mut_slice();
-            let mut free = index.free_cores_mut();
             let mut logs = log.is_some().then_some(self.depart_logs.iter_mut());
             let mut outs_rest = outs.as_mut_slice();
             let mut base = 0;
@@ -1386,7 +1382,6 @@ impl ServerFarm {
                     job_tails: split_front_mut(&mut tails, len),
                     job_counts: split_front_mut(&mut counts, len),
                     active_power_w: split_front_mut(&mut power, len),
-                    free_cores: split_front_mut(&mut free, len),
                     log: logs.as_mut().and_then(Iterator::next),
                     out: &mut out[0],
                 });
@@ -1431,7 +1426,7 @@ impl ServerFarm {
                 log.append(shard);
             }
         }
-        index.record_bulk_ends(ended);
+        index.record_ends(ended);
         ended
     }
 
@@ -1465,29 +1460,17 @@ impl ServerFarm {
     /// Advances every server's physics by `dt` (thermal response, wax
     /// exchange, estimator update) and returns the order-stable tick
     /// totals. Standalone form for tests and benches; the engine uses
-    /// the recording variant that also refreshes the [`ClusterIndex`]
-    /// and heatmap rows.
+    /// the recording variant that also refreshes the [`ClusterIndex`]'s
+    /// reported melt and the heatmap rows.
     pub fn tick_physics(&mut self, dt: Seconds) -> FarmTickTotals {
-        let n = self.len();
-        // Reuse the hoisted sink buffers (taken around the sweep borrow,
-        // restored after) so repeated standalone ticks allocate nothing.
-        let mut air = std::mem::take(&mut self.scratch_air);
-        let mut melt = std::mem::take(&mut self.scratch_melt);
-        air.clear();
-        air.resize(n, 0.0);
-        melt.clear();
-        melt.resize(n, 0.0);
-        let totals = self.sweep(dt, 0, &mut air, &mut melt, None, None, None);
-        self.scratch_air = air;
-        self.scratch_melt = melt;
-        totals
+        self.sweep(dt, 0, None, None, None, None)
     }
 
-    /// The engine's physics tick: advances all servers, refreshes the
-    /// index's thermal columns in place, and fills the optional heatmap
-    /// rows (physical air temperature and melt fraction per server).
-    /// When `timing` is supplied the sweep attributes its wall time to
-    /// the shard-run and fold sections; the `None` path takes no
+    /// The engine's physics tick: advances all servers, writes the
+    /// index's reported-melt lane in place, and fills the optional
+    /// heatmap rows (physical air temperature and melt fraction per
+    /// server). When `timing` is supplied the sweep attributes its wall
+    /// time to the shard-run and fold sections; the `None` path takes no
     /// timestamps.
     pub(crate) fn tick_physics_recorded(
         &mut self,
@@ -1498,20 +1481,17 @@ impl ServerFarm {
         melt_row: Option<&mut [f64]>,
         timing: Option<&mut SweepTiming>,
     ) -> FarmTickTotals {
-        let (index_air, index_melt) = index.physics_slices_mut();
-        self.sweep(
-            dt, hot_limit, index_air, index_melt, temp_row, melt_row, timing,
-        )
+        let report = Some(index.reported_melt_mut());
+        self.sweep(dt, hot_limit, report, temp_row, melt_row, timing)
     }
 
-    /// The sharded sweep behind both tick entry points.
-    #[allow(clippy::too_many_arguments)]
+    /// The sharded sweep behind both tick entry points. Every sink —
+    /// the reported-melt lane and the two heatmap rows — is optional.
     fn sweep(
         &mut self,
         dt: Seconds,
         hot_limit: usize,
-        index_air: &mut [f64],
-        index_melt: &mut [f64],
+        report: Option<&mut [f64]>,
         temp_row: Option<&mut [f64]>,
         melt_row: Option<&mut [f64]>,
         timing: Option<&mut SweepTiming>,
@@ -1556,8 +1536,7 @@ impl ServerFarm {
             let mut enthalpy = self.enthalpy_j.as_mut_slice();
             let mut est_temp = self.est_temp_c.as_mut_slice();
             let mut est_frac = self.est_fraction.as_mut_slice();
-            let mut index_air = index_air;
-            let mut index_melt = index_melt;
+            let mut report = report;
             let mut temp_row = temp_row;
             let mut melt_row = melt_row;
             let mut outs_rest = outs.as_mut_slice();
@@ -1574,8 +1553,7 @@ impl ServerFarm {
                     enthalpy: split_front_mut(&mut enthalpy, len),
                     est_temp: split_front_mut(&mut est_temp, len),
                     est_frac: split_front_mut(&mut est_frac, len),
-                    index_air: split_front_mut(&mut index_air, len),
-                    index_melt: split_front_mut(&mut index_melt, len),
+                    report: split_front_opt(&mut report, len),
                     temp_row: split_front_opt(&mut temp_row, len),
                     melt_row: split_front_opt(&mut melt_row, len),
                     out: &mut out[0],
@@ -1664,42 +1642,17 @@ fn part_range(part: usize, parts: usize, shards: usize, edge: usize) -> std::ops
     shards * part / parts..shards * (part + 1) / parts
 }
 
-/// `Sync` wrapper handing pool participants claim-once access to the
-/// shard tasks: each slot is taken by exactly one thread (every shard
-/// lies in exactly one participant range, and the pool's atomic claim
-/// counter hands each range out once), so the interior mutability is
-/// never aliased.
-struct TaskSlots<'slot, T>(&'slot [UnsafeCell<Option<T>>]);
-
-impl<T> Clone for TaskSlots<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for TaskSlots<'_, T> {}
-
-// SAFETY: see above — disjoint claim-once access by construction; the
-// tasks themselves move to the claiming thread, hence `T: Send`.
-unsafe impl<T: Send> Sync for TaskSlots<'_, T> {}
-
-impl<T> TaskSlots<'_, T> {
-    /// Takes slot `i`'s task.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee no two threads present the same index
-    /// (disjoint participant ranges, each claimed once, do).
-    unsafe fn take(&self, i: usize) -> Option<T> {
-        unsafe { (*self.0[i].get()).take() }
-    }
-}
-
 /// Runs every shard task of a pooled section: participant `part` of
 /// `parts` takes [`part_range`]'s contiguous range of `tasks` (split at
 /// shard `edge` when `parts` is 2). Output is independent of which
 /// thread ran which range (callers fold shard outputs in shard order);
 /// `busy`, when supplied, receives the per-participant busy
 /// nanoseconds.
+///
+/// Each participant's range is handed over as an owned `Vec` behind its
+/// own lock, which the participant empties once before it runs the
+/// tasks; the pool claims each participant index once, so no lock is
+/// ever contended or held while a task runs.
 fn run_ranges<T: Send>(
     pool: &TickPool,
     parts: usize,
@@ -1709,16 +1662,20 @@ fn run_ranges<T: Send>(
     busy: Option<&mut [u64]>,
 ) {
     let shards = tasks.len();
-    let slots: Vec<UnsafeCell<Option<T>>> = tasks
-        .into_iter()
-        .map(|t| UnsafeCell::new(Some(t)))
+    let mut tasks = tasks.into_iter();
+    let ranges: Vec<Mutex<Vec<T>>> = (0..parts)
+        .map(|part| {
+            let len = part_range(part, parts, shards, edge).len();
+            Mutex::new(tasks.by_ref().take(len).collect())
+        })
         .collect();
-    let slots = TaskSlots(&slots);
     let run = move |part: usize| {
-        for shard in part_range(part, parts, shards, edge) {
-            // SAFETY: each shard lies in exactly one participant range
-            // and each range is claimed once, so this take never aliases.
-            let task = unsafe { slots.take(shard) }.expect("shard taken once");
+        let range = std::mem::take(
+            &mut *ranges[part]
+                .lock()
+                .expect("no task runs while its range lock is held"),
+        );
+        for task in range {
             run(task);
         }
     };
@@ -1797,8 +1754,8 @@ struct ShardView<'a> {
     enthalpy: &'a mut [f64],
     est_temp: &'a mut [f64],
     est_frac: &'a mut [f64],
-    index_air: &'a mut [f64],
-    index_melt: &'a mut [f64],
+    /// The index's reported-melt lane, when the engine ticks.
+    report: Option<&'a mut [f64]>,
     temp_row: Option<&'a mut [f64]>,
     melt_row: Option<&'a mut [f64]>,
     out: &'a mut FarmTickTotals,
@@ -1815,8 +1772,8 @@ struct DepartOut {
 }
 
 /// One shard's mutable window over the pooled job table (the shard's
-/// pool owned outright, plus chain-anchor/count windows), power lane
-/// and free-core column for the departure sweep.
+/// pool owned outright, plus chain-anchor/count windows) and power lane
+/// for the departure sweep.
 struct DepartView<'a> {
     /// Global index of the first server in the shard.
     base: usize,
@@ -1827,7 +1784,6 @@ struct DepartView<'a> {
     job_tails: &'a mut [u32],
     job_counts: &'a mut [u32],
     active_power_w: &'a mut [f64],
-    free_cores: &'a mut [u32],
     /// The shard's departure log when the engine records departures.
     log: Option<&'a mut Vec<u64>>,
     out: &'a mut DepartOut,
@@ -1848,7 +1804,6 @@ fn run_depart_shard(task: DepartView<'_>) {
         job_tails,
         job_counts,
         active_power_w,
-        free_cores,
         mut log,
         out,
     } = task;
@@ -1886,7 +1841,6 @@ fn run_depart_shard(task: DepartView<'_>) {
             if job_counts[local] == 0 {
                 *power = 0.0;
             }
-            free_cores[local] += retired;
             out.ended += retired;
         }
     }
@@ -1914,8 +1868,7 @@ fn run_shard(task: ShardView<'_>, p: &TickParams<'_>) {
         enthalpy,
         est_temp,
         est_frac,
-        index_air,
-        index_melt,
+        report,
         temp_row,
         melt_row,
         out,
@@ -1989,12 +1942,10 @@ fn run_shard(task: ShardView<'_>, p: &TickParams<'_>) {
         for &m in melt.iter() {
             out.stored_energy_j += latent * m;
         }
-        index_melt.copy_from_slice(if w.oracle { &*melt } else { &*est_frac });
-    } else {
-        // Waxless: the fused loop accumulated per-server zeros into
-        // into_wax/stored, which leaves +0.0 — identical to not adding.
-        index_melt.fill(0.0);
     }
+    // Waxless: the fused loop accumulated per-server zeros into
+    // into_wax/stored, which leaves +0.0 — identical to not adding —
+    // and the melt lane stays all zeros.
 
     for &a in active.iter() {
         out.electrical_w += p.idle_w + a;
@@ -2009,7 +1960,15 @@ fn run_shard(task: ShardView<'_>, p: &TickParams<'_>) {
         out.hot_sum_c += t;
     }
 
-    index_air.copy_from_slice(air);
+    if let Some(report) = report {
+        // What the scheduler sees: the estimator's report, or the
+        // physical fraction under the oracle ablation (and zero without
+        // wax).
+        report.copy_from_slice(match &p.wax {
+            Some(w) if !w.oracle => &*est_frac,
+            _ => &*melt,
+        });
+    }
     if let Some(row) = temp_row {
         row.copy_from_slice(air);
     }
@@ -2336,7 +2295,11 @@ mod tests {
             }
             assert_eq!(swept.job_heads, manual.job_heads, "{label}");
             assert_eq!(swept.job_tails, manual.job_tails, "{label}");
-            assert_eq!(index.free_cores(), ClusterIndex::new(&manual).free_cores());
+            assert_eq!(
+                index.used_cores_total(),
+                ClusterIndex::new(&manual).used_cores_total(),
+                "{label}"
+            );
         }
         assert!((0..n).all(|i| swept.used_cores(i) == 0));
         assert!((0..n).any(|i| i as u64 * 7 % modulus > 64) == (cores > 64));
@@ -2456,7 +2419,7 @@ mod tests {
                 farm.end_due_jobs(tick, edge, &mut index, &mut occupancy, Some(&mut log), None);
                 logs.push(log);
             }
-            (index.free_cores().to_vec(), occupancy, logs)
+            (index.used_cores_total(), occupancy, logs)
         };
         for edge in [0, 1, 2564, 4096, 4159, 4160] {
             let mut serial = loaded_farm(n);
@@ -2491,8 +2454,8 @@ mod tests {
                     assert_eq!(&got, want, "edge {edge} threads {threads} tick {tick}");
                 }
                 assert_eq!(
-                    pooled_index.air_c(),
-                    index.air_c(),
+                    pooled_index.reported_melt(),
+                    index.reported_melt(),
                     "edge {edge} threads {threads}"
                 );
                 assert_eq!(
@@ -2529,7 +2492,6 @@ mod tests {
         let manual: f64 = (0..3).map(|i| farm.air_at_wax(i).get()).sum();
         assert!((totals.hot_sum_c - manual).abs() < 1e-9);
         for i in 0..10 {
-            assert_eq!(index.air_c()[i], farm.air_at_wax(i).get());
             assert_eq!(
                 index.reported_melt()[i],
                 farm.reported_melt_fraction(i).get()

@@ -2,16 +2,15 @@
 //! two-group policy can place each group's jobs at the same time.
 //!
 //! [`ServerFarm::place_groups`] cuts every lane a placement writes — the
-//! job-table anchors and counts, the power lane and the index's
-//! free-core column — at the edge server, and hands each side to one
+//! job-table anchors and counts and the power lane — at the edge server,
+//! and hands each side to one
 //! closure as a [`GroupView`]. The only structure both sides would share
 //! is the job-page pool of the shard that contains the edge: appends to
 //! it are deferred while the groups run and replayed in arrival order
 //! afterwards, so page numbering, digests and snapshot bytes match a
 //! serial placement of the same jobs in arrival order.
 
-use super::{append_job, run_pair, tick_fan_out, JobPool, ServerFarm, SHARD};
-use crate::index::ClusterIndex;
+use super::{append_job, prefetch, run_pair, tick_fan_out, JobPool, ServerFarm, SHARD};
 use crate::server::ServerId;
 use std::marker::PhantomData;
 use vmt_thermal::AirStream;
@@ -48,7 +47,7 @@ struct Outcomes<'a> {
 // exclusively borrowed slice (see the type docs).
 unsafe impl Send for Outcomes<'_> {}
 
-/// One thermal group's disjoint window over the farm and index: the hot
+/// One thermal group's disjoint window over the farm: the hot
 /// group's servers `..edge` or the cold group's `edge..`, addressed by
 /// global server id.
 ///
@@ -60,6 +59,8 @@ pub struct GroupView<'a> {
     start: usize,
     class: VmtClass,
     id_base: u64,
+    /// Cores per server (uniform across the farm).
+    cores: u32,
     idle_w: f64,
     air: AirStream,
     inlet_c: &'a [f64],
@@ -67,7 +68,6 @@ pub struct GroupView<'a> {
     job_heads: &'a mut [u32],
     job_tails: &'a mut [u32],
     job_counts: &'a mut [u32],
-    free_cores: &'a mut [u32],
     /// Page pools of the shards wholly inside the view; `pools[k]`
     /// belongs to shard `first_shard + k`.
     pools: &'a mut [JobPool],
@@ -75,11 +75,10 @@ pub struct GroupView<'a> {
     /// The edge shard both views touch (`usize::MAX` when the edge is
     /// shard-aligned); its appends go to `deferred`.
     shared_shard: usize,
+    /// The view and its deferred appends live on the stack of the
+    /// thread running the group, so the two groups never write a shared
+    /// cache line per job.
     deferred: Vec<DeferredAppend>,
-    /// Jobs started through this view. The view, its counter and its
-    /// deferred appends live on the stack of the thread running the
-    /// group, so the two groups never write a shared cache line per job.
-    started: u64,
     jobs: &'a [Job],
     outcomes: Outcomes<'a>,
 }
@@ -95,14 +94,14 @@ impl<'a> GroupView<'a> {
         self.class
     }
 
-    /// Free cores of server `idx`.
+    /// Free cores of server `idx`; equals [`ServerFarm::free_cores`].
     ///
     /// # Panics
     ///
     /// Panics if `idx` is outside the view.
     #[inline]
     pub fn free_cores(&self, idx: usize) -> u32 {
-        self.free_cores[idx - self.start]
+        self.cores - self.job_counts[idx - self.start]
     }
 
     /// Current electrical power draw of server `idx`; equals
@@ -124,8 +123,8 @@ impl<'a> GroupView<'a> {
     }
 
     /// Starts job `pos` of [`GroupView::jobs`] on server `idx` — the
-    /// farm's `start_job` plus the index's `record_start`, on the view's
-    /// lanes — and records the outcome in slot `pos`.
+    /// farm's `start_job` on the view's lanes — and records the outcome
+    /// in slot `pos`.
     ///
     /// # Panics
     ///
@@ -142,7 +141,7 @@ impl<'a> GroupView<'a> {
         );
         let local = idx - self.start;
         assert!(
-            self.free_cores[local] > 0,
+            self.job_counts[local] < self.cores,
             "placement on a full {}",
             ServerId(idx)
         );
@@ -173,8 +172,6 @@ impl<'a> GroupView<'a> {
         }
         self.job_counts[local] += 1;
         self.active_power_w[local] += job.core_power().get();
-        self.free_cores[local] -= 1;
-        self.started += 1;
         // SAFETY: `pos` is in bounds (`jobs[pos]` above, and the slice
         // has one slot per job); the class check above makes the slot
         // this view's alone.
@@ -186,45 +183,34 @@ impl<'a> GroupView<'a> {
     /// ignored.
     #[inline]
     pub fn prefetch_server(&self, idx: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(local) = idx.checked_sub(self.start) {
-            if local < self.free_cores.len() {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                // SAFETY: `local` is in bounds of every per-server lane
-                // (checked above); prefetch never faults
-                // architecturally.
-                unsafe {
-                    _mm_prefetch::<_MM_HINT_T0>(self.job_heads.as_ptr().add(local).cast());
-                    _mm_prefetch::<_MM_HINT_T0>(self.job_tails.as_ptr().add(local).cast());
-                    _mm_prefetch::<_MM_HINT_T0>(self.job_counts.as_ptr().add(local).cast());
-                    _mm_prefetch::<_MM_HINT_T0>(self.active_power_w.as_ptr().add(local).cast());
-                    _mm_prefetch::<_MM_HINT_T0>(self.free_cores.as_ptr().add(local).cast());
-                }
-                let page = self.job_tails[local];
-                let shard = idx / SHARD;
-                if page != super::NO_PAGE && shard != self.shared_shard {
-                    self.pools[shard - self.first_shard].prefetch_page(page);
-                }
-            }
+        let Some(local) = idx.checked_sub(self.start) else {
+            return;
+        };
+        let Some(tail) = self.job_tails.get(local) else {
+            return;
+        };
+        prefetch(&self.job_heads[local]);
+        prefetch(tail);
+        prefetch(&self.job_counts[local]);
+        prefetch(&self.active_power_w[local]);
+        let shard = idx / SHARD;
+        if *tail != super::NO_PAGE && shard != self.shared_shard {
+            self.pools[shard - self.first_shard].prefetch_page(*tail);
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = idx;
     }
 }
 
 impl ServerFarm {
-    /// Places a batch prefix as two groups: splits the farm and `index`
-    /// at server `edge` into the hot view `..edge` and the cold view
+    /// Places a batch prefix as two groups: splits the farm at server
+    /// `edge` into the hot view `..edge` and the cold view
     /// `edge..`, and runs `hot` on the first and `cold` on the second.
     ///
     /// When the farm fans out ([`tick_fan_out`] ≥ 2) the two run at the
     /// same time on the tick pool, the calling thread taking `hot`;
     /// otherwise they run inline, `hot` first. Afterwards the edge
-    /// shard's deferred appends are replayed in arrival order and the
-    /// started jobs are folded into the index's used-core total, so the
-    /// farm and index end exactly as if every started job had gone
-    /// through [`ServerFarm::start_job`] and
-    /// [`ClusterIndex::record_start`] in arrival order.
+    /// shard's deferred appends are replayed in arrival order, so the
+    /// farm ends exactly as if every started job had gone through
+    /// [`ServerFarm::start_job`] in arrival order.
     ///
     /// Each view writes its jobs' outcomes into `out` (one slot per job
     /// of `jobs`) in place; slots of jobs a view does not start are left
@@ -240,7 +226,6 @@ impl ServerFarm {
     /// panics (a view's own checks included).
     pub fn place_groups<H, C>(
         &mut self,
-        index: &mut ClusterIndex,
         edge: usize,
         jobs: &[Job],
         out: &mut [Option<ServerId>],
@@ -292,14 +277,15 @@ impl ServerFarm {
             let (hot_heads, cold_heads) = self.job_heads.split_at_mut(edge);
             let (hot_tails, cold_tails) = self.job_tails.split_at_mut(edge);
             let (hot_counts, cold_counts) = self.job_counts.split_at_mut(edge);
-            let (hot_free, cold_free) = index.free_cores_mut().split_at_mut(edge);
             let (hot_pools, rest) = self.pools.split_at_mut(hot_pools_end);
             let cold_pools = &mut rest[usize::from(shared)..];
             let idle_w = self.power_model.idle().get();
+            let cores = self.power_model.cores();
             let mut hot_view = GroupView {
                 start: 0,
                 class: VmtClass::Hot,
                 id_base,
+                cores,
                 idle_w,
                 air: self.air,
                 inlet_c: hot_inlet,
@@ -307,12 +293,10 @@ impl ServerFarm {
                 job_heads: hot_heads,
                 job_tails: hot_tails,
                 job_counts: hot_counts,
-                free_cores: hot_free,
                 pools: hot_pools,
                 first_shard: 0,
                 shared_shard,
                 deferred: Vec::new(),
-                started: 0,
                 jobs,
                 outcomes,
             };
@@ -320,6 +304,7 @@ impl ServerFarm {
                 start: edge,
                 class: VmtClass::Cold,
                 id_base,
+                cores,
                 idle_w,
                 air: self.air,
                 inlet_c: cold_inlet,
@@ -327,12 +312,10 @@ impl ServerFarm {
                 job_heads: cold_heads,
                 job_tails: cold_tails,
                 job_counts: cold_counts,
-                free_cores: cold_free,
                 pools: cold_pools,
                 first_shard: cold_first_shard,
                 shared_shard,
                 deferred: Vec::new(),
-                started: 0,
                 jobs,
                 outcomes,
             };
@@ -346,16 +329,16 @@ impl ServerFarm {
                 pool,
                 move || {
                     hot(&mut hot_view);
-                    *hot_done = Some((hot_view.started, hot_view.deferred));
+                    *hot_done = Some(hot_view.deferred);
                 },
                 move || {
                     cold(&mut cold_view);
-                    *cold_done = Some((cold_view.started, cold_view.deferred));
+                    *cold_done = Some(cold_view.deferred);
                 },
             );
         }
-        let (hot_started, hot_deferred) = hot_done.expect("the hot group ran");
-        let (cold_started, cold_deferred) = cold_done.expect("the cold group ran");
+        let hot_deferred = hot_done.expect("the hot group ran");
+        let cold_deferred = cold_done.expect("the cold group ran");
 
         // Replay the edge shard's appends in arrival order.
         let (mut h, mut c) = (
@@ -378,7 +361,6 @@ impl ServerFarm {
                 e.entry,
             );
         }
-        index.record_bulk_starts(hot_started + cold_started);
         true
     }
 }
@@ -420,8 +402,6 @@ mod tests {
                     .filter(|job| edge < n || job.kind().vmt_class() == VmtClass::Hot)
                     .collect();
                 let mut grouped = serial.clone();
-                let mut serial_index = ClusterIndex::new(&serial);
-                let mut grouped_index = ClusterIndex::new(&grouped);
                 let mut expect = Vec::new();
                 for (pos, job) in jobs.iter().enumerate() {
                     let servers = match job.kind().vmt_class() {
@@ -430,7 +410,6 @@ mod tests {
                     };
                     let idx = target(pos, servers, |i| serial.free_cores(i));
                     serial.start_job(idx, job);
-                    serial_index.record_start(idx);
                     expect.push(Some(ServerId(idx)));
                 }
                 let place = |view: &mut GroupView<'_>| {
@@ -446,14 +425,7 @@ mod tests {
                     }
                 };
                 let mut out = vec![None; jobs.len()];
-                assert!(grouped.place_groups(
-                    &mut grouped_index,
-                    edge,
-                    &jobs,
-                    &mut out,
-                    place,
-                    place
-                ));
+                assert!(grouped.place_groups(edge, &jobs, &mut out, place, place));
                 let label = format!("n {n} edge {edge} threads {threads}");
                 assert_eq!(out, expect, "{label}");
                 assert_eq!(grouped.job_heads, serial.job_heads, "{label}");
@@ -474,16 +446,6 @@ mod tests {
                     };
                     assert_eq!(lanes(a), lanes(b), "{label}");
                 }
-                assert_eq!(
-                    grouped_index.free_cores(),
-                    serial_index.free_cores(),
-                    "{label}"
-                );
-                assert_eq!(
-                    grouped_index.used_cores_total(),
-                    serial_index.used_cores_total(),
-                    "{label}"
-                );
             }
         }
     }
@@ -492,7 +454,6 @@ mod tests {
     fn ids_outside_the_window_are_left_to_the_serial_path() {
         let config = ClusterConfig::paper_default(8);
         let mut farm = ServerFarm::from_config(&config);
-        let mut index = ClusterIndex::new(&farm);
         let far = Job::new(
             JobId(u64::from(u32::MAX) + 1),
             WorkloadKind::WebSearch,
@@ -500,7 +461,6 @@ mod tests {
         );
         let mut out = vec![None];
         let ran = farm.place_groups(
-            &mut index,
             4,
             &[far],
             &mut out,

@@ -1,32 +1,36 @@
-//! Incrementally maintained cluster state for schedulers.
+//! The cluster state the engine keeps beside the farm.
 
 use crate::farm::ServerFarm;
 
-/// Flat per-server state the engine keeps current so schedulers can
-/// query the cluster without rescanning the farm.
+/// What the engine keeps beside the [`ServerFarm`]: every server's
+/// reported wax state as one lane and the cluster's occupancy totals.
 ///
-/// The engine updates the index at the moments the underlying state
-/// changes — thermal fields during the physics pass, core counts on
-/// every job start/end — so at the points where schedulers run
-/// ([`Scheduler::on_tick_indexed`] and [`Scheduler::place_indexed`])
-/// each field is exactly the value the corresponding [`ServerFarm`]
-/// accessor would return. That makes the index a pure read-path
-/// optimization: policies written against it are observationally
-/// identical to policies that walk the farm, just without the per-job
-/// O(n) scans.
+/// The farm holds every server's physical state (air temperature, core
+/// counts, power, wax), and the index copies none of its lanes. It
+/// holds:
 ///
-/// [`Scheduler::on_tick_indexed`]: crate::Scheduler::on_tick_indexed
-/// [`Scheduler::place_indexed`]: crate::Scheduler::place_indexed
+/// * the *reported* melt fraction per server — the on-server
+///   estimator's report (or, under the `oracle_wax_state` ablation, the
+///   physical fraction), written by the physics sweep once a tick — as
+///   one contiguous lane telemetry, watchdogs and digests scan;
+/// * the used and total core counts of the whole cluster, so
+///   utilization is O(1). The engine is the only writer of the used
+///   total: the departure sweep subtracts the jobs it ends, and the
+///   placement loop adds the jobs each [`Scheduler::place_batch`] call
+///   started, after the call returns.
+///
+/// Between the engine's tick phases each report equals
+/// [`ServerFarm::reported_melt_fraction`] and the used total equals the
+/// sum of [`ServerFarm::used_cores`], bit for bit; the engine asserts
+/// both in builds with debug assertions.
+///
+/// [`Scheduler::place_batch`]: crate::Scheduler::place_batch
 #[derive(Debug, Clone)]
 pub struct ClusterIndex {
-    /// Air temperature at the wax exchanger per server (°C); equals
-    /// [`Server::air_at_wax`] as of the last physics tick.
-    air_c: Vec<f64>,
-    /// Estimator-reported melt fraction per server; equals
-    /// [`Server::reported_melt_fraction`] as of the last physics tick.
+    /// Reported melt fraction per server; equals
+    /// [`ServerFarm::reported_melt_fraction`] as of the last physics
+    /// tick.
     reported_melt: Vec<f64>,
-    /// Free cores per server, updated on every job start/end.
-    free_cores: Vec<u32>,
     /// Cluster-wide occupied cores.
     used_total: u64,
     /// Cluster-wide core count (fixed).
@@ -38,39 +42,27 @@ impl ClusterIndex {
     pub fn new(farm: &ServerFarm) -> Self {
         let n = farm.len();
         Self {
-            air_c: (0..n).map(|i| farm.air_at_wax(i).get()).collect(),
             reported_melt: (0..n)
                 .map(|i| farm.reported_melt_fraction(i).get())
                 .collect(),
-            free_cores: (0..n).map(|i| farm.free_cores(i)).collect(),
             used_total: (0..n).map(|i| u64::from(farm.used_cores(i))).sum(),
-            total_cores: (0..n).map(|_| u64::from(farm.cores())).sum(),
+            total_cores: n as u64 * u64::from(farm.cores()),
         }
     }
 
     /// Number of indexed servers.
     pub fn len(&self) -> usize {
-        self.air_c.len()
+        self.reported_melt.len()
     }
 
     /// True when the index covers no servers.
     pub fn is_empty(&self) -> bool {
-        self.air_c.is_empty()
+        self.reported_melt.is_empty()
     }
 
-    /// Per-server air temperature at the wax exchanger (°C).
-    pub fn air_c(&self) -> &[f64] {
-        &self.air_c
-    }
-
-    /// Per-server estimator-reported melt fraction.
+    /// Per-server reported melt fraction.
     pub fn reported_melt(&self) -> &[f64] {
         &self.reported_melt
-    }
-
-    /// Per-server free cores.
-    pub fn free_cores(&self) -> &[u32] {
-        &self.free_cores
     }
 
     /// Cluster-wide occupied cores.
@@ -91,66 +83,23 @@ impl ClusterIndex {
         self.used_total as f64 / self.total_cores as f64
     }
 
-    /// Records the post-physics thermal state of server `idx`.
-    #[cfg(test)]
-    pub(crate) fn record_physics(&mut self, idx: usize, air_c: f64, reported_melt: f64) {
-        self.air_c[idx] = air_c;
-        self.reported_melt[idx] = reported_melt;
+    /// The reported-melt lane, written in bulk by the farm's sharded
+    /// physics sweep.
+    pub(crate) fn reported_melt_mut(&mut self) -> &mut [f64] {
+        &mut self.reported_melt
     }
 
-    /// Mutable views of the thermal columns, written in bulk by the
-    /// farm's sharded physics sweep.
-    pub(crate) fn physics_slices_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        (&mut self.air_c, &mut self.reported_melt)
-    }
-
-    /// Records a job start on server `idx`. Public because a
-    /// [`Scheduler::place_batch`] override starts jobs itself and must
-    /// keep the index in lockstep with the farm, exactly as the default
-    /// batch body does.
+    /// Records `count` job starts: the engine calls this once per
+    /// [`Scheduler::place_batch`] call with the number of jobs the call
+    /// placed, and so must a harness that drives `place_batch` itself.
     ///
     /// [`Scheduler::place_batch`]: crate::Scheduler::place_batch
-    #[inline]
-    pub fn record_start(&mut self, idx: usize) {
-        self.free_cores[idx] -= 1;
-        self.used_total += 1;
-    }
-
-    /// Mutable view of the free-core column, written shard-locally by
-    /// the farm's departure sweep and group views.
-    pub(crate) fn free_cores_mut(&mut self) -> &mut [u32] {
-        &mut self.free_cores
-    }
-
-    /// Hints the CPU to pull server `idx`'s free-core entry toward L1.
-    /// Architecturally a no-op; see [`ServerFarm::prefetch_server`]
-    /// (same predicted-winner pattern, same soundness argument).
-    ///
-    /// [`ServerFarm::prefetch_server`]: crate::ServerFarm::prefetch_server
-    #[inline]
-    pub fn prefetch_server(&self, idx: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if idx < self.free_cores.len() {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // SAFETY: `idx` is in bounds (checked above); prefetch never
-            // faults architecturally.
-            unsafe {
-                _mm_prefetch::<_MM_HINT_T0>(self.free_cores.as_ptr().add(idx).cast());
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = idx;
-    }
-
-    /// Records `count` job starts whose per-server free-core decrements
-    /// were already applied through [`ClusterIndex::free_cores_mut`].
-    pub(crate) fn record_bulk_starts(&mut self, count: u64) {
+    pub fn record_starts(&mut self, count: u64) {
         self.used_total += count;
     }
 
-    /// Records `count` job ends whose per-server free-core increments
-    /// were already applied through [`ClusterIndex::free_cores_mut`].
-    pub(crate) fn record_bulk_ends(&mut self, count: u64) {
+    /// Records `count` job ends.
+    pub(crate) fn record_ends(&mut self, count: u64) {
         self.used_total -= count;
     }
 }
@@ -175,12 +124,10 @@ mod tests {
         assert_eq!(index.used_cores_total(), 0);
         assert_eq!(index.utilization(), 0.0);
         for i in 0..farm.len() {
-            assert_eq!(index.air_c()[i], farm.air_at_wax(i).get());
             assert_eq!(
                 index.reported_melt()[i],
                 farm.reported_melt_fraction(i).get()
             );
-            assert_eq!(index.free_cores()[i], farm.free_cores(i));
         }
     }
 
@@ -191,8 +138,7 @@ mod tests {
         let mut job = Job::new(JobId(1), WorkloadKind::WebSearch, Seconds::new(300.0));
         job.set_due_tick(5);
         farm.start_job(0, &job);
-        index.record_start(0);
-        assert_eq!(index.free_cores()[0], farm.free_cores(0));
+        index.record_starts(1);
         assert_eq!(index.used_cores_total(), 1);
         assert_eq!(index.utilization(), 1.0 / 64.0);
         let mut occupancy = [1; 5];
@@ -205,7 +151,7 @@ mod tests {
             1
         );
         assert_eq!(occupancy[WorkloadKind::WebSearch.index()], 0);
-        assert_eq!(index.free_cores()[0], farm.free_cores(0));
+        assert_eq!(farm.free_cores(0), 32);
         assert_eq!(index.used_cores_total(), 0);
     }
 
@@ -213,22 +159,21 @@ mod tests {
     fn tracks_physics_state() {
         let mut farm = farm(1);
         let mut index = ClusterIndex::new(&farm);
-        for i in 0..8 {
+        for i in 0..32 {
             farm.start_job(
                 0,
                 &Job::new(JobId(i), WorkloadKind::VideoEncoding, Seconds::new(3600.0)),
             );
-            index.record_start(0);
         }
-        for _ in 0..60 {
-            farm.tick_physics(Seconds::new(60.0));
+        index.record_starts(32);
+        for _ in 0..240 {
+            farm.tick_physics_recorded(Seconds::new(60.0), 0, &mut index, None, None, None);
         }
-        index.record_physics(
-            0,
-            farm.air_at_wax(0).get(),
-            farm.reported_melt_fraction(0).get(),
+        assert!(farm.air_at_wax(0).get() > 22.0);
+        assert!(index.reported_melt()[0] > 0.0);
+        assert_eq!(
+            index.reported_melt()[0],
+            farm.reported_melt_fraction(0).get()
         );
-        assert_eq!(index.air_c()[0], farm.air_at_wax(0).get());
-        assert!(index.air_c()[0] > 22.0);
     }
 }

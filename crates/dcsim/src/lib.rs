@@ -59,7 +59,7 @@ mod topology;
 pub use config::{ClusterConfig, WaxSpec};
 pub use engine::{HorizonTooLong, Simulation};
 pub use farm::{
-    default_tick_threads, tick_fan_out, FarmState, FarmTickTotals, GroupView, ServerFarm,
+    default_tick_threads, prefetch, tick_fan_out, FarmState, FarmTickTotals, GroupView, ServerFarm,
     SweepTiming, SHARD,
 };
 pub use index::ClusterIndex;

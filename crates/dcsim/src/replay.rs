@@ -34,7 +34,9 @@ use vmt_workload::Job;
 
 /// Digest of the scheduler-visible cluster state at the tick boundary
 /// (after departures, before placements) — exactly the state a policy's
-/// decisions depend on.
+/// decisions depend on: the server count, every server's air at the wax
+/// and free cores (from the farm) and reported melt (from the index),
+/// and the used-core total, in that order.
 ///
 /// Zone-cooling temperatures are deliberately *excluded*: they are
 /// derived, observational state (a deterministic function of the power
@@ -43,17 +45,17 @@ use vmt_workload::Job;
 /// power — and would break replay of traces recorded before zones
 /// existed. Zone state is pinned separately by the snapshot round-trip
 /// tests.
-pub fn digest_index(index: &ClusterIndex) -> u64 {
+pub fn digest_index(farm: &ServerFarm, index: &ClusterIndex) -> u64 {
     let mut h = StateHasher::new();
     h.write_u64(index.len() as u64);
-    for &v in index.air_c() {
+    for &v in farm.air_at_wax_lane() {
         h.write_f64(v);
     }
     for &v in index.reported_melt() {
         h.write_f64(v);
     }
-    for &v in index.free_cores() {
-        h.write_u64(u64::from(v));
+    for &used in farm.used_cores_lane() {
+        h.write_u64(u64::from(farm.cores() - used));
     }
     h.write_u64(index.used_cores_total());
     h.finish()
@@ -170,7 +172,7 @@ impl Scheduler for RecordingScheduler {
     }
 
     fn on_tick_indexed(&mut self, farm: &ServerFarm, index: &ClusterIndex, now: Seconds) {
-        let digest = digest_index(index);
+        let digest = digest_index(farm, index);
         self.log
             .0
             .lock()
@@ -314,11 +316,11 @@ impl Scheduler for ReplayScheduler {
         unreachable!("engine drives place_indexed");
     }
 
-    fn on_tick_indexed(&mut self, _farm: &ServerFarm, index: &ClusterIndex, _now: Seconds) {
+    fn on_tick_indexed(&mut self, farm: &ServerFarm, index: &ClusterIndex, _now: Seconds) {
         let t = self.current.map(|c| c + 1).unwrap_or(0);
         self.current = Some(t);
         self.cursor = 0;
-        let digest = digest_index(index);
+        let digest = digest_index(farm, index);
         let mut log = self.report.0.lock().expect("replay handle poisoned");
         if let Some(recorded) = self.trace.ticks.get(t) {
             log.ticks_compared += 1;
@@ -331,8 +333,8 @@ impl Scheduler for ReplayScheduler {
     fn place_indexed(
         &mut self,
         _job: &Job,
-        _farm: &ServerFarm,
-        index: &ClusterIndex,
+        farm: &ServerFarm,
+        _index: &ClusterIndex,
     ) -> Option<ServerId> {
         let decision = self
             .current
@@ -344,9 +346,7 @@ impl Scheduler for ReplayScheduler {
             // one) means the trace is corrupt or incomplete; drop the
             // job and let the digest comparison surface the divergence
             // rather than panic the engine.
-            Some(d)
-                if d >= 0 && (d as usize) < index.len() && index.free_cores()[d as usize] > 0 =>
-            {
+            Some(d) if d >= 0 && (d as usize) < farm.len() && farm.free_cores(d as usize) > 0 => {
                 Some(ServerId(d as usize))
             }
             Some(d) if d >= 0 => {

@@ -113,20 +113,24 @@ pub trait Scheduler: SnapshotState {
 
     /// Index-aware variant of [`Scheduler::on_tick`].
     ///
-    /// The engine maintains a [`ClusterIndex`] — flat per-server
-    /// temperature, melt, and core-count arrays updated incrementally as
-    /// jobs start/end and physics ticks — and calls this instead of
-    /// `on_tick`. Policies that can exploit the index (O(1) cluster
-    /// utilization, cache-friendly flag scans) override it; the default
-    /// ignores the index and delegates, so legacy policies and direct
-    /// test harnesses keep working unchanged.
+    /// The engine keeps a [`ClusterIndex`] beside the farm — every
+    /// server's reported melt as one lane and the cluster's occupancy
+    /// totals — and calls this instead of `on_tick`. The default ignores
+    /// the index and delegates. VMT-WA overrides it to take the cluster
+    /// utilization from the index's O(1) total rather than summing the
+    /// farm; the record and replay wrappers, to digest the state each
+    /// tick starts from.
     fn on_tick_indexed(&mut self, farm: &ServerFarm, index: &ClusterIndex, now: Seconds) {
         let _ = index;
         self.on_tick(farm, now);
     }
 
     /// Index-aware variant of [`Scheduler::place`]; see
-    /// [`Scheduler::on_tick_indexed`]. The default delegates to `place`.
+    /// [`Scheduler::on_tick_indexed`]. The default delegates to `place`,
+    /// and the built-in policies keep it: everything they read per
+    /// placement (free cores, power, inlet) lives in the farm. The
+    /// record and replay wrappers override it to log and to replay
+    /// decisions.
     fn place_indexed(
         &mut self,
         job: &Job,
@@ -138,18 +142,21 @@ pub trait Scheduler: SnapshotState {
     }
 
     /// Places a batch of arrivals in order: every placed job is
-    /// started on the farm and recorded in the index before the next
-    /// decision, and each job's outcome is pushed onto `out`.
+    /// started on the farm before the next decision, and each job's
+    /// outcome is pushed onto `out`. The index is not written here: its
+    /// reports change only in the physics sweep, and the engine adds the
+    /// call's placed jobs to its used total after the call returns
+    /// ([`ClusterIndex::record_starts`]).
     ///
     /// The default runs exactly the per-job sequence the engine used
     /// to run inline (the VMT policies override it to place their two
     /// groups as two streams, `CoolestFirst` to add prefetching), so
-    /// the policy observes identical farm/index state before every decision
+    /// the policy observes identical farm state before every decision
     /// and the outcomes (hence results, counters, and replay digests)
     /// are bit-identical to per-job placement. Batching exists to
     /// devirtualize the hot loop: the engine pays one dynamic dispatch
     /// per call instead of one per job, and each policy's monomorphized
-    /// body can inline its own `place_indexed`.
+    /// body can inline its own `place`.
     ///
     /// The engine may split one tick's arrivals across several calls
     /// (it places them in bounded chunks), so an override must keep the
@@ -166,7 +173,6 @@ pub trait Scheduler: SnapshotState {
             let placed = self.place_indexed(job, farm, index);
             if let Some(sid) = placed {
                 farm.start_job(sid.0, job);
-                index.record_start(sid.0);
             }
             out.push(placed);
         }

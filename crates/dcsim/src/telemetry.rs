@@ -183,7 +183,6 @@ pub(crate) struct EngineTelemetry {
     pub(crate) tracer: Option<Tracer>,
     /// Scheduler spill total as of the previous tick (for deltas).
     last_spills: u64,
-    cores_per_server: u32,
     ticks: Counter,
     placements: Counter,
     dropped: Counter,
@@ -304,7 +303,6 @@ impl EngineTelemetry {
     pub(crate) fn new(
         mut config: TelemetryConfig,
         num_servers: usize,
-        cores_per_server: u32,
         total_ticks: u64,
         zones: Option<&ZoneCooling>,
     ) -> Self {
@@ -380,7 +378,6 @@ impl EngineTelemetry {
             watchdogs,
             tracer,
             last_spills: 0,
-            cores_per_server,
             ticks,
             placements,
             dropped,
@@ -492,7 +489,8 @@ impl EngineTelemetry {
     }
 
     /// The engine's per-tick record step, called after physics with the
-    /// index freshly updated. `tick` is 1-based (the tick just ran).
+    /// farm and the index's reported melt freshly updated. `tick` is
+    /// 1-based (the tick just ran).
     /// `cooling_w` is the tick's cooling load; `zones` is the freshly
     /// stepped zone model on zoned runs.
     #[allow(clippy::too_many_arguments)]
@@ -500,6 +498,7 @@ impl EngineTelemetry {
         &mut self,
         tick: u64,
         sim_hours: f64,
+        farm: &ServerFarm,
         index: &ClusterIndex,
         mean_air_c: f64,
         hot_size: Option<usize>,
@@ -521,7 +520,7 @@ impl EngineTelemetry {
         // Threshold scan over the estimator-reported melt fractions —
         // the same signal the paper's schedulers act on.
         let melt = index.reported_melt();
-        let air = index.air_c();
+        let air = farm.air_at_wax_lane();
         for (i, was) in self.melted.iter_mut().enumerate() {
             let Some(direction) =
                 vmt_pcm::classify_melt_transition(*was, melt[i], MELT_EVENT_THRESHOLD)
@@ -652,10 +651,9 @@ impl EngineTelemetry {
         if let Some(watchdogs) = self.watchdogs.as_mut() {
             let state = TickState {
                 tick,
-                air_c: index.air_c(),
-                reported_melt: index.reported_melt(),
-                free_cores: index.free_cores(),
-                cores_per_server: self.cores_per_server,
+                air_c: air,
+                reported_melt: melt,
+                used_cores: farm.used_cores_lane(),
                 hot_group_size: hot,
                 spills_delta,
             };

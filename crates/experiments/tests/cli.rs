@@ -312,6 +312,22 @@ fn run_observability_usage_errors() {
     assert_usage_error(&["run", "--dashboard", "ten"], "unparseable value `ten`");
 }
 
+/// A series capacity far beyond the run reserves nothing up front: the
+/// rings grow with the samples.
+#[test]
+fn run_with_a_huge_series_capacity_exits_clean() {
+    let out = run(&[
+        "run",
+        "--servers",
+        "10",
+        "--hours",
+        "0.1",
+        "--series",
+        "100000000000",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+}
+
 /// The full observability surface on one small zoned run: series,
 /// dashboard (degrading to plain lines on a pipe), and a bound metrics
 /// endpoint all come up and the run exits clean.

@@ -51,12 +51,14 @@ struct SeriesInner {
 
 impl Series {
     /// Creates an empty series retaining at most `capacity` samples
-    /// (clamped to at least 2).
+    /// (clamped to at least 2). Nothing is reserved up front: the ring
+    /// grows as samples arrive, so a capacity beyond the run's length
+    /// costs no memory.
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(2);
         Series {
             inner: Mutex::new(SeriesInner {
-                values: Vec::with_capacity(capacity),
+                values: Vec::new(),
                 head: 0,
                 capacity,
                 last_tick: 0,
@@ -70,7 +72,13 @@ impl Series {
     /// retained so readers can anchor the window on the time axis.
     pub fn push(&self, tick: u64, value: f64) {
         let mut inner = self.inner.lock().expect("series poisoned");
-        if inner.values.len() < inner.capacity {
+        let len = inner.values.len();
+        if len < inner.capacity {
+            if len == inner.values.capacity() {
+                // Double, as `Vec` would, but never past the capacity.
+                let grow = len.max(8).min(inner.capacity - len);
+                inner.values.reserve_exact(grow);
+            }
             inner.values.push(value);
         } else {
             let head = inner.head;
@@ -209,6 +217,20 @@ mod tests {
         assert_eq!(snap.last_tick, 6);
         assert_eq!(snap.first_tick(), 3);
         assert_eq!(snap.last_value(), Some(60.0));
+    }
+
+    #[test]
+    fn ring_grows_on_push_never_past_capacity() {
+        let huge = Series::with_capacity(100_000_000_000);
+        huge.push(1, 1.0);
+        assert!(huge.inner.lock().unwrap().values.capacity() < 100);
+        let s = Series::with_capacity(20);
+        for tick in 1..=50 {
+            s.push(tick, tick as f64);
+            assert!(s.inner.lock().unwrap().values.capacity() <= 20);
+        }
+        let want: Vec<f64> = (31..=50).map(|t| t as f64).collect();
+        assert_eq!(s.snapshot().values, want);
     }
 
     #[test]

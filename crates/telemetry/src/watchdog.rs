@@ -138,10 +138,8 @@ pub struct TickState<'a> {
     pub air_c: &'a [f64],
     /// Per-server estimator-reported melt fraction.
     pub reported_melt: &'a [f64],
-    /// Per-server free cores.
-    pub free_cores: &'a [u32],
-    /// Cores per server (homogeneous cluster).
-    pub cores_per_server: u32,
+    /// Per-server occupied cores.
+    pub used_cores: &'a [u32],
     /// Current hot-group size, if the policy keeps one.
     pub hot_group_size: Option<u64>,
     /// Scheduler spills recorded this tick.
@@ -285,7 +283,7 @@ impl WatchdogSet {
                     let hot = state.hot_group_size.unwrap_or(0) as usize;
                     for i in 0..state.reported_melt.len().min(last_melt.len()) {
                         let melt = state.reported_melt[i];
-                        let loaded = state.free_cores[i] < state.cores_per_server;
+                        let loaded = state.used_cores[i] > 0;
                         let mid_transition = melt > 0.0 && melt < 1.0;
                         let in_hot = i < hot;
                         let unchanged = melt == last_melt[i];
@@ -406,7 +404,7 @@ mod tests {
         tick: u64,
         air: &'a [f64],
         melt: &'a [f64],
-        free: &'a [u32],
+        used: &'a [u32],
         hot: Option<u64>,
         spills: u64,
     ) -> TickState<'a> {
@@ -414,8 +412,7 @@ mod tests {
             tick,
             air_c: air,
             reported_melt: melt,
-            free_cores: free,
-            cores_per_server: 32,
+            used_cores: used,
             hot_group_size: hot,
             spills_delta: spills,
         }
@@ -426,28 +423,28 @@ mod tests {
         let mut set =
             WatchdogSet::new(vec![WatchdogSpec::ThermalViolation { red_line_c: 45.0 }], 2);
         let melt = [0.5, 0.5];
-        let free = [0, 0];
+        let used = [32, 32];
         let hot = Some(2);
         // Below red-line: quiet.
         assert!(set
-            .observe(&state(1, &[40.0, 41.0], &melt, &free, hot, 0))
+            .observe(&state(1, &[40.0, 41.0], &melt, &used, hot, 0))
             .is_empty());
         // Crossing fires once, names the hottest server.
-        let fired = set.observe(&state(2, &[46.0, 47.5], &melt, &free, hot, 0));
+        let fired = set.observe(&state(2, &[46.0, 47.5], &melt, &used, hot, 0));
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].watchdog, WatchdogKind::ThermalViolation);
         assert_eq!(fired[0].server, Some(1));
         assert!((fired[0].value - 47.5).abs() < 1e-12);
         // Still above: latched, no repeat.
         assert!(set
-            .observe(&state(3, &[48.0, 48.0], &melt, &free, hot, 0))
+            .observe(&state(3, &[48.0, 48.0], &melt, &used, hot, 0))
             .is_empty());
         // Clears, then a new excursion fires again.
         assert!(set
-            .observe(&state(4, &[40.0, 40.0], &melt, &free, hot, 0))
+            .observe(&state(4, &[40.0, 40.0], &melt, &used, hot, 0))
             .is_empty());
         assert_eq!(
-            set.observe(&state(5, &[46.0, 40.0], &melt, &free, hot, 0))
+            set.observe(&state(5, &[46.0, 40.0], &melt, &used, hot, 0))
                 .len(),
             1
         );
@@ -464,29 +461,29 @@ mod tests {
             1,
         );
         let air = [38.0];
-        let free = [10]; // loaded (free < cores)
+        let used = [22]; // loaded
         let melt = [0.4];
         // First observation sets the baseline; then three unchanged ticks.
         assert!(set
-            .observe(&state(1, &air, &melt, &free, Some(1), 0))
+            .observe(&state(1, &air, &melt, &used, Some(1), 0))
             .is_empty());
         assert!(set
-            .observe(&state(2, &air, &melt, &free, Some(1), 0))
+            .observe(&state(2, &air, &melt, &used, Some(1), 0))
             .is_empty());
         assert!(set
-            .observe(&state(3, &air, &melt, &free, Some(1), 0))
+            .observe(&state(3, &air, &melt, &used, Some(1), 0))
             .is_empty());
-        let fired = set.observe(&state(4, &air, &melt, &free, Some(1), 0));
+        let fired = set.observe(&state(4, &air, &melt, &used, Some(1), 0));
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].watchdog, WatchdogKind::WaxStall);
         // Latched: no refire while still stalled.
         assert!(set
-            .observe(&state(5, &air, &melt, &free, Some(1), 0))
+            .observe(&state(5, &air, &melt, &used, Some(1), 0))
             .is_empty());
         // Melt moves: stall clears.
         let moved = [0.41];
         assert!(set
-            .observe(&state(6, &air, &moved, &free, Some(1), 0))
+            .observe(&state(6, &air, &moved, &used, Some(1), 0))
             .is_empty());
     }
 
@@ -503,10 +500,10 @@ mod tests {
         // Server 0 fully melted, server 1 idle, server 2 outside the hot
         // group — none may fire.
         let melt = [1.0, 0.5, 0.5];
-        let free = [0, 32, 0];
+        let used = [32, 0, 32];
         for tick in 1..10 {
             assert!(set
-                .observe(&state(tick, &air, &melt, &free, Some(2), 0))
+                .observe(&state(tick, &air, &melt, &used, Some(2), 0))
                 .is_empty());
         }
     }
@@ -522,21 +519,21 @@ mod tests {
         );
         let air = [30.0];
         let melt = [0.0];
-        let free = [32];
+        let used = [0];
         assert!(set
-            .observe(&state(1, &air, &melt, &free, None, 5))
+            .observe(&state(1, &air, &melt, &used, None, 5))
             .is_empty());
         assert!(set
-            .observe(&state(2, &air, &melt, &free, None, 5))
+            .observe(&state(2, &air, &melt, &used, None, 5))
             .is_empty());
         // Window sum hits 11 > 10.
-        let fired = set.observe(&state(3, &air, &melt, &free, None, 1));
+        let fired = set.observe(&state(3, &air, &melt, &used, None, 1));
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].value, 11.0);
         // Cooldown suppresses immediate refire even though the sum stays
         // high.
         assert!(set
-            .observe(&state(4, &air, &melt, &free, None, 5))
+            .observe(&state(4, &air, &melt, &used, None, 5))
             .is_empty());
     }
 
@@ -551,12 +548,12 @@ mod tests {
         );
         let air = [30.0];
         let melt = [0.0];
-        let free = [32];
+        let used = [0];
         // Oscillate 10 <-> 11 every tick; third resize fires.
         let sizes = [10u64, 11, 10, 11, 10];
         let mut fired_at = None;
         for (i, &s) in sizes.iter().enumerate() {
-            let fired = set.observe(&state(i as u64 + 1, &air, &melt, &free, Some(s), 0));
+            let fired = set.observe(&state(i as u64 + 1, &air, &melt, &used, Some(s), 0));
             if !fired.is_empty() && fired_at.is_none() {
                 fired_at = Some(i as u64 + 1);
                 assert_eq!(fired[0].watchdog, WatchdogKind::GroupThrash);

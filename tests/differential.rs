@@ -111,6 +111,29 @@ fn vmt_wa_matches_naive_reference() {
     }
 }
 
+/// The `oracle_wax_state` ablation: the index reports the physical melt
+/// fraction instead of the estimator's. The fast path still equals the
+/// reference, and in builds with debug assertions the engine's ledger
+/// checks the oracle report against the farm after every departure and
+/// placement phase.
+#[test]
+fn vmt_wa_matches_naive_reference_under_oracle_wax_state() {
+    let seed = SEEDS[0];
+    let (mut cluster, trace) = one_day_config(seed);
+    cluster.oracle_wax_state = true;
+    let config = VmtConfig::new(GroupingValue::new(22.0), &cluster);
+    let run = |scheduler: Box<dyn Scheduler>| {
+        Simulation::new(cluster.clone(), DiurnalTrace::new(trace.clone()), scheduler).run()
+    };
+    let fast = run(Box::new(VmtWa::new(config)));
+    let naive = run(Box::new(NaiveVmtWa::new(config)));
+    assert_identical(&fast, &naive, "vmt-wa oracle");
+    assert!(
+        fast.melt_heatmap.rows.iter().flatten().any(|&m| m > 0.0),
+        "the oracle run melts wax"
+    );
+}
+
 /// Determinism across the parallel physics tick: the sharded sweep folds
 /// per-shard partials in shard order, so every thread count must
 /// reproduce the single-threaded run bit for bit — same cooling samples,
@@ -345,6 +368,8 @@ mod batched_placement {
                 let mut outcomes_a = Vec::new();
                 sched_a.place_batch(&jobs, &mut farm_a, &mut index_a, &mut outcomes_a);
                 prop_assert_eq!(outcomes_a.len(), jobs.len());
+                // The engine's bookkeeping after the call.
+                index_a.record_starts(outcomes_a.iter().flatten().count() as u64);
 
                 // Sequential path: one decision at a time, with the farm
                 // and index refreshed between decisions exactly as the
@@ -359,7 +384,7 @@ mod batched_placement {
                     if let Some(sid) = placed {
                         farm_b.start_job(sid.0, job);
                         // A from-scratch rebuild equals the engine's
-                        // incremental `record_start` bookkeeping.
+                        // incremental `record_starts` bookkeeping.
                         index_b = ClusterIndex::new(&farm_b);
                     }
                     outcomes_b.push(placed);
@@ -368,7 +393,10 @@ mod batched_placement {
                 // (message-less asserts: the vendored proptest macros
                 // take exactly two arguments)
                 prop_assert_eq!(&outcomes_a, &outcomes_b);
-                prop_assert_eq!(digest_index(&index_a), digest_index(&index_b));
+                prop_assert_eq!(
+                    digest_index(&farm_a, &index_a),
+                    digest_index(&farm_b, &index_b)
+                );
                 for i in 0..servers {
                     prop_assert_eq!(farm_a.free_cores(i), farm_b.free_cores(i));
                     prop_assert_eq!(farm_a.power(i), farm_b.power(i));
@@ -451,17 +479,19 @@ mod batched_placement {
         });
         for call in bounds.windows(2) {
             let chunk = &jobs[call[0]..call[1]];
+            let before = outcomes.len();
             match probe.as_mut() {
                 Some(probe) => {
                     sched.place_batch_traced(chunk, &mut farm, &mut index, &mut outcomes, probe)
                 }
                 None => sched.place_batch(chunk, &mut farm, &mut index, &mut outcomes),
             }
+            index.record_starts(outcomes[before..].iter().flatten().count() as u64);
         }
         Placed {
             outcomes,
             counters: sched.counters(),
-            index_digest: digest_index(&index),
+            index_digest: digest_index(&farm, &index),
             farm: farm.state(),
             decisions: probe.map(|p| p.seen).unwrap_or_default(),
         }
@@ -521,9 +551,10 @@ mod batched_placement {
 
             for policy in every_policy() {
                 let stop = {
-                    let (_, index, sched) = refreshed(&policy, &cluster);
+                    let (farm, _, sched) = refreshed(&policy, &cluster);
                     let edge = sched.hot_group_size().unwrap_or(0);
-                    stop_point(&jobs, index.free_cores(), edge)
+                    let free: Vec<u32> = (0..farm.len()).map(|i| farm.free_cores(i)).collect();
+                    stop_point(&jobs, &free, edge)
                 };
                 let mut cuts = vec![0, 1, stop.saturating_sub(1), stop, stop + 1, batch_len];
                 cuts.extend(drawn);
