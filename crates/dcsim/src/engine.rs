@@ -1,13 +1,14 @@
 //! The simulation main loop.
 
 use crate::config::ClusterConfig;
-use crate::farm::{FarmState, ServerFarm, SweepTiming};
+use crate::farm::{ServerFarm, SweepTiming};
 use crate::index::ClusterIndex;
 use crate::metrics::{Heatmap, SimulationResult};
+use crate::plan::plan_memory;
 use crate::radix::sort_by_high_word;
 use crate::scheduler::{DecisionDetail, PlacementProbe, Scheduler};
 use crate::server::ServerId;
-use crate::snapshot::{Departures, JobIds, Snapshot, SnapshotError};
+use crate::snapshot::{Snapshot, SnapshotError};
 use crate::telemetry::{EngineTelemetry, PhaseClock};
 use crate::topology::ZoneCooling;
 use rand::{Rng, SeedableRng};
@@ -329,9 +330,13 @@ impl Simulation {
             return;
         }
         let ticks = match Self::check_horizon(&self.config, self.trace.horizon()) {
-            Ok(ticks) => ticks as usize,
+            Ok(ticks) => ticks,
             Err(err) => panic!("{err}"),
         };
+        if let Err(err) = plan_memory(&self.config, ticks, self.telemetry.as_ref()) {
+            panic!("{err}");
+        }
+        let ticks = ticks as usize;
         let dt = self.config.tick;
         let num_servers = self.farm.len();
         let heatmap_rows = ticks.div_ceil(self.config.heatmap_stride.max(1));
@@ -378,7 +383,9 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if the horizon spans more than [`Simulation::MAX_TICKS`]
-    /// ticks ([`Simulation::check_horizon`]).
+    /// ticks ([`Simulation::check_horizon`]), or if the run would
+    /// preallocate more than [`MEMORY_CEILING`](crate::MEMORY_CEILING)
+    /// ([`plan_memory`]).
     pub fn step(&mut self) -> bool {
         self.start_run();
         let mut run = self.run.take().expect("start_run just installed the run");
@@ -606,86 +613,19 @@ impl Simulation {
         for (slot, &used) in occupancy.iter_mut().zip(&self.occupancy) {
             *slot = used as u64;
         }
-        let departures = self.pending_departures();
         Ok(Snapshot {
             config: self.config.clone(),
             trace,
             scheduler,
             tick: self.current_tick(),
-            farm: self.farm.state(),
+            farm: self.farm.state_within(self.total_ticks()),
             occupancy,
-            departures,
             next_job_id: self.next_job_id,
             arrival_rng: self.arrival_rng.state(),
             planner_rng: self.planner.rng_state(),
             partial: self.partial_result(),
             zone_temps: self.zones.as_ref().map(|z| z.temperatures().to_vec()),
         })
-    }
-
-    /// The departures still to come, derived from the job table's due
-    /// ticks in linear time: a counting pass sizes one bucket per due
-    /// tick in `[current tick, horizon)`, a second pass drops each job
-    /// into its bucket, and a radix sort puts every bucket in id order —
-    /// the order the sweep retires a server's jobs in. Ids grow with
-    /// placement order, so this is also the order the jobs were booked
-    /// in, which is what the snapshot format has always stored.
-    fn pending_departures(&self) -> Departures {
-        let from = self.current_tick();
-        let horizon = self.total_ticks();
-        let offset = |due: u32| {
-            let due = u64::from(due);
-            (from..horizon)
-                .contains(&due)
-                .then(|| (due - from) as usize)
-        };
-        let mut lens: Vec<u32> = Vec::new();
-        self.farm.for_each_job(|_, _, due| {
-            if let Some(off) = offset(due) {
-                if off >= lens.len() {
-                    lens.resize(off + 1, 0);
-                }
-                lens[off] += 1;
-            }
-        });
-        let mut next: Vec<usize> = Vec::with_capacity(lens.len());
-        let mut total = 0;
-        for &len in &lens {
-            next.push(total);
-            total += len as usize;
-        }
-        // `(id − id base) << 32 | server`, bucket after bucket.
-        let mut words = vec![0u64; total];
-        self.farm.for_each_job(|server, delta, due| {
-            if let Some(off) = offset(due) {
-                words[next[off]] = u64::from(delta) << 32 | server as u64;
-                next[off] += 1;
-            }
-        });
-        let mut scratch = Vec::new();
-        let mut start = 0;
-        for &len in &lens {
-            let end = start + len as usize;
-            sort_by_high_word(&mut words[start..end], &mut scratch);
-            start = end;
-        }
-        let low = words.iter().map(|&w| (w >> 32) as u32).min().unwrap_or(0);
-        Departures {
-            ticks: (0..lens.len() as u64)
-                .filter(|&off| lens[off as usize] > 0)
-                .map(|off| from + off)
-                .collect(),
-            lens: lens.into_iter().filter(|&len| len > 0).collect(),
-            jobs: JobIds {
-                base: if words.is_empty() {
-                    0
-                } else {
-                    self.farm.id_base() + u64::from(low)
-                },
-                deltas: words.iter().map(|&w| (w >> 32) as u32 - low).collect(),
-            },
-            servers: words.iter().map(|&w| w as u32).collect(),
-        }
     }
 
     /// The result accumulated so far, with heatmaps truncated to the
@@ -751,9 +691,12 @@ impl Simulation {
     /// [`SnapshotError::Corrupt`] when the snapshot's arrays disagree
     /// with its own config (shape mismatches, out-of-range ticks,
     /// occupancy that does not match the farm, a hot group larger than
-    /// the farm, departures the farm cannot retire or a bucket whose
-    /// job ids do not strictly ascend), or [`SnapshotError::Horizon`]
-    /// when the trace horizon is longer than [`Simulation::MAX_TICKS`].
+    /// the farm, a job due before the snapshot tick or past the horizon
+    /// without being due never), [`SnapshotError::Horizon`] when the
+    /// trace horizon is longer than [`Simulation::MAX_TICKS`], or
+    /// [`SnapshotError::TooLarge`] when the run would preallocate more
+    /// than [`MEMORY_CEILING`](crate::MEMORY_CEILING) — checked before
+    /// anything sized by the run is allocated.
     pub fn restore_with(
         snapshot: &Snapshot,
         mut scheduler: Box<dyn Scheduler>,
@@ -776,7 +719,12 @@ impl Simulation {
                 ));
             }
         }
-        let mut sim = Simulation::new(snapshot.config.clone(), snapshot.trace.build(), scheduler);
+        let trace = snapshot.trace.build();
+        let ticks = Self::check_horizon(&snapshot.config, trace.horizon())
+            .map_err(SnapshotError::Horizon)?;
+        plan_memory(&snapshot.config, ticks, None).map_err(SnapshotError::TooLarge)?;
+        let ticks = ticks as usize;
+        let mut sim = Simulation::new(snapshot.config.clone(), trace, scheduler);
         // A snapshot with no saved zone temperatures is either a
         // zoneless run or one written before zones existed — fresh
         // integrators at the setpoint are the defined meaning of both.
@@ -798,16 +746,32 @@ impl Simulation {
                 )));
             }
         }
-        let ticks = Self::check_horizon(&sim.config, sim.trace.horizon())
-            .map_err(SnapshotError::Horizon)? as usize;
-        sim.farm.apply_state(&snapshot.farm)?;
-        sim.index = ClusterIndex::new(&sim.farm);
         if snapshot.tick > ticks as u64 {
             return Err(SnapshotError::Corrupt(format!(
                 "snapshot taken at tick {} but the trace horizon is {ticks} ticks",
                 snapshot.tick
             )));
         }
+        // A job due before the snapshot tick should have departed, and
+        // one due at or past the horizon is written due never.
+        let reachable = snapshot.tick..ticks as u64;
+        if let Some(&due) = snapshot
+            .farm
+            .job_due
+            .iter()
+            .find(|&&due| due != Job::NEVER_DUE && !reachable.contains(&u64::from(due)))
+        {
+            return Err(SnapshotError::Corrupt(if u64::from(due) < snapshot.tick {
+                format!(
+                    "a job due at tick {due} precedes the snapshot tick {}",
+                    snapshot.tick
+                )
+            } else {
+                format!("a job due at tick {due} is beyond the {ticks}-tick horizon")
+            }));
+        }
+        sim.farm.apply_state(&snapshot.farm)?;
+        sim.index = ClusterIndex::new(&sim.farm);
         let tick = snapshot.tick as usize;
         // Each departure decrements its kind's occupancy, so every kind
         // must count exactly the running jobs of that kind.
@@ -824,27 +788,6 @@ impl Simulation {
         for (slot, &used) in sim.occupancy.iter_mut().zip(&running) {
             *slot = used as usize;
         }
-        let departures = &snapshot.departures;
-        let mut next_free = snapshot.tick;
-        for &when in &departures.ticks {
-            if when >= ticks as u64 {
-                return Err(SnapshotError::Corrupt(format!(
-                    "departure bucket at tick {when} beyond the {ticks}-tick horizon"
-                )));
-            }
-            // Buckets before the snapshot tick have drained already, and
-            // each tick owns at most one bucket.
-            if when < next_free {
-                return Err(SnapshotError::Corrupt(format!(
-                    "departure bucket at tick {when} is out of order or precedes tick {}",
-                    snapshot.tick
-                )));
-            }
-            next_free = when + 1;
-        }
-        let due = join_departures(&snapshot.farm, departures)?;
-        check_bucket_order(departures)?;
-        sim.farm.set_due_ticks(&due);
         sim.next_job_id = snapshot.next_job_id;
         sim.arrival_rng = rand::rngs::SmallRng::from_state(snapshot.arrival_rng);
         sim.planner.set_rng_state(snapshot.planner_rng);
@@ -1268,115 +1211,6 @@ impl std::fmt::Display for HorizonTooLong {
 }
 
 impl std::error::Error for HorizonTooLong {}
-
-/// Joins a snapshot's departures with its farm image server by server
-/// and returns each running job's due tick, in the image's job order
-/// ([`Job::NEVER_DUE`] for jobs with no departure). Rejects departures
-/// that name a job its server does not run, or let a job depart twice —
-/// either would retire the wrong job or none. Jobs that outlive the
-/// horizon have no entry, so a server may run more jobs than depart
-/// from it. Bucket ticks must already be checked to lie in the horizon.
-///
-/// A sequential join: a counting sort groups the entries by server, then
-/// one pass over the farm image merges each server's sorted group into
-/// its sorted live row (at most `cores` entries).
-fn join_departures(farm: &FarmState, departures: &Departures) -> Result<Vec<u32>, SnapshotError> {
-    let servers = farm.job_counts.len();
-    let not_running = |id: u64, server: usize| {
-        SnapshotError::Corrupt(format!(
-            "departure names {}, which {} does not run",
-            JobId(id),
-            ServerId(server)
-        ))
-    };
-    let mut start = vec![0u32; servers + 1];
-    for &server in &departures.servers {
-        start[server as usize + 1] += 1;
-    }
-    for i in 0..servers {
-        start[i + 1] += start[i];
-    }
-    // Grouped ids are deltas against the live rows' base; an id outside
-    // that window is no running job at all. Each carries its bucket's
-    // tick.
-    let base = farm.job_ids.base;
-    let entry_ticks = departures
-        .ticks
-        .iter()
-        .zip(&departures.lens)
-        .flat_map(|(&when, &len)| std::iter::repeat_n(when as u32, len as usize));
-    let mut grouped = vec![(0u32, 0u32); departures.servers.len()];
-    let mut cursor = start[..servers].to_vec();
-    for ((id, &server), when) in departures
-        .jobs
-        .iter()
-        .zip(&departures.servers)
-        .zip(entry_ticks)
-    {
-        let server = server as usize;
-        let delta = id
-            .checked_sub(base)
-            .and_then(|d| u32::try_from(d).ok())
-            .ok_or_else(|| not_running(id, server))?;
-        grouped[cursor[server] as usize] = (delta, when);
-        cursor[server] += 1;
-    }
-    let mut due = vec![Job::NEVER_DUE; farm.job_ids.deltas.len()];
-    let mut row_start = 0;
-    let mut live = Vec::new();
-    for server in 0..servers {
-        let row = &farm.job_ids.deltas[row_start..row_start + farm.job_counts[server] as usize];
-        let leaving = &mut grouped[start[server] as usize..start[server + 1] as usize];
-        if !leaving.is_empty() {
-            live.clear();
-            live.extend(row.iter().enumerate().map(|(pos, &delta)| (delta, pos)));
-            live.sort_unstable();
-            leaving.sort_unstable();
-            let mut next = 0;
-            for &(delta, when) in leaving.iter() {
-                while next < live.len() && live[next].0 < delta {
-                    next += 1;
-                }
-                if next == live.len() || live[next].0 != delta {
-                    let id = base + u64::from(delta);
-                    return Err(if row.contains(&delta) {
-                        SnapshotError::Corrupt(format!(
-                            "{} departs {} twice",
-                            JobId(id),
-                            ServerId(server)
-                        ))
-                    } else {
-                        not_running(id, server)
-                    });
-                }
-                due[row_start + live[next].1] = when;
-                next += 1;
-            }
-        }
-        row_start += row.len();
-    }
-    Ok(due)
-}
-
-/// Rejects a departure bucket whose job ids do not strictly ascend. The
-/// sweep retires each server's due jobs in id order, so a bucket in any
-/// other order would not replay the run it was taken from.
-fn check_bucket_order(departures: &Departures) -> Result<(), SnapshotError> {
-    let mut entries = departures.jobs.deltas.as_slice();
-    for (&when, &len) in departures.ticks.iter().zip(&departures.lens) {
-        let (bucket, rest) = entries.split_at(len as usize);
-        entries = rest;
-        if let Some(pair) = bucket.windows(2).find(|pair| pair[0] >= pair[1]) {
-            let base = departures.jobs.base;
-            return Err(SnapshotError::Corrupt(format!(
-                "departure bucket at tick {when} lists {} after {}; job ids must ascend",
-                JobId(base + u64::from(pair[1])),
-                JobId(base + u64::from(pair[0]))
-            )));
-        }
-    }
-    Ok(())
-}
 
 #[cfg(test)]
 mod tests {

@@ -250,7 +250,8 @@ fn remove_at(
 }
 
 /// Ends every job of one server whose due tick is `tick`, in ascending
-/// id order — the order a snapshot's departure bucket lists them in —
+/// id order — the order a v1 or v2 snapshot's departure bucket lists
+/// them in —
 /// so the row order and the power lane end exactly as a sequence of
 /// [`ServerFarm::end_job`] calls in that order leaves them. `ended`
 /// receives each retired job's id delta and workload index byte, in
@@ -516,7 +517,8 @@ impl FarmWax {
 /// Jobs are held live-only and server-major, exactly as the snapshot
 /// container stores them: server `i`'s jobs, in table order, are the
 /// `job_counts[i]` entries that follow the first
-/// `job_counts[..i].iter().sum()` entries of `job_ids` and `job_kinds`.
+/// `job_counts[..i].iter().sum()` entries of `job_ids`, `job_kinds` and
+/// `job_due`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FarmState {
     /// Per-server inlet temperature (°C).
@@ -537,13 +539,16 @@ pub struct FarmState {
     pub job_ids: JobIds,
     /// Workload index byte of each running job, parallel to `job_ids`.
     pub job_kinds: Vec<u8>,
+    /// The tick each running job departs at, parallel to `job_ids`
+    /// ([`Job::NEVER_DUE`] for jobs that outlive the run).
+    pub job_due: Vec<u32>,
 }
 
 impl FarmState {
     /// Checks the image against a farm of `servers` servers with `cores`
     /// cores each: one value per server in every per-server array, no
-    /// server above its core count, one id and one known workload kind
-    /// per counted job, and ids that fit `u64`.
+    /// server above its core count, one id, one known workload kind and
+    /// one due tick per counted job, and ids that fit `u64`.
     ///
     /// # Errors
     ///
@@ -576,13 +581,12 @@ impl FarmState {
             )));
         }
         let jobs: u64 = self.job_counts.iter().map(|&c| u64::from(c)).sum();
-        if jobs != self.job_ids.deltas.len() as u64
-            || self.job_kinds.len() != self.job_ids.deltas.len()
-        {
+        let ids = self.job_ids.deltas.len();
+        if jobs != ids as u64 || self.job_kinds.len() != ids || self.job_due.len() != ids {
             return Err(corrupt(format!(
-                "job counts sum to {jobs}, the farm holds {} ids and {} kinds",
-                self.job_ids.deltas.len(),
-                self.job_kinds.len()
+                "job counts sum to {jobs}, the farm holds {ids} ids, {} kinds and {} due ticks",
+                self.job_kinds.len(),
+                self.job_due.len()
             )));
         }
         if let Some(&kind) = self
@@ -865,9 +869,19 @@ impl ServerFarm {
     /// order, ids re-anchored at the smallest live id — independent of
     /// how the pooled table arranges them internally.
     pub fn state(&self) -> FarmState {
+        self.state_within(u64::MAX)
+    }
+
+    /// [`ServerFarm::state`] for a run of `horizon` ticks: a due tick at
+    /// or past the horizon, which no tick of the run reaches, is written
+    /// as [`Job::NEVER_DUE`], so the image of a run does not depend on
+    /// how far past its end its jobs would have run.
+    pub(crate) fn state_within(&self, horizon: u64) -> FarmState {
         let live: usize = self.job_counts.iter().map(|&c| c as usize).sum();
+        let last = horizon.min(u64::from(Job::NEVER_DUE)) as u32;
         let mut deltas = Vec::with_capacity(live);
         let mut kinds = Vec::with_capacity(live);
+        let mut due = Vec::with_capacity(live);
         for i in 0..self.len() {
             let pool = &self.pools[i / SHARD];
             let mut page = self.job_heads[i];
@@ -875,7 +889,15 @@ impl ServerFarm {
             while left > 0 {
                 let slot = page as usize * JOB_PAGE;
                 let take = left.min(JOB_PAGE);
-                deltas.extend_from_slice(&pool.pages[page as usize].ids[..take]);
+                let lanes = &pool.pages[page as usize];
+                deltas.extend_from_slice(&lanes.ids[..take]);
+                due.extend(lanes.due[..take].iter().map(|&tick| {
+                    if tick < last {
+                        tick
+                    } else {
+                        Job::NEVER_DUE
+                    }
+                }));
                 kinds.extend_from_slice(&pool.kinds[slot..slot + take]);
                 left -= take;
                 page = pool.next[page as usize];
@@ -902,21 +924,21 @@ impl ServerFarm {
                 deltas,
             },
             job_kinds: kinds,
+            job_due: due,
         }
     }
 
     /// Overwrites the evolving arrays from a [`FarmState`] image taken
-    /// on a farm of the same shape (same server count and core count).
-    /// The image carries no due ticks, so every job it restores is due
-    /// [`Job::NEVER_DUE`]; an engine restore writes the ticks back from
-    /// the snapshot's departures.
+    /// on a farm of the same shape (same server count and core count),
+    /// each job with its due tick. Due ticks are not checked against a
+    /// run here; an engine restore does that.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Corrupt`] when the image does not fit this farm's
-    /// shape (array lengths, counts above the core count, ids and kinds
-    /// that disagree with the counts, unknown kinds); the farm is left
-    /// untouched in that case.
+    /// shape (array lengths, counts above the core count, ids, kinds or
+    /// due ticks that disagree with the counts, unknown kinds); the farm
+    /// is left untouched in that case.
     ///
     /// [`SnapshotError::Corrupt`]: crate::SnapshotError::Corrupt
     pub fn apply_state(&mut self, state: &FarmState) -> Result<(), crate::snapshot::SnapshotError> {
@@ -939,16 +961,21 @@ impl ServerFarm {
         }
         self.job_heads.fill(NO_PAGE);
         self.job_tails.fill(NO_PAGE);
-        let mut jobs = state.job_ids.deltas.iter().zip(&state.job_kinds);
+        let mut jobs = state
+            .job_ids
+            .deltas
+            .iter()
+            .zip(&state.job_due)
+            .zip(&state.job_kinds);
         for i in 0..self.len() {
-            for (j, (&delta, &kind)) in jobs.by_ref().take(state.job_counts[i] as usize).enumerate()
-            {
+            let row = jobs.by_ref().take(state.job_counts[i] as usize);
+            for (j, ((&delta, &due), &kind)) in row.enumerate() {
                 append_job(
                     &mut self.pools[i / SHARD],
                     &mut self.job_heads[i],
                     &mut self.job_tails[i],
                     j,
-                    (delta, Job::NEVER_DUE, kind),
+                    (delta, due, kind),
                 );
             }
         }
@@ -959,7 +986,8 @@ impl ServerFarm {
     /// server by server in table order — the order of
     /// [`FarmState`]'s job columns. Deltas are against
     /// [`ServerFarm::id_base`].
-    pub(crate) fn for_each_job(&self, mut visit: impl FnMut(usize, u32, u32)) {
+    #[cfg(test)]
+    fn for_each_job(&self, mut visit: impl FnMut(usize, u32, u32)) {
         for i in 0..self.len() {
             let pool = &self.pools[i / SHARD];
             let mut page = self.job_heads[i];
@@ -974,30 +1002,6 @@ impl ServerFarm {
                 page = pool.next[page as usize];
             }
         }
-    }
-
-    /// Overwrites every running job's due tick from `due`, one tick per
-    /// job in the order of [`ServerFarm::for_each_job`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `due` does not hold one tick per running job.
-    pub(crate) fn set_due_ticks(&mut self, due: &[u32]) {
-        let mut due = due.iter();
-        for i in 0..self.len() {
-            let pool = &mut self.pools[i / SHARD];
-            let mut page = self.job_heads[i];
-            let mut left = self.job_counts[i] as usize;
-            while left > 0 {
-                let take = left.min(JOB_PAGE);
-                for slot in &mut pool.pages[page as usize].due[..take] {
-                    *slot = *due.next().expect("one due tick per running job");
-                }
-                left -= take;
-                page = pool.next[page as usize];
-            }
-        }
-        assert!(due.next().is_none(), "one due tick per running job");
     }
 
     /// The base the job table's u32 id deltas are stored against.
@@ -2167,6 +2171,13 @@ mod tests {
         );
         let mut restored = ServerFarm::from_config(&ClusterConfig::paper_default(12));
         restored.apply_state(&state).unwrap();
+        assert_eq!(restored.state(), state, "ids, kinds and due ticks");
+        // A run of two ticks reaches due tick 1, never due ticks 2 or 3.
+        assert!(state.job_due.contains(&1) && state.job_due.contains(&3));
+        let within = farm.state_within(2);
+        for (&canonical, &due) in within.job_due.iter().zip(&state.job_due) {
+            assert_eq!(canonical, if due < 2 { due } else { Job::NEVER_DUE });
+        }
         for i in 0..farm.len() {
             assert_eq!(restored.kind_counts(i), farm.kind_counts(i));
             assert_eq!(restored.used_cores(i), farm.used_cores(i));

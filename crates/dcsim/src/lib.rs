@@ -47,6 +47,7 @@ mod engine;
 mod farm;
 mod index;
 mod metrics;
+mod plan;
 mod pool;
 mod radix;
 mod replay;
@@ -64,6 +65,7 @@ pub use farm::{
 };
 pub use index::ClusterIndex;
 pub use metrics::{Heatmap, SimulationResult};
+pub use plan::{plan_memory, TooLarge, MEMORY_CEILING};
 pub use pool::TickPool;
 pub use replay::{
     digest_final_state, digest_index, RecordingScheduler, ReplayHandle, ReplayScheduler,
@@ -72,8 +74,7 @@ pub use replay::{
 pub use scheduler::{DecisionCandidate, DecisionDetail, FirstFit, PlacementProbe, Scheduler};
 pub use server::{Server, ServerId};
 pub use snapshot::{
-    Departures, JobIds, SavedState, Snapshot, SnapshotError, SnapshotState, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    JobIds, SavedState, Snapshot, SnapshotError, SnapshotState, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use topology::{
     PlacementMap, RackId, RackLayout, RackPowerStats, ZoneCooling, ZoneLayout, ZoneSpec,

@@ -2,11 +2,12 @@
 //!
 //! A [`Snapshot`] captures everything that influences the rest of a run —
 //! the cluster configuration, a self-describing trace descriptor, the
-//! scheduler's cross-tick state, every farm state array, the pending
-//! departures, both RNG streams, and the partially accumulated result
-//! series — at a tick boundary. Restoring it yields a simulation whose
-//! remaining ticks are bit-identical to the run it was taken from, at any
-//! thread count; `tests/snapshot.rs` pins that equivalence per tick.
+//! scheduler's cross-tick state, every farm state array (the live jobs
+//! with their due ticks among them), both RNG streams, and the partially
+//! accumulated result series — at a tick boundary. Restoring it yields a
+//! simulation whose remaining ticks are bit-identical to the run it was
+//! taken from, at any thread count; `tests/snapshot.rs` pins that
+//! equivalence per tick.
 //!
 //! Two pieces make the checkpoint self-describing despite the engine
 //! holding its trace and policy as `Box<dyn …>` trait objects:
@@ -20,22 +21,24 @@
 //!   tick refresh before any placement, so only genuinely cross-tick
 //!   fields travel.
 //!
-//! On disk a snapshot is a `VMTSNAP v2` container: the line
-//! `VMTSNAP v2`, a little-endian `u32` block count, then sixteen blocks
+//! On disk a snapshot is a `VMTSNAP v3` container: the line
+//! `VMTSNAP v3`, a little-endian `u32` block count, then thirteen blocks
 //! in a fixed order, each framed as
 //!
 //! ```text
 //! tag: 4 bytes | length: u64 | data: length bytes | digest: u64
 //! ```
 //!
-//! where the digest is FNV-1a over tag, length and data. The first block
-//! is JSON holding the small self-describing parts (config, trace,
-//! scheduler state, RNGs, occupancy, per-tick series, zone
-//! temperatures); every other block is a raw little-endian column sized
-//! by servers or jobs. [`Snapshot::decode`] also reads the JSON
-//! `VMTSNAP v1` containers of earlier builds. Every malformed,
-//! truncated or inconsistent container is a typed [`SnapshotError`],
-//! never a panic.
+//! where the digest folds tag, length and data eight bytes at a time
+//! (`block_digest`). The first block is JSON holding the small
+//! self-describing parts (config, trace, scheduler state, RNGs,
+//! occupancy, per-tick series, zone temperatures); every other block is
+//! a raw little-endian column sized by servers or jobs. Each live job
+//! carries its due tick, so a restore needs no departure calendar.
+//! [`Snapshot::decode`] also reads the `VMTSNAP v2` and JSON
+//! `VMTSNAP v1` containers of earlier builds, whose departure columns it
+//! joins into the due column. Every malformed, truncated or
+//! inconsistent container is a typed [`SnapshotError`], never a panic.
 //!
 //! [`Simulation`]: crate::Simulation
 
@@ -48,19 +51,21 @@ use vmt_thermal::CoolingLoadSeries;
 use vmt_units::{Celsius, Joules, Seconds};
 use vmt_workload::TraceDescriptor;
 
+mod legacy;
+
 /// Magic token opening every snapshot container.
 pub const SNAPSHOT_MAGIC: &str = "VMTSNAP";
 
 /// Container format version written by [`Snapshot::encode`].
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// The first line of every v2 container.
-const V2_HEADER: &[u8] = b"VMTSNAP v2\n";
+/// The first line of every v3 container.
+const HEADER: &[u8] = b"VMTSNAP v3\n";
 
-/// Number of blocks in a v2 container.
-const BLOCK_COUNT: usize = 16;
+/// Number of blocks in a v3 container.
+const BLOCK_COUNT: usize = 13;
 
-/// The v2 block table in container order: each block's tag and the
+/// The v3 block table in container order: each block's tag and the
 /// column it carries.
 const BLOCKS: [(&[u8; 4], &str); BLOCK_COUNT] = [
     (b"META", "metadata"),
@@ -73,13 +78,76 @@ const BLOCKS: [(&[u8; 4], &str); BLOCK_COUNT] = [
     (b"JCNT", "job_counts"),
     (b"JIDS", "job_ids"),
     (b"JKND", "job_kinds"),
-    (b"DTCK", "departure ticks"),
-    (b"DLEN", "departure bucket lengths"),
-    (b"DIDS", "departing job ids"),
-    (b"DSRV", "departure servers"),
+    (b"JDUE", "job_due"),
     (b"HTMP", "temperature heatmap"),
     (b"HMLT", "melt heatmap"),
 ];
+
+/// A v3 block digest: folds the frame (`tag | length | data`) as
+/// little-endian 8-byte words, the last one zero-padded. Each step
+/// `h = (h ^ word)·K; h ^= h >> 29` is a bijection of `h` (an odd
+/// multiplier, then an invertible xorshift) and injective in `word`, so
+/// two frames differing in a single byte always hash differently.
+struct WordHasher {
+    hash: u64,
+    /// The bytes of an unfinished word.
+    tail: [u8; 8],
+    filled: usize,
+}
+
+impl WordHasher {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn new() -> Self {
+        Self {
+            hash: Self::SEED,
+            tail: [0; 8],
+            filled: 0,
+        }
+    }
+
+    #[inline]
+    fn fold(&mut self, word: [u8; 8]) {
+        let h = (self.hash ^ u64::from_le_bytes(word)).wrapping_mul(Self::K);
+        self.hash = h ^ (h >> 29);
+    }
+
+    fn write(&mut self, mut bytes: &[u8]) {
+        if self.filled > 0 {
+            let take = bytes.len().min(8 - self.filled);
+            self.tail[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < 8 {
+                return;
+            }
+            self.fold(self.tail);
+            self.filled = 0;
+        }
+        let (words, rest) = bytes.as_chunks::<8>();
+        for &word in words {
+            self.fold(word);
+        }
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    fn finish(mut self) -> u64 {
+        if self.filled > 0 {
+            self.tail[self.filled..].fill(0);
+            self.fold(self.tail);
+        }
+        self.hash
+    }
+}
+
+/// The v3 digest of one whole frame prefix (`tag | length | data`).
+fn block_digest(frame: &[u8]) -> u64 {
+    let mut hasher = WordHasher::new();
+    hasher.write(frame);
+    hasher.finish()
+}
 
 /// Error raised while encoding, decoding, or restoring a snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,11 +175,17 @@ pub enum SnapshotError {
     },
     /// The container is well framed but describes an inconsistent state
     /// (bad JSON, misplaced blocks, column shapes that disagree with the
-    /// config, departures the farm cannot retire).
+    /// config, due ticks the run cannot reach, or legacy departures the
+    /// farm cannot retire).
     Corrupt(String),
     /// The snapshot's trace horizon has more ticks than a simulation
     /// can run ([`Simulation::MAX_TICKS`](crate::Simulation::MAX_TICKS)).
     Horizon(crate::HorizonTooLong),
+    /// The restored run would preallocate more than
+    /// [`MEMORY_CEILING`](crate::MEMORY_CEILING) ([`plan_memory`]).
+    ///
+    /// [`plan_memory`]: crate::plan_memory
+    TooLarge(crate::TooLarge),
     /// A [`SavedState`]'s kind tag does not match the component asked to
     /// restore from it.
     KindMismatch {
@@ -134,7 +208,7 @@ impl core::fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot version {v:?} (this build reads v1 and v2)"
+                    "unsupported snapshot version {v:?} (this build reads v1, v2 and v3)"
                 )
             }
             SnapshotError::Truncated { expected, actual } => write!(
@@ -151,6 +225,7 @@ impl core::fmt::Display for SnapshotError {
             ),
             SnapshotError::Corrupt(reason) => write!(f, "corrupt snapshot: {reason}"),
             SnapshotError::Horizon(err) => write!(f, "snapshot cannot run: {err}"),
+            SnapshotError::TooLarge(err) => write!(f, "snapshot cannot run: {err}"),
             SnapshotError::KindMismatch { expected, found } => write!(
                 f,
                 "saved state is for {found:?}, cannot restore a {expected:?}"
@@ -267,8 +342,7 @@ pub trait SnapshotState {
 /// in memory and on the wire.
 ///
 /// Engine snapshots always fit: the pooled job table keeps every live id
-/// within a `u32` span of the smallest one, and departing jobs are live
-/// jobs.
+/// within a `u32` span of the smallest one.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct JobIds {
     /// The smallest id (0 for an empty column).
@@ -323,25 +397,6 @@ impl JobIds {
     }
 }
 
-/// The pending departures in columnar form, derived from the job
-/// table's due ticks.
-///
-/// Non-empty buckets in ascending tick order; bucket `b` owns the next
-/// `lens[b]` entries of `jobs` and `servers`, in strictly ascending job
-/// id order — the order the engine retires them in. Jobs that outlive
-/// the horizon have no entry.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Departures {
-    /// Tick of each bucket.
-    pub ticks: Vec<u64>,
-    /// Entry count of each bucket, parallel to `ticks`.
-    pub lens: Vec<u32>,
-    /// Departing job of each entry, bucket after bucket.
-    pub jobs: JobIds,
-    /// Server running each departing job, parallel to `jobs`.
-    pub servers: Vec<u32>,
-}
-
 /// A complete engine checkpoint at a tick boundary.
 ///
 /// `tick` is the next tick the run will execute; everything else is the
@@ -360,14 +415,13 @@ pub struct Snapshot {
     pub scheduler: SavedState,
     /// Next tick to execute (0 = nothing has run yet).
     pub tick: u64,
-    /// Every farm state array (thermal, wax, estimator, live jobs).
+    /// Every farm state array (thermal, wax, estimator, live jobs and
+    /// their due ticks).
     pub farm: FarmState,
     /// Occupied cores per workload, by [`WorkloadKind::index`].
     ///
     /// [`WorkloadKind::index`]: vmt_workload::WorkloadKind::index
     pub occupancy: [u64; 5],
-    /// Pending departure buckets.
-    pub departures: Departures,
     /// Next job id the engine will stamp.
     pub next_job_id: u64,
     /// Raw state of the arrival-shuffle RNG.
@@ -415,7 +469,6 @@ struct Meta {
 enum Column<'a> {
     Bytes(&'a [u8]),
     U32(&'a [u32]),
-    U64(&'a [u64]),
     F64(&'a [f64]),
     /// Base, then the deltas.
     Ids(&'a JobIds),
@@ -432,7 +485,6 @@ impl Column<'_> {
         match self {
             Column::Bytes(b) => count(b.len(), 1),
             Column::U32(v) => count(v.len(), 4),
-            Column::U64(v) => count(v.len(), 8),
             Column::F64(v) => count(v.len(), 8),
             Column::Ids(ids) => 8 + count(ids.deltas.len(), 4),
             Column::Heatmap(map) => 16 + map.rows.iter().map(|r| count(r.len(), 8)).sum::<u64>(),
@@ -443,14 +495,13 @@ impl Column<'_> {
     fn write_block(&self, tag: &[u8; 4], out: &mut impl Write) -> io::Result<u64> {
         let mut sink = BlockSink {
             out,
-            hasher: StateHasher::new(),
+            hasher: WordHasher::new(),
         };
         sink.put(tag)?;
         sink.put(&self.byte_len().to_le_bytes())?;
         match self {
             Column::Bytes(b) => sink.put(b)?,
             Column::U32(v) => sink.column(v, u32::to_le_bytes)?,
-            Column::U64(v) => sink.column(v, u64::to_le_bytes)?,
             Column::F64(v) => sink.column(v, f64::to_le_bytes)?,
             Column::Ids(ids) => {
                 sink.put(&ids.base.to_le_bytes())?;
@@ -473,12 +524,12 @@ impl Column<'_> {
 /// A writer that folds everything it writes into a block digest.
 struct BlockSink<'a, W> {
     out: &'a mut W,
-    hasher: StateHasher,
+    hasher: WordHasher,
 }
 
 impl<W: Write> BlockSink<'_, W> {
     fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.hasher.write_bytes(bytes);
+        self.hasher.write(bytes);
         self.out.write_all(bytes)
     }
 
@@ -540,23 +591,156 @@ fn ids(mut bytes: &[u8], what: &str) -> Result<JobIds, SnapshotError> {
     Ok(ids)
 }
 
+/// Parses a heatmap block, building each row straight from its bytes.
 fn heatmap(mut bytes: &[u8], servers: usize, what: &str) -> Result<Heatmap, SnapshotError> {
     let row_interval = f64::from_le_bytes(take(&mut bytes)?);
     let rows = u64::from_le_bytes(take(&mut bytes)?);
-    let values = values(bytes, what, f64::from_le_bytes)?;
+    let row_bytes = servers.saturating_mul(8);
     if usize::try_from(rows)
         .ok()
-        .and_then(|r| r.checked_mul(servers))
-        != Some(values.len())
+        .and_then(|r| r.checked_mul(row_bytes))
+        != Some(bytes.len())
     {
         return Err(corrupt(format!(
-            "{what} holds {} values, not {rows} rows of {servers} servers",
-            values.len()
+            "{what} holds {} bytes, not {rows} rows of {servers} servers",
+            bytes.len()
         )));
     }
     Ok(Heatmap {
         row_interval,
-        rows: values.chunks(servers).map(<[f64]>::to_vec).collect(),
+        rows: bytes
+            .chunks_exact(row_bytes)
+            .map(|row| {
+                let (row, _) = row.as_chunks::<8>();
+                row.iter().map(|&v| f64::from_le_bytes(v)).collect()
+            })
+            .collect(),
+    })
+}
+
+/// Splits a container into its blocks' data. Checks the header line,
+/// the block count, then per block its declared length against the
+/// bytes left (before anything is allocated), its digest (`digest` of
+/// the frame's `tag | length | data`) and its tag, and finally that no
+/// bytes trail the last block.
+fn read_blocks<'a, const N: usize>(
+    bytes: &'a [u8],
+    header: &[u8],
+    table: &[(&[u8; 4], &'static str); N],
+    digest: fn(&[u8]) -> u64,
+) -> Result<[&'a [u8]; N], SnapshotError> {
+    let mut rest = bytes.strip_prefix(header).ok_or_else(|| {
+        corrupt(format!(
+            "header line is not exactly `{}`",
+            String::from_utf8_lossy(header.trim_ascii_end())
+        ))
+    })?;
+    let count = u32::from_le_bytes(take(&mut rest)?);
+    if count as usize != N {
+        return Err(corrupt(format!(
+            "container declares {count} blocks, this version has {N}"
+        )));
+    }
+    let mut blocks = [&[][..]; N];
+    for (block, &(tag, name)) in blocks.iter_mut().zip(table) {
+        let frame = rest;
+        let found: [u8; 4] = take(&mut rest)?;
+        let declared = u64::from_le_bytes(take(&mut rest)?);
+        // The trailing digest must fit too.
+        let room = rest.len().saturating_sub(8);
+        let data = match usize::try_from(declared) {
+            Ok(n) if n <= room => &rest[..n],
+            _ => {
+                return Err(SnapshotError::Truncated {
+                    expected: usize::try_from(declared).unwrap_or(usize::MAX),
+                    actual: room,
+                })
+            }
+        };
+        rest = &rest[data.len()..];
+        let expected = u64::from_le_bytes(take(&mut rest)?);
+        let actual = digest(&frame[..12 + data.len()]);
+        if actual != expected {
+            return Err(SnapshotError::DigestMismatch {
+                block: name,
+                expected,
+                actual,
+            });
+        }
+        if &found != tag {
+            return Err(corrupt(format!(
+                "block {:?} where the {name} block belongs",
+                String::from_utf8_lossy(&found)
+            )));
+        }
+        *block = data;
+    }
+    if !rest.is_empty() {
+        return Err(corrupt(format!(
+            "{} bytes after the last block",
+            rest.len()
+        )));
+    }
+    Ok(blocks)
+}
+
+/// Builds a snapshot from the blocks every binary container version
+/// shares: the JSON block, the nine farm columns (`INLT` … `JKND`), the
+/// due ticks and the two heatmaps. Shapes are checked by the caller.
+fn assemble(
+    meta: &[u8],
+    farm: [&[u8]; 9],
+    job_due: Vec<u32>,
+    heatmaps: [&[u8]; 2],
+) -> Result<Snapshot, SnapshotError> {
+    let meta = std::str::from_utf8(meta)
+        .map_err(|e| corrupt(format!("metadata block: {e}")))
+        .and_then(|json| {
+            serde_json::from_str::<Meta>(json).map_err(|e| corrupt(format!("metadata block: {e}")))
+        })?;
+    let n = meta.config.num_servers;
+    if n == 0 {
+        return Err(corrupt("config has no servers".to_owned()));
+    }
+    let [inlet, at_wax, power, enthalpy, est_temp, est_fraction, counts, job_ids, kinds] = farm;
+    let [temp_map, melt_map] = heatmaps;
+    let f64s = |bytes, what| values(bytes, what, f64::from_le_bytes);
+    Ok(Snapshot {
+        farm: FarmState {
+            inlet_c: f64s(inlet, "inlet_c")?,
+            at_wax_c: f64s(at_wax, "at_wax_c")?,
+            active_power_w: f64s(power, "active_power_w")?,
+            enthalpy_j: f64s(enthalpy, "enthalpy_j")?,
+            est_temp_c: f64s(est_temp, "est_temp_c")?,
+            est_fraction: f64s(est_fraction, "est_fraction")?,
+            job_counts: values(counts, "job_counts", u32::from_le_bytes)?,
+            job_ids: ids(job_ids, "job")?,
+            job_kinds: kinds.to_vec(),
+            job_due,
+        },
+        partial: SimulationResult {
+            scheduler_name: meta.scheduler_name,
+            cooling: meta.cooling,
+            electrical: meta.electrical,
+            avg_temp: meta.avg_temp,
+            hot_group_temp: meta.hot_group_temp,
+            hot_group_sizes: meta.hot_group_sizes,
+            stored_energy: meta.stored_energy,
+            temp_heatmap: heatmap(temp_map, n, "temperature heatmap")?,
+            melt_heatmap: heatmap(melt_map, n, "melt heatmap")?,
+            dropped_jobs: meta.dropped_jobs,
+            placements: meta.placements,
+            tick: meta.result_tick,
+        },
+        config: meta.config,
+        trace: meta.trace,
+        scheduler: meta.scheduler,
+        tick: meta.tick,
+        occupancy: meta.occupancy,
+        next_job_id: meta.next_job_id,
+        arrival_rng: meta.arrival_rng,
+        planner_rng: meta.planner_rng,
+        zone_temps: meta.zone_temps,
     })
 }
 
@@ -565,9 +749,9 @@ fn heatmap(mut bytes: &[u8], servers: usize, what: &str) -> Result<Heatmap, Snap
 fn write_container(columns: &[Column; BLOCK_COUNT], out: &mut impl Write) -> io::Result<u64> {
     let count = (BLOCK_COUNT as u32).to_le_bytes();
     let mut container = StateHasher::new();
-    container.write_bytes(V2_HEADER);
+    container.write_bytes(HEADER);
     container.write_bytes(&count);
-    out.write_all(V2_HEADER)?;
+    out.write_all(HEADER)?;
     out.write_all(&count)?;
     for ((tag, _), column) in BLOCKS.iter().zip(columns) {
         container.write_u64(column.write_block(tag, out)?);
@@ -576,20 +760,21 @@ fn write_container(columns: &[Column; BLOCK_COUNT], out: &mut impl Write) -> io:
 }
 
 impl Snapshot {
-    /// The container digest: FNV-1a over the v2 header and every
-    /// block's digest, so it covers every byte [`Snapshot::encode`]
-    /// writes — an identity for a checkpoint. Computing it costs one
-    /// encode into a sink; [`Snapshot::encode_to`] returns it for free.
+    /// The container digest: FNV-1a over the v3 header, the block count
+    /// and every block's digest, so it covers every byte
+    /// [`Snapshot::encode`] writes — an identity for a checkpoint.
+    /// Computing it costs one encode into a sink; [`Snapshot::encode_to`]
+    /// returns it for free.
     pub fn digest(&self) -> u64 {
         self.encode_to(&mut io::sink())
             .expect("encoding into a sink cannot fail")
     }
 
-    /// Serializes the snapshot into a `VMTSNAP v2` container.
+    /// Serializes the snapshot into a `VMTSNAP v3` container.
     pub fn encode(&self) -> Vec<u8> {
         let meta = self.meta_json();
         let columns = self.columns(&meta);
-        let len = V2_HEADER.len()
+        let len = HEADER.len()
             + 4
             + columns
                 .iter()
@@ -600,7 +785,7 @@ impl Snapshot {
         out
     }
 
-    /// Streams the `VMTSNAP v2` container into `out` block by block —
+    /// Streams the `VMTSNAP v3` container into `out` block by block —
     /// nothing beyond the JSON block and a 64 KiB staging buffer is held
     /// in memory — and returns the container digest (what
     /// [`Snapshot::digest`] reports).
@@ -643,7 +828,6 @@ impl Snapshot {
     /// Every block's contents, in [`BLOCKS`] order.
     fn columns<'a>(&'a self, meta: &'a str) -> [Column<'a>; BLOCK_COUNT] {
         let farm = &self.farm;
-        let departures = &self.departures;
         [
             Column::Bytes(meta.as_bytes()),
             Column::F64(&farm.inlet_c),
@@ -655,23 +839,22 @@ impl Snapshot {
             Column::U32(&farm.job_counts),
             Column::Ids(&farm.job_ids),
             Column::Bytes(&farm.job_kinds),
-            Column::U64(&departures.ticks),
-            Column::U32(&departures.lens),
-            Column::Ids(&departures.jobs),
-            Column::U32(&departures.servers),
+            Column::U32(&farm.job_due),
             Column::Heatmap(&self.partial.temp_heatmap),
             Column::Heatmap(&self.partial.melt_heatmap),
         ]
     }
 
-    /// Parses a `VMTSNAP v2` container, or a `VMTSNAP v1` one from an
-    /// earlier build.
+    /// Parses a `VMTSNAP v3` container, or a `VMTSNAP v2` or `v1` one
+    /// from an earlier build.
     ///
-    /// v2 validation order: magic, version, block count, each block's
+    /// v3 validation order: magic, version, block count, each block's
     /// declared length against the bytes left (before anything is
     /// allocated), each block's digest and tag, then the JSON block and
-    /// every column's shape against the config. Every failure is a typed
-    /// [`SnapshotError`]; malformed input never panics.
+    /// every column's shape against the config. The due ticks are
+    /// checked against the snapshot tick and the horizon on restore.
+    /// Every failure is a typed [`SnapshotError`]; malformed input never
+    /// panics.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let head = &bytes[..bytes.len().min(64)];
         let line = head.split(|&b| b == b'\n').next().unwrap_or(head);
@@ -681,42 +864,20 @@ impl Snapshot {
             return Err(SnapshotError::BadMagic);
         }
         match fields.next().unwrap_or_default() {
-            "v1" => v1::decode(bytes),
-            "v2" => decode_v2(bytes),
+            "v1" => legacy::decode_v1(bytes),
+            "v2" => legacy::decode_v2(bytes),
+            "v3" => decode_v3(bytes),
             version => Err(SnapshotError::UnsupportedVersion(version.to_owned())),
         }
     }
 
     /// Checks every column against the config and against each other:
-    /// the farm image ([`FarmState::check`]), bucket lengths that sum to
-    /// the departure columns, departing servers inside the farm, and
-    /// heatmap rows of one value per server. Decoding runs it last,
-    /// restoring first.
+    /// the farm image ([`FarmState::check`]: one due tick per live job
+    /// among its checks) and heatmap rows of one value per server.
+    /// Decoding runs it last, restoring first.
     pub(crate) fn check_columns(&self) -> Result<(), SnapshotError> {
         let servers = self.config.num_servers;
         self.farm.check(servers, self.config.power.cores())?;
-        let departures = &self.departures;
-        if departures.lens.len() != departures.ticks.len() {
-            return Err(corrupt(format!(
-                "{} departure bucket lengths for {} bucket ticks",
-                departures.lens.len(),
-                departures.ticks.len()
-            )));
-        }
-        let entries: u64 = departures.lens.iter().map(|&l| u64::from(l)).sum();
-        let ids = departures.jobs.deltas.len();
-        if entries != ids as u64 || departures.servers.len() != ids {
-            return Err(corrupt(format!(
-                "departure bucket lengths sum to {entries}, the columns hold {ids} ids and {} servers",
-                departures.servers.len()
-            )));
-        }
-        if let Some(&server) = departures.servers.iter().find(|&&s| s as usize >= servers) {
-            return Err(corrupt(format!(
-                "departure names server {server} in a {servers}-server farm"
-            )));
-        }
-        departures.jobs.check("departing job")?;
         for (what, map) in [
             ("temperature", &self.partial.temp_heatmap),
             ("melt", &self.partial.melt_heatmap),
@@ -731,290 +892,13 @@ impl Snapshot {
     }
 }
 
-fn decode_v2(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-    let mut rest = bytes
-        .strip_prefix(V2_HEADER)
-        .ok_or_else(|| corrupt("v2 header line is not exactly `VMTSNAP v2`".to_owned()))?;
-    let count = u32::from_le_bytes(take(&mut rest)?);
-    if count as usize != BLOCK_COUNT {
-        return Err(corrupt(format!(
-            "container declares {count} blocks, v2 has {BLOCK_COUNT}"
-        )));
-    }
-    let mut blocks = [&[][..]; BLOCK_COUNT];
-    for (block, &(tag, name)) in blocks.iter_mut().zip(&BLOCKS) {
-        let found: [u8; 4] = take(&mut rest)?;
-        let len: [u8; 8] = take(&mut rest)?;
-        let declared = u64::from_le_bytes(len);
-        // The trailing digest must fit too.
-        let room = rest.len().saturating_sub(8);
-        let data = match usize::try_from(declared) {
-            Ok(n) if n <= room => &rest[..n],
-            _ => {
-                return Err(SnapshotError::Truncated {
-                    expected: usize::try_from(declared).unwrap_or(usize::MAX),
-                    actual: room,
-                })
-            }
-        };
-        rest = &rest[data.len()..];
-        let expected = u64::from_le_bytes(take(&mut rest)?);
-        let mut hasher = StateHasher::new();
-        hasher.write_bytes(&found);
-        hasher.write_bytes(&len);
-        hasher.write_bytes(data);
-        let actual = hasher.finish();
-        if actual != expected {
-            return Err(SnapshotError::DigestMismatch {
-                block: name,
-                expected,
-                actual,
-            });
-        }
-        if &found != tag {
-            return Err(corrupt(format!(
-                "block {:?} where the {name} block belongs",
-                String::from_utf8_lossy(&found)
-            )));
-        }
-        *block = data;
-    }
-    if !rest.is_empty() {
-        return Err(corrupt(format!(
-            "{} bytes after the last block",
-            rest.len()
-        )));
-    }
-
-    let [meta, inlet, at_wax, power, enthalpy, est_temp, est_fraction, counts, job_ids, kinds, ticks, lens, departing, servers, temp_map, melt_map] =
-        blocks;
-    let meta = std::str::from_utf8(meta)
-        .map_err(|e| corrupt(format!("metadata block: {e}")))
-        .and_then(|json| {
-            serde_json::from_str::<Meta>(json).map_err(|e| corrupt(format!("metadata block: {e}")))
-        })?;
-    let n = meta.config.num_servers;
-    if n == 0 {
-        return Err(corrupt("config has no servers".to_owned()));
-    }
-    let f64s = |bytes, what| values(bytes, what, f64::from_le_bytes);
-    let snapshot = Snapshot {
-        farm: FarmState {
-            inlet_c: f64s(inlet, "inlet_c")?,
-            at_wax_c: f64s(at_wax, "at_wax_c")?,
-            active_power_w: f64s(power, "active_power_w")?,
-            enthalpy_j: f64s(enthalpy, "enthalpy_j")?,
-            est_temp_c: f64s(est_temp, "est_temp_c")?,
-            est_fraction: f64s(est_fraction, "est_fraction")?,
-            job_counts: values(counts, "job_counts", u32::from_le_bytes)?,
-            job_ids: ids(job_ids, "job")?,
-            job_kinds: kinds.to_vec(),
-        },
-        departures: Departures {
-            ticks: values(ticks, "departure ticks", u64::from_le_bytes)?,
-            lens: values(lens, "departure bucket lengths", u32::from_le_bytes)?,
-            jobs: ids(departing, "departing job")?,
-            servers: values(servers, "departure servers", u32::from_le_bytes)?,
-        },
-        partial: SimulationResult {
-            scheduler_name: meta.scheduler_name,
-            cooling: meta.cooling,
-            electrical: meta.electrical,
-            avg_temp: meta.avg_temp,
-            hot_group_temp: meta.hot_group_temp,
-            hot_group_sizes: meta.hot_group_sizes,
-            stored_energy: meta.stored_energy,
-            temp_heatmap: heatmap(temp_map, n, "temperature heatmap")?,
-            melt_heatmap: heatmap(melt_map, n, "melt heatmap")?,
-            dropped_jobs: meta.dropped_jobs,
-            placements: meta.placements,
-            tick: meta.result_tick,
-        },
-        config: meta.config,
-        trace: meta.trace,
-        scheduler: meta.scheduler,
-        tick: meta.tick,
-        occupancy: meta.occupancy,
-        next_job_id: meta.next_job_id,
-        arrival_rng: meta.arrival_rng,
-        planner_rng: meta.planner_rng,
-        zone_temps: meta.zone_temps,
-    };
+fn decode_v3(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
+    let [meta, farm @ .., due, temp_map, melt_map] =
+        read_blocks(bytes, HEADER, &BLOCKS, block_digest)?;
+    let due = values(due, "job_due", u32::from_le_bytes)?;
+    let snapshot = assemble(meta, farm, due, [temp_map, melt_map])?;
     snapshot.check_columns()?;
     Ok(snapshot)
-}
-
-/// The read-only `VMTSNAP v1` path: a one-line text header
-/// (`VMTSNAP v1 digest=0x<fnv1a of payload> bytes=<payload length>`)
-/// and one JSON payload with dense `servers × cores` job rows, which
-/// the reader compacts to live jobs.
-mod v1 {
-    use super::{corrupt, Departures, JobIds, Snapshot, SnapshotError};
-    use crate::config::ClusterConfig;
-    use crate::farm::FarmState;
-    use crate::metrics::SimulationResult;
-    use vmt_telemetry::replay::StateHasher;
-    use vmt_workload::TraceDescriptor;
-
-    #[derive(serde::Deserialize)]
-    struct SnapshotV1 {
-        config: ClusterConfig,
-        trace: TraceDescriptor,
-        scheduler: super::SavedState,
-        tick: u64,
-        farm: FarmV1,
-        occupancy: [u64; 5],
-        departures: Vec<(u64, Vec<(u64, u32)>)>,
-        next_job_id: u64,
-        arrival_rng: [u64; 4],
-        planner_rng: [u64; 4],
-        partial: SimulationResult,
-        zone_temps: Option<Vec<f64>>,
-    }
-
-    #[derive(serde::Deserialize)]
-    struct FarmV1 {
-        inlet_c: Vec<f64>,
-        at_wax_c: Vec<f64>,
-        active_power_w: Vec<f64>,
-        enthalpy_j: Vec<f64>,
-        est_temp_c: Vec<f64>,
-        est_fraction: Vec<f64>,
-        /// `servers × cores` slots; row `i`'s first `job_counts[i]` are
-        /// live, the rest are ignored.
-        job_ids: Vec<u64>,
-        job_kinds: Vec<u8>,
-        job_counts: Vec<u32>,
-    }
-
-    impl FarmV1 {
-        /// Keeps the live slots of each dense row.
-        fn compact(self, cores: u32) -> Result<FarmState, SnapshotError> {
-            let stride = cores as usize;
-            let servers = self.job_counts.len();
-            if servers.checked_mul(stride) != Some(self.job_ids.len())
-                || self.job_kinds.len() != self.job_ids.len()
-            {
-                return Err(corrupt(format!(
-                    "job slab holds {} ids and {} kinds, not {servers} servers × {stride} cores",
-                    self.job_ids.len(),
-                    self.job_kinds.len()
-                )));
-            }
-            if let Some(i) = self.job_counts.iter().position(|&c| c as usize > stride) {
-                return Err(corrupt(format!(
-                    "server {i} claims {} jobs on {stride} cores",
-                    self.job_counts[i]
-                )));
-            }
-            let counts = &self.job_counts;
-            let live = (0..servers).flat_map(|i| i * stride..i * stride + counts[i] as usize);
-            let job_ids = JobIds::from_ids(live.clone().map(|slot| self.job_ids[slot]))?;
-            let job_kinds = live.map(|slot| self.job_kinds[slot]).collect();
-            Ok(FarmState {
-                inlet_c: self.inlet_c,
-                at_wax_c: self.at_wax_c,
-                active_power_w: self.active_power_w,
-                enthalpy_j: self.enthalpy_j,
-                est_temp_c: self.est_temp_c,
-                est_fraction: self.est_fraction,
-                job_counts: self.job_counts,
-                job_ids,
-                job_kinds,
-            })
-        }
-    }
-
-    fn payload_digest(payload: &[u8]) -> u64 {
-        let mut hasher = StateHasher::new();
-        hasher.write_bytes(payload);
-        hasher.finish()
-    }
-
-    /// Validation order: magic, version, header fields, payload length,
-    /// payload digest, JSON structure, then column shapes.
-    pub(super) fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let (header, body) = match bytes.iter().position(|&b| b == b'\n') {
-            Some(i) => (&bytes[..i], &bytes[i + 1..]),
-            None => (bytes, &[][..]),
-        };
-        let header = String::from_utf8_lossy(header);
-        let mut fields = header.split_ascii_whitespace().skip(2);
-        let digest = fields
-            .next()
-            .and_then(|f| f.strip_prefix("digest=0x"))
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-            .ok_or_else(|| corrupt("header digest field unreadable".to_owned()))?;
-        let len = fields
-            .next()
-            .and_then(|f| f.strip_prefix("bytes="))
-            .and_then(|n| n.parse::<usize>().ok())
-            .ok_or_else(|| corrupt("header bytes field unreadable".to_owned()))?;
-        let payload = body.strip_suffix(b"\n").unwrap_or(body);
-        if payload.len() != len {
-            return Err(SnapshotError::Truncated {
-                expected: len,
-                actual: payload.len(),
-            });
-        }
-        let actual = payload_digest(payload);
-        if actual != digest {
-            return Err(SnapshotError::DigestMismatch {
-                block: "payload",
-                expected: digest,
-                actual,
-            });
-        }
-        let old: SnapshotV1 = std::str::from_utf8(payload)
-            .map_err(|e| corrupt(format!("payload: {e}")))
-            .and_then(|json| {
-                serde_json::from_str(json).map_err(|e| corrupt(format!("payload: {e}")))
-            })?;
-
-        let mut departures = Departures::default();
-        for (when, bucket) in old.departures.iter().filter(|(_, b)| !b.is_empty()) {
-            departures.ticks.push(*when);
-            departures.lens.push(
-                u32::try_from(bucket.len())
-                    .map_err(|_| corrupt(format!("departure bucket {when} overflows u32")))?,
-            );
-            departures
-                .servers
-                .extend(bucket.iter().map(|&(_, server)| server));
-        }
-        departures.jobs = JobIds::from_ids(
-            old.departures
-                .iter()
-                .flat_map(|(_, b)| b)
-                .map(|&(id, _)| id),
-        )?;
-        let snapshot = Snapshot {
-            farm: old.farm.compact(old.config.power.cores())?,
-            config: old.config,
-            trace: old.trace,
-            scheduler: old.scheduler,
-            tick: old.tick,
-            occupancy: old.occupancy,
-            departures,
-            next_job_id: old.next_job_id,
-            arrival_rng: old.arrival_rng,
-            planner_rng: old.planner_rng,
-            partial: old.partial,
-            zone_temps: old.zone_temps,
-        };
-        snapshot.check_columns()?;
-        Ok(snapshot)
-    }
-
-    #[cfg(test)]
-    pub(super) fn container(payload: &str) -> Vec<u8> {
-        format!(
-            "VMTSNAP v1 digest={:#018x} bytes={}\n{payload}\n",
-            payload_digest(payload.as_bytes()),
-            payload.len()
-        )
-        .into_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -1099,20 +983,25 @@ mod tests {
         ));
         // Right length and digest, wrong structure: Corrupt, not a panic.
         assert!(matches!(
-            Snapshot::decode(&v1::container("{}")).unwrap_err(),
+            Snapshot::decode(&legacy::v1_container("{}")).unwrap_err(),
             SnapshotError::Corrupt(_)
         ));
-        // v2 framing: a header with slack, a missing block count, and a
-        // wrong one.
-        assert!(matches!(decode("VMTSNAP  v2\n"), SnapshotError::Corrupt(_)));
-        assert_eq!(
-            decode("VMTSNAP v2\n"),
-            SnapshotError::Truncated {
-                expected: 4,
-                actual: 0
-            }
-        );
-        let mut bytes = V2_HEADER.to_vec();
+        // Binary framing, v3 and v2: a header with slack, a missing block
+        // count, and a wrong one.
+        for version in ["v3", "v2"] {
+            assert!(matches!(
+                decode(&format!("VMTSNAP  {version}\n")),
+                SnapshotError::Corrupt(_)
+            ));
+            assert_eq!(
+                decode(&format!("VMTSNAP {version}\n")),
+                SnapshotError::Truncated {
+                    expected: 4,
+                    actual: 0
+                }
+            );
+        }
+        let mut bytes = HEADER.to_vec();
         bytes.extend_from_slice(&3u32.to_le_bytes());
         assert!(matches!(
             Snapshot::decode(&bytes).unwrap_err(),
@@ -1123,7 +1012,7 @@ mod tests {
     #[test]
     fn oversized_block_lengths_are_typed_errors() {
         for declared in [u64::MAX, 1 << 40, 13] {
-            let mut bytes = V2_HEADER.to_vec();
+            let mut bytes = HEADER.to_vec();
             bytes.extend_from_slice(&(BLOCK_COUNT as u32).to_le_bytes());
             bytes.extend_from_slice(b"META");
             bytes.extend_from_slice(&declared.to_le_bytes());
@@ -1156,6 +1045,32 @@ mod tests {
     }
 
     #[test]
+    fn word_digest_streams_and_sees_every_byte() {
+        let frame: Vec<u8> = (0..45u8).map(|b| b.wrapping_mul(37)).collect();
+        let whole = block_digest(&frame);
+        for split in 0..=frame.len() {
+            for second in split..=frame.len() {
+                let mut hasher = WordHasher::new();
+                hasher.write(&frame[..split]);
+                hasher.write(&frame[split..second]);
+                hasher.write(&frame[second..]);
+                assert_eq!(hasher.finish(), whole, "split at {split} and {second}");
+            }
+        }
+        for i in 0..frame.len() {
+            for value in [0, 1, 0x80, 0xff] {
+                let mut changed = frame.clone();
+                changed[i] = value;
+                assert_eq!(
+                    block_digest(&changed) == whole,
+                    value == frame[i],
+                    "byte {i} as {value:#04x}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn errors_display_their_particulars() {
         let err = SnapshotError::Truncated {
             expected: 10,
@@ -1164,7 +1079,7 @@ mod tests {
         assert!(err.to_string().contains("10"));
         let err = SnapshotError::UnsupportedVersion("v9".to_owned());
         assert!(err.to_string().contains("v9"));
-        assert!(err.to_string().contains("v1 and v2"));
+        assert!(err.to_string().contains("v1, v2 and v3"));
         let err = SnapshotError::DigestMismatch {
             block: "job_ids",
             expected: 1,

@@ -323,6 +323,16 @@ fn set_hours(run: &mut Run, hours: f64) {
     }
 }
 
+/// Exits with a usage error when `run` would preallocate more than the
+/// engine's memory ceiling (`vmt_dcsim::plan_memory`), before any of it
+/// is allocated.
+fn check_memory(run: &Run, telemetry: Option<&vmt_dcsim::TelemetryConfig>) {
+    let ticks = run.cluster.ticks_for(run.trace.horizon) as u64;
+    if let Err(err) = vmt_dcsim::plan_memory(&run.cluster, ticks, telemetry) {
+        die(&format!("the run is too large: {err}"));
+    }
+}
+
 /// `VMT_THREADS`, when set, must be a positive integer. The engine's
 /// `default_tick_threads` reads it in every verb and would silently fall
 /// back to every core on anything else.
@@ -525,6 +535,7 @@ fn cmd_run(rest: &[String]) {
         }
         telemetry = telemetry.with_trace(spec);
     }
+    check_memory(&run, Some(&telemetry));
     let tracer = telemetry.tracer.clone();
     let summary = telemetry.summary.clone();
 
@@ -626,6 +637,7 @@ fn cmd_record(rest: &[String]) {
     if let Some(threads) = threads_flag(&flags) {
         run = run.with_tick_threads(threads);
     }
+    check_memory(&run, None);
 
     let handle = vmt_dcsim::TraceHandle::new();
     let recorder = vmt_dcsim::RecordingScheduler::new(policy.build(&run.cluster), handle.clone());
@@ -702,7 +714,12 @@ fn cmd_replay(rest: &[String]) {
     let policy_name = trace.header.policy.clone();
     let report = vmt_dcsim::ReplayHandle::new();
     let replayer = vmt_dcsim::ReplayScheduler::new(trace, report.clone());
-    if let Err(err) = vmt_dcsim::Simulation::check_horizon(&cluster, trace_cfg.horizon) {
+    let planned = vmt_dcsim::Simulation::check_horizon(&cluster, trace_cfg.horizon)
+        .map_err(|err| err.to_string())
+        .and_then(|ticks| {
+            vmt_dcsim::plan_memory(&cluster, ticks, None).map_err(|err| err.to_string())
+        });
+    if let Err(err) = planned {
         eprintln!("invalid trace: {err}");
         std::process::exit(1);
     }
@@ -821,6 +838,7 @@ fn cmd_snapshot(rest: &[String]) {
     if flags.contains_key("--zones") {
         run.cluster.topology = Some(vmt_dcsim::ZoneSpec::paper_default());
     }
+    check_memory(&run, None);
     let mut sim = vmt_dcsim::Simulation::new(
         run.cluster.clone(),
         vmt_workload::DiurnalTrace::new(run.trace.clone()),

@@ -212,6 +212,36 @@ fn replay_rejects_a_horizon_past_the_due_tick_range_with_exit_1() {
     let _ = std::fs::remove_file(&trace);
 }
 
+/// A trace whose header names more servers than a run can preallocate
+/// state for is invalid input (exit 1), checked before the farm is
+/// built; it aborted on an 800 GB allocation.
+#[test]
+fn replay_rejects_a_header_too_large_to_run_with_exit_1() {
+    let trace = scratch("wide.trace");
+    let out = bin()
+        .arg("record")
+        .arg(&trace)
+        .args(["--servers", "10", "--hours", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let text = std::fs::read_to_string(&trace).unwrap();
+    assert!(text.contains("\"servers\":10,"), "header: {text:.200}");
+    std::fs::write(
+        &trace,
+        text.replacen("\"servers\":10,", "\"servers\":100000000000,", 1),
+    )
+    .unwrap();
+    let out = bin().arg("replay").arg(&trace).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("invalid trace: the farm state would take"),
+        "got: {err}"
+    );
+    let _ = std::fs::remove_file(&trace);
+}
+
 #[test]
 fn replay_rejects_a_corrupt_trace_with_exit_1() {
     let path = scratch("corrupt.trace");
@@ -326,6 +356,22 @@ fn run_with_a_huge_series_capacity_exits_clean() {
         "100000000000",
     ]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+}
+
+/// A flight ring larger than a run may preallocate is a usage error
+/// (exit 2) before anything is allocated; it aborted on a 3.2 TB
+/// allocation.
+#[test]
+fn run_with_a_huge_flight_capacity_exits_2() {
+    let dump = scratch("huge.flight");
+    let out = bin()
+        .args(["run", "--servers", "10", "--hours", "0.1", "--flight-dump"])
+        .arg(&dump)
+        .args(["--flight-capacity", "100000000000"])
+        .output()
+        .unwrap();
+    assert_usage_error_output(&out, "huge flight ring", "the flight ring would take");
+    assert!(!dump.exists(), "nothing ran, so nothing was dumped");
 }
 
 /// The full observability surface on one small zoned run: series,
@@ -510,7 +556,7 @@ fn resume_usage_errors() {
 
 #[test]
 fn resume_rejects_corrupt_snapshots_with_exit_1() {
-    // A real v2 container to damage: its second block (after the JSON
+    // A real v3 container to damage: its second block (after the JSON
     // metadata) is the first farm column.
     let good = scratch("good.snap");
     let out = bin()
@@ -520,13 +566,14 @@ fn resume_rejects_corrupt_snapshots_with_exit_1() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
-    let v2 = std::fs::read(&good).unwrap();
+    let v3 = std::fs::read(&good).unwrap();
     let _ = std::fs::remove_file(&good);
-    let meta_len = u64::from_le_bytes(v2[19..27].try_into().unwrap()) as usize;
+    assert!(v3.starts_with(b"VMTSNAP v3\n"));
+    let meta_len = u64::from_le_bytes(v3[19..27].try_into().unwrap()) as usize;
     let column = 15 + 20 + meta_len + 12;
-    let mut bad_digest = v2.clone();
+    let mut bad_digest = v3.clone();
     bad_digest[column + 3] ^= 0x40;
-    let truncated = v2[..column + 4].to_vec();
+    let truncated = v3[..column + 4].to_vec();
 
     // The committed v1 fixture (4 servers, VMT-WA) with one scheduler
     // field edited, re-wrapped with a valid digest: framing and digest
@@ -572,8 +619,8 @@ fn resume_rejects_corrupt_snapshots_with_exit_1() {
             b"VMTSNAP v1 digest=0x0000000000000000 bytes=9999\n{}\n".to_vec(),
             "length mismatch",
         ),
-        ("v2_digest", bad_digest, "inlet_c digest mismatch"),
-        ("v2_trunc", truncated, "length mismatch"),
+        ("v3_digest", bad_digest, "inlet_c digest mismatch"),
+        ("v3_trunc", truncated, "length mismatch"),
         (
             "v1_hot_size",
             v1_with("\"hot_size\":2", "\"hot_size\":9"),
@@ -600,6 +647,31 @@ fn resume_rejects_corrupt_snapshots_with_exit_1() {
             "{name} stderr should mention `{needle}`: {err}"
         );
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Every committed golden fixture — the v1 and v2 archives and the
+/// current v3 format, all written by the same command line — resumes to
+/// the same pinned state digest.
+#[test]
+fn resume_reads_every_golden_fixture() {
+    for version in ["v1", "v2", "v3"] {
+        let path = format!(
+            "{}/../../tests/data/golden_{version}.snap",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let out = bin()
+            .arg("resume")
+            .arg(&path)
+            .args(["--until", "60"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{version}: {}", stderr(&out));
+        let text = stdout(&out);
+        assert!(
+            text.contains("state digest at tick 60: 0x6a35e733f5aeaf38"),
+            "{version}: {text}"
+        );
     }
 }
 

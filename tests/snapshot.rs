@@ -13,7 +13,7 @@ use vmt::dcsim::{
     digest_final_state, ClusterConfig, Simulation, SimulationResult, Snapshot, SnapshotError,
 };
 use vmt::units::Hours;
-use vmt::workload::{DiurnalTrace, TraceConfig};
+use vmt::workload::{DiurnalTrace, Job, TraceConfig};
 
 const SERVERS: usize = 16;
 const HOURS: f64 = 48.0;
@@ -217,9 +217,13 @@ fn edge_snapshots_restore() {
 
 const GOLDEN_V1: &[u8] = include_bytes!("data/golden_v1.snap");
 const GOLDEN_V2: &[u8] = include_bytes!("data/golden_v2.snap");
-/// The state digest after resuming either golden fixture to tick 60.
+const GOLDEN_V3: &[u8] = include_bytes!("data/golden_v3.snap");
+/// The state digest after resuming any golden fixture to tick 60.
 /// It pins the physics and must never move.
 const RESUMED_DIGEST: u64 = 0x6a35_e733_f5ae_af38;
+/// The container digest of the golden run's snapshot: what every golden
+/// fixture decodes to, and `golden_v3.snap` holds.
+const GOLDEN_DIGEST: u64 = 0x7176_a80a_3aa7_a3b0;
 
 /// Resumes a decoded golden fixture to tick 60 and checks the state
 /// there against [`RESUMED_DIGEST`].
@@ -242,51 +246,59 @@ fn assert_resumes_to_pinned_state(snapshot: &Snapshot, context: &str) {
 /// resuming to the digests pinned here. A layout or physics change that
 /// breaks old snapshots fails this test instead of surfacing in a user's
 /// archive.
+///
+/// `Snapshot::digest()` hashes the container the snapshot encodes to,
+/// so [`GOLDEN_DIGEST`] moves when the written format changes even
+/// though the old containers keep decoding. History: originally
+/// 0xf045_b343_96c5_75fe; re-pinned to 0xe572_eef5_8785_5053 when the
+/// backward-compatible `config.topology` / `zone_temps` options were
+/// added (both decode as `None` from this fixture); to
+/// 0x61ac_1b86_83d3_4512 when `digest()` became the digest of the v2
+/// container the snapshot encoded to; to 0x7176_a80a_3aa7_a3b0 with v3,
+/// whose bytes both older fixtures transcode to
+/// (`legacy_snapshots_transcode_to_v3`).
 #[test]
 fn golden_snapshot_stays_readable() {
-    // `Snapshot::digest()` hashes the container the snapshot encodes
-    // to, so this pin moves when the written format changes even though
-    // the old container keeps decoding. History: originally
-    // 0xf045_b343_96c5_75fe; re-pinned to 0xe572_eef5_8785_5053 when the
-    // backward-compatible `config.topology` / `zone_temps` options were
-    // added (both decode as `None` from this fixture); re-pinned again
-    // when `digest()` stopped hashing the v1 JSON payload and became the
-    // digest of the v2 container the snapshot now encodes to (the same
-    // container `golden_v2.snap` holds).
-    const GOLDEN_DIGEST: u64 = 0x61ac_1b86_83d3_4512;
-
     let snapshot = Snapshot::decode(GOLDEN_V1).expect("golden v1 fixture decodes");
     assert_eq!(snapshot.digest(), GOLDEN_DIGEST);
     assert_resumes_to_pinned_state(&snapshot, "golden v1");
 }
 
-/// The same regression for the current format: `golden_v2.snap` was
-/// written by the same command line as the v1 fixture and must keep
-/// decoding to the same digest and resuming to the same state.
+/// The same regression for the v2 format: `golden_v2.snap` was written
+/// by the same command line as the v1 fixture and must keep decoding to
+/// the same digest and resuming to the same state.
 #[test]
 fn golden_v2_snapshot_stays_readable() {
-    const GOLDEN_V2_DIGEST: u64 = 0x61ac_1b86_83d3_4512;
-
     let snapshot = Snapshot::decode(GOLDEN_V2).expect("golden v2 fixture decodes");
-    assert_eq!(snapshot.digest(), GOLDEN_V2_DIGEST);
-    // The writer is deterministic: re-encoding reproduces the file.
-    assert_eq!(snapshot.encode(), GOLDEN_V2);
+    assert_eq!(snapshot.digest(), GOLDEN_DIGEST);
     assert_resumes_to_pinned_state(&snapshot, "golden v2");
 }
 
-/// The engine still writes the v2 fixture's bytes: its command line
+/// The current format: `golden_v3.snap`, written by the same command
+/// line, decodes, re-encodes to its own bytes and resumes to the same
+/// state.
+#[test]
+fn golden_v3_snapshot_stays_readable() {
+    let snapshot = Snapshot::decode(GOLDEN_V3).expect("golden v3 fixture decodes");
+    assert_eq!(snapshot.digest(), GOLDEN_DIGEST);
+    // The writer is deterministic: re-encoding reproduces the file.
+    assert_eq!(snapshot.encode(), GOLDEN_V3);
+    assert_resumes_to_pinned_state(&snapshot, "golden v3");
+}
+
+/// The engine writes the v3 fixture's bytes: its command line
 /// (`snapshot --at 30 --servers 4 --hours 2 --policy vmt-wa --seed 7`)
-/// run through `Simulation::snapshot` encodes to `golden_v2.snap`, at
+/// run through `Simulation::snapshot` encodes to `golden_v3.snap`, at
 /// one tick thread and at two.
 #[test]
-fn engine_writes_the_golden_v2_bytes() {
+fn engine_writes_the_golden_v3_bytes() {
     for threads in [1, 2] {
         let mut sim = build_sized(7, PolicyKind::vmt_wa(22.0), threads, 4, 2.0);
         sim.run_until(30);
         let snapshot = sim.snapshot().expect("snapshot");
         assert!(
-            snapshot.encode() == GOLDEN_V2,
-            "threads {threads}: the engine no longer writes golden_v2.snap"
+            snapshot.encode() == GOLDEN_V3,
+            "threads {threads}: the engine no longer writes golden_v3.snap"
         );
     }
 }
@@ -297,9 +309,13 @@ fn engine_writes_the_golden_v2_bytes() {
 /// departures per tick that every pooled and ordered path runs. The
 /// same bytes come out at one and two tick threads, with the departure
 /// sweep inline and on the pool.
+///
+/// Pinned as 0x893d_70de_a2a6_560d on v2; the v2 container an engine
+/// of that format wrote from this command line transcodes to exactly
+/// the v3 bytes pinned here.
 #[test]
 fn busy_mid_run_snapshot_keeps_its_pinned_digest() {
-    const PINNED: u64 = 0x893d_70de_a2a6_560d;
+    const PINNED: u64 = 0xdf8c_4cc1_2a7d_366d;
     let cluster = ClusterConfig::paper_default(4160);
     let trace = TraceConfig {
         horizon: Hours::new(2.0),
@@ -314,7 +330,9 @@ fn busy_mid_run_snapshot_keeps_its_pinned_digest() {
         .with_threads(threads);
         sim.run_until(60);
         let snapshot = sim.snapshot().expect("snapshot");
-        assert!(snapshot.departures.lens.iter().any(|&len| len >= 4096));
+        let mut due = snapshot.farm.job_due.clone();
+        due.sort_unstable();
+        assert!(due.chunk_by(|a, b| a == b).any(|tick| tick.len() >= 4096));
         assert_eq!(snapshot.digest(), PINNED, "threads {threads}");
     }
 }
@@ -362,20 +380,25 @@ fn final_state_digests_keep_their_pinned_values() {
     }
 }
 
-/// A v1 archive transcodes losslessly: decode v1, encode v2, decode
-/// that, and resume to the pinned state. The v2 bytes equal the v2
-/// fixture's, since both describe the same run at the same tick.
+/// v1 and v2 archives transcode losslessly: decode, encode v3, decode
+/// that, and resume to the pinned state. The v3 bytes equal the v3
+/// fixture's, since all three describe the same run at the same tick.
 #[test]
-fn v1_snapshot_transcodes_to_v2() {
-    let v1 = Snapshot::decode(GOLDEN_V1).expect("golden v1 fixture decodes");
-    let v2 = v1.encode();
-    assert!(v2.starts_with(b"VMTSNAP v2\n"));
-    assert_eq!(v2, GOLDEN_V2);
-    let transcoded = Snapshot::decode(&v2).expect("transcoded container decodes");
-    assert_resumes_to_pinned_state(&transcoded, "transcoded v1");
+fn legacy_snapshots_transcode_to_v3() {
+    for (version, bytes) in [("v1", GOLDEN_V1), ("v2", GOLDEN_V2)] {
+        let legacy = Snapshot::decode(bytes).expect("golden fixture decodes");
+        let v3 = legacy.encode();
+        assert!(v3.starts_with(b"VMTSNAP v3\n"), "{version}");
+        assert!(
+            v3 == GOLDEN_V3,
+            "{version} no longer transcodes to golden_v3.snap"
+        );
+        let transcoded = Snapshot::decode(&v3).expect("transcoded container decodes");
+        assert_resumes_to_pinned_state(&transcoded, &format!("transcoded {version}"));
+    }
 }
 
-/// FNV-1a, the digest both container versions use.
+/// FNV-1a: the v1 payload digest and the v2 block digest.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
         (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -425,8 +448,103 @@ fn v1_entries(bucket: &mut serde::Value) -> &mut Vec<serde::Value> {
     }
 }
 
-/// A mid-run snapshot of an 8-server run, with pending departures in
-/// several buckets.
+/// The departure columns of `golden_v2.snap`, decoded for editing.
+struct V2Departures {
+    /// `DTCK`: the tick of each bucket.
+    ticks: Vec<u64>,
+    /// `DLEN`: the entry count of each bucket.
+    lens: Vec<u32>,
+    /// `DIDS`: the id base, then a delta per entry.
+    base: u64,
+    ids: Vec<u32>,
+    /// `DSRV`: the server of each entry.
+    servers: Vec<u32>,
+}
+
+/// The blocks of a v2 container as `(tag, data)`, in container order.
+fn v2_blocks(bytes: &[u8]) -> Vec<([u8; 4], Vec<u8>)> {
+    let mut rest = &bytes.strip_prefix(b"VMTSNAP v2\n").expect("a v2 container")[4..];
+    let mut blocks = Vec::new();
+    while !rest.is_empty() {
+        let len = u64::from_le_bytes(rest[4..12].try_into().unwrap()) as usize;
+        blocks.push((rest[..4].try_into().unwrap(), rest[12..12 + len].to_vec()));
+        rest = &rest[20 + len..];
+    }
+    assert_eq!(blocks.len(), 16, "v2 holds sixteen blocks");
+    blocks
+}
+
+/// Frames `blocks` as a v2 container, each with its FNV-1a digest.
+fn v2_container(blocks: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
+    let mut out = b"VMTSNAP v2\n".to_vec();
+    out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+    for (tag, data) in blocks {
+        let frame = out.len();
+        out.extend_from_slice(tag);
+        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        out.extend_from_slice(data);
+        let digest = fnv1a(&out[frame..]);
+        out.extend_from_slice(&digest.to_le_bytes());
+    }
+    out
+}
+
+/// Little-endian `N`-byte values.
+fn le_values<T, const N: usize>(bytes: &[u8], from_le: fn([u8; N]) -> T) -> Vec<T> {
+    let (values, rest) = bytes.as_chunks::<N>();
+    assert!(rest.is_empty());
+    values.iter().map(|&v| from_le(v)).collect()
+}
+
+fn le_bytes<T: Copy, const N: usize>(values: &[T], to_le: fn(T) -> [u8; N]) -> Vec<u8> {
+    values.iter().flat_map(|&v| to_le(v)).collect()
+}
+
+/// `golden_v2.snap` with one edit applied to its departure columns,
+/// re-framed with valid block digests.
+fn golden_v2_with_departures(edit: impl FnOnce(&mut V2Departures)) -> Vec<u8> {
+    let mut blocks = v2_blocks(GOLDEN_V2);
+    let data = |tag: &[u8; 4]| &blocks.iter().find(|(t, _)| t == tag).unwrap().1;
+    let (base, ids) = data(b"DIDS").split_at(8);
+    let mut departures = V2Departures {
+        ticks: le_values(data(b"DTCK"), u64::from_le_bytes),
+        lens: le_values(data(b"DLEN"), u32::from_le_bytes),
+        base: u64::from_le_bytes(base.try_into().unwrap()),
+        ids: le_values(ids, u32::from_le_bytes),
+        servers: le_values(data(b"DSRV"), u32::from_le_bytes),
+    };
+    edit(&mut departures);
+    for (tag, data) in &mut blocks {
+        *data = match &*tag {
+            b"DTCK" => le_bytes(&departures.ticks, u64::to_le_bytes),
+            b"DLEN" => le_bytes(&departures.lens, u32::to_le_bytes),
+            b"DIDS" => [
+                le_bytes(&[departures.base], u64::to_le_bytes),
+                le_bytes(&departures.ids, u32::to_le_bytes),
+            ]
+            .concat(),
+            b"DSRV" => le_bytes(&departures.servers, u32::to_le_bytes),
+            _ => continue,
+        };
+    }
+    v2_container(&blocks)
+}
+
+/// The first entry of the first bucket holding at least two.
+fn first_pair(departures: &V2Departures) -> usize {
+    let bucket = departures
+        .lens
+        .iter()
+        .position(|&len| len >= 2)
+        .expect("a bucket with two departures");
+    departures.lens[..bucket]
+        .iter()
+        .map(|&len| len as usize)
+        .sum()
+}
+
+/// A mid-run snapshot of an 8-server run, with jobs due at several
+/// ticks.
 fn eight_server_snapshot(policy: PolicyKind) -> Snapshot {
     let mut sim = build_sized(7, policy, 1, 8, 6.0);
     sim.run_until(120);
@@ -435,7 +553,11 @@ fn eight_server_snapshot(policy: PolicyKind) -> Snapshot {
         restore_simulation(&snapshot).is_ok(),
         "the unedited snapshot restores"
     );
-    assert!(snapshot.departures.ticks.len() > 1);
+    let mut due: Vec<u32> = snapshot.farm.job_due.clone();
+    due.retain(|&tick| tick != Job::NEVER_DUE);
+    due.sort_unstable();
+    due.dedup();
+    assert!(due.len() > 1, "jobs due at several ticks");
     snapshot
 }
 
@@ -451,27 +573,38 @@ fn assert_restore_rejects(snapshot: &Snapshot, needle: &str, context: &str) {
     }
 }
 
-/// A digest-valid container whose departures name a job its server
-/// does not run, or let a job depart twice, must fail restore with a
-/// typed error; accepting it would retire the wrong job or none.
-/// Checked through a v2 container (an 8-server run) and a v1 container
-/// (the golden fixture).
+/// Asserts that decoding `bytes` fails with a `Corrupt` error that
+/// mentions `needle`.
+fn assert_decode_rejects(bytes: &[u8], needle: &str, context: &str) {
+    match Snapshot::decode(bytes) {
+        Err(SnapshotError::Corrupt(reason)) => {
+            assert!(reason.contains(needle), "{context}: {reason}");
+        }
+        Err(other) => panic!("{context}: expected Corrupt, got {other}"),
+        Ok(_) => panic!("{context}: decode accepted an inconsistent container"),
+    }
+}
+
+/// A digest-valid legacy container whose departures name a job its
+/// server does not run, or let a job depart twice, fails with a typed
+/// error; accepting it would retire the wrong job or none. The legacy
+/// readers join the departures into the due column, so the error comes
+/// from decoding. Checked on `golden_v2.snap` with edited departure
+/// blocks and on `golden_v1.snap` with edited departure buckets.
 #[test]
 fn restore_rejects_departures_the_farm_cannot_drain() {
-    let snapshot = eight_server_snapshot(PolicyKind::vmt_wa(22.0));
-
-    let mut moved = snapshot.clone();
-    moved.departures.servers[0] = (moved.departures.servers[0] + 1) % 8;
-    let moved = Snapshot::decode(&moved.encode()).expect("framing is intact");
-    assert_restore_rejects(&moved, "does not run", "v2, moved entry");
-
-    let mut doubled = snapshot.clone();
-    let departures = &mut doubled.departures;
-    departures.jobs.deltas.push(departures.jobs.deltas[0]);
-    departures.servers.push(departures.servers[0]);
-    *departures.lens.last_mut().unwrap() += 1;
-    let doubled = Snapshot::decode(&doubled.encode()).expect("framing is intact");
-    assert_restore_rejects(&doubled, "twice", "v2, duplicated entry");
+    assert!(
+        golden_v2_with_departures(|_| {}) == GOLDEN_V2,
+        "the unedited v2 blocks re-frame to the fixture"
+    );
+    let moved = golden_v2_with_departures(|d| d.servers[0] = (d.servers[0] + 1) % 4);
+    assert_decode_rejects(&moved, "does not run", "v2, moved entry");
+    let doubled = golden_v2_with_departures(|d| {
+        d.ids.push(d.ids[0]);
+        d.servers.push(d.servers[0]);
+        *d.lens.last_mut().unwrap() += 1;
+    });
+    assert_decode_rejects(&doubled, "twice", "v2, duplicated entry");
 
     let moved = golden_v1_with_departures(|buckets| {
         let serde::Value::Array(entry) = &mut v1_entries(&mut buckets[0])[0] else {
@@ -482,15 +615,69 @@ fn restore_rejects_departures_the_farm_cannot_drain() {
         };
         entry[1] = serde::Value::U64((server + 1) % 4);
     });
-    let moved = Snapshot::decode(&moved).expect("v1 framing is intact");
-    assert_restore_rejects(&moved, "does not run", "v1, moved entry");
+    assert_decode_rejects(&moved, "does not run", "v1, moved entry");
 
     let doubled = golden_v1_with_departures(|buckets| {
         let entry = v1_entries(&mut buckets[0])[0].clone();
         v1_entries(buckets.last_mut().unwrap()).push(entry);
     });
-    let doubled = Snapshot::decode(&doubled).expect("v1 framing is intact");
-    assert_restore_rejects(&doubled, "twice", "v1, duplicated entry");
+    assert_decode_rejects(&doubled, "twice", "v1, duplicated entry");
+}
+
+/// Each live job carries its due tick, and restore holds it to the run:
+/// a job due before the snapshot tick should have departed already, and
+/// a job due at or past the horizon is written due never. A `JDUE`
+/// column one entry short or long fails decoding. Legacy buckets join
+/// into the same column, so a bucket at the horizon fails restore, and
+/// one past every tick a `u32` can name fails decoding.
+#[test]
+fn restore_rejects_due_ticks_the_run_cannot_reach() {
+    let snapshot = eight_server_snapshot(PolicyKind::vmt_wa(22.0));
+    let job = snapshot
+        .farm
+        .job_due
+        .iter()
+        .position(|&due| due != Job::NEVER_DUE)
+        .expect("a job due inside the run");
+    for (due, needle) in [
+        (119, "due at tick 119 precedes the snapshot tick 120"),
+        (360, "beyond the 360-tick horizon"),
+        (Job::NEVER_DUE - 1, "beyond the 360-tick horizon"),
+    ] {
+        let mut edited = snapshot.clone();
+        edited.farm.job_due[job] = due;
+        let edited = Snapshot::decode(&edited.encode()).expect("framing is intact");
+        assert_restore_rejects(&edited, needle, &format!("v3, due at tick {due}"));
+    }
+    let mut never = snapshot.clone();
+    never.farm.job_due[job] = Job::NEVER_DUE;
+    assert!(restore_simulation(&never).is_ok(), "a job may be due never");
+
+    for (label, grow) in [("short", false), ("long", true)] {
+        let mut edited = snapshot.clone();
+        if grow {
+            edited.farm.job_due.push(Job::NEVER_DUE);
+        } else {
+            edited.farm.job_due.pop();
+        }
+        assert_restore_rejects(&edited, "due ticks", &format!("v3, JDUE one {label}"));
+        assert_decode_rejects(
+            &edited.encode(),
+            "due ticks",
+            &format!("v3, JDUE one {label}"),
+        );
+    }
+
+    let at_horizon = golden_v2_with_departures(|d| *d.ticks.last_mut().unwrap() = 120);
+    let at_horizon = Snapshot::decode(&at_horizon).expect("v2 framing is intact");
+    assert_restore_rejects(
+        &at_horizon,
+        "beyond the 120-tick horizon",
+        "v2, bucket at the horizon",
+    );
+    let past_u32 =
+        golden_v2_with_departures(|d| *d.ticks.last_mut().unwrap() = u64::from(u32::MAX));
+    assert_decode_rejects(&past_u32, "past every tick", "v2, bucket past a u32 tick");
 }
 
 /// Replaces the field at `path` (nested object field names) of a
@@ -510,14 +697,14 @@ fn set_field(mut node: &mut serde::Value, path: &[&str], value: serde::Value) {
 }
 
 /// Restore also holds each kind's occupancy to the running jobs of that
-/// kind (each departure decrements its kind's count), requires the
-/// departure buckets to ascend from the snapshot tick and each bucket's
-/// job ids to ascend strictly (the order the sweep retires them in,
-/// checked on v2 containers and on the v1 fixture). The VMT
-/// policies' saved state must fit the farm and pass the checks their
-/// constructors make: a hot group past the farm's end would index out
-/// of it at the first refresh, and a config no constructor would build
-/// is rejected field by field.
+/// kind (each departure decrements its kind's count). A legacy
+/// container's departure buckets must ascend from the snapshot tick and
+/// each bucket's job ids must ascend strictly (the order the sweep
+/// retires them in), checked on `golden_v2.snap` and `golden_v1.snap`
+/// as they decode. The VMT policies' saved state must fit the farm and
+/// pass the checks their constructors make: a hot group past the farm's
+/// end would index out of it at the first refresh, and a config no
+/// constructor would build is rejected field by field.
 #[test]
 fn restore_rejects_inconsistent_occupancy_and_bucket_order() {
     use serde::Value::{F64, U64};
@@ -529,46 +716,37 @@ fn restore_rejects_inconsistent_occupancy_and_bucket_order() {
     shifted.occupancy[(busy + 1) % 5] += 1;
     assert_restore_rejects(&shifted, "occupancy", "occupancy moved between kinds");
 
-    let mut swapped = snapshot.clone();
-    swapped.departures.ticks.swap(0, 1);
-    assert_restore_rejects(&swapped, "out of order", "buckets out of order");
-
-    let mut stale = snapshot.clone();
-    stale.departures.ticks[0] = snapshot.tick - 1;
-    assert_restore_rejects(&stale, "precedes tick", "bucket before the snapshot tick");
+    let swapped = golden_v2_with_departures(|d| d.ticks.swap(0, 1));
+    assert_decode_rejects(&swapped, "out of order", "v2, buckets out of order");
+    let stale = golden_v2_with_departures(|d| d.ticks[0] = 29);
+    assert_decode_rejects(
+        &stale,
+        "precedes tick 30",
+        "v2, bucket before the snapshot tick",
+    );
 
     // Two entries of one bucket traded places (with their servers): the
     // farm runs both jobs, but the bucket no longer ascends. A repeated
     // entry inside its bucket is caught first as a double departure.
-    let bucket = snapshot
-        .departures
-        .lens
-        .iter()
-        .position(|&len| len >= 2)
-        .expect("a bucket with two departures");
-    let first: usize = snapshot.departures.lens[..bucket]
-        .iter()
-        .map(|&len| len as usize)
-        .sum();
-    let mut traded = snapshot.clone();
-    traded.departures.jobs.deltas.swap(first, first + 1);
-    traded.departures.servers.swap(first, first + 1);
-    let traded = Snapshot::decode(&traded.encode()).expect("framing is intact");
-    assert_restore_rejects(&traded, "must ascend", "v2, entries out of id order");
-    let mut repeated = snapshot.clone();
-    let departures = &mut repeated.departures;
-    departures.jobs.deltas[first + 1] = departures.jobs.deltas[first];
-    departures.servers[first + 1] = departures.servers[first];
-    let repeated = Snapshot::decode(&repeated.encode()).expect("framing is intact");
-    assert_restore_rejects(&repeated, "twice", "v2, entry repeated in its bucket");
+    let traded = golden_v2_with_departures(|d| {
+        let first = first_pair(d);
+        d.ids.swap(first, first + 1);
+        d.servers.swap(first, first + 1);
+    });
+    assert_decode_rejects(&traded, "must ascend", "v2, entries out of id order");
+    let repeated = golden_v2_with_departures(|d| {
+        let first = first_pair(d);
+        d.ids[first + 1] = d.ids[first];
+        d.servers[first + 1] = d.servers[first];
+    });
+    assert_decode_rejects(&repeated, "twice", "v2, entry repeated in its bucket");
     let traded = golden_v1_with_departures(|buckets| {
         let bucket = (0..buckets.len())
             .find(|&b| v1_entries(&mut buckets[b]).len() >= 2)
             .expect("a v1 bucket with two departures");
         v1_entries(&mut buckets[bucket]).swap(0, 1);
     });
-    let traded = Snapshot::decode(&traded).expect("v1 framing is intact");
-    assert_restore_rejects(&traded, "must ascend", "v1, entries out of id order");
+    assert_decode_rejects(&traded, "must ascend", "v1, entries out of id order");
 
     let ta = eight_server_snapshot(PolicyKind::VmtTa { gv: 22.0 });
     let cases: [(&Snapshot, &[&str], serde::Value, &str); 5] = [
@@ -610,6 +788,31 @@ fn restore_rejects_a_horizon_past_the_due_tick_range() {
         }
         Err(other) => panic!("expected a horizon error, got {other}"),
         Ok(_) => panic!("restore accepted a 1e12-hour horizon"),
+    }
+}
+
+/// A digest-valid container whose trace horizon would make the restored
+/// run preallocate more than the memory ceiling (here 1e7 hours on 10
+/// servers: 0.6 billion ticks of result series and heatmap rows) is a
+/// typed error before anything sized by the horizon is allocated.
+#[test]
+fn restore_rejects_a_run_too_large_to_preallocate() {
+    let mut sim = build_sized(7, PolicyKind::vmt_wa(22.0), 1, 10, 1.0);
+    sim.run_until(30);
+    let mut long = sim.snapshot().expect("snapshot");
+    long.trace = vmt::workload::TraceDescriptor::Diurnal(DiurnalTrace::new(TraceConfig {
+        horizon: Hours::new(1e7),
+        seed: 7,
+        ..TraceConfig::paper_default()
+    }));
+    let long = Snapshot::decode(&long.encode()).expect("a digest-valid container");
+    match restore_simulation(&long) {
+        Err(SnapshotError::TooLarge(err)) => {
+            assert_eq!(err.what, "result series");
+            assert!(err.bytes > err.limit, "{err}");
+        }
+        Err(other) => panic!("expected a memory-plan error, got {other}"),
+        Ok(_) => panic!("restore accepted a 1e7-hour horizon"),
     }
 }
 
@@ -678,17 +881,17 @@ mod container_properties {
         sample_snapshot(seed, at).encode()
     }
 
-    /// Byte range of each v2 block frame (`tag | length | data |
+    /// Byte range of each v3 block frame (`tag | length | data |
     /// digest`), after the header line and the block count.
     fn frames(bytes: &[u8]) -> Vec<Range<usize>> {
-        let mut at = b"VMTSNAP v2\n".len() + 4;
+        let mut at = b"VMTSNAP v3\n".len() + 4;
         let mut frames = Vec::new();
         while at < bytes.len() {
             let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
             frames.push(at..at + 20 + len);
             at += 20 + len;
         }
-        assert_eq!(frames.len(), 16, "v2 holds sixteen blocks");
+        assert_eq!(frames.len(), 13, "v3 holds thirteen blocks");
         frames
     }
 
@@ -727,9 +930,10 @@ mod container_properties {
             let cut = truncate_to % encoded.len();
             prop_assert!(Snapshot::decode(&encoded[..cut]).is_err());
 
-            // A single changed byte anywhere is rejected: every v2 byte
+            // A single changed byte anywhere is rejected: every v3 byte
             // is magic, version, framing or digested data, so there is
-            // no header text with slack to absorb it.
+            // no header text with slack to absorb it, and each step of
+            // the block digest is injective in the word it folds.
             let mut bytes = encoded.clone();
             let i = flip_at % bytes.len();
             bytes[i] = flip_to;
@@ -821,11 +1025,12 @@ mod container_properties {
     }
 
     /// Column contents that disagree with the config, written with valid
-    /// digests, fail the shape checks that close decoding.
+    /// digests, fail the shape checks that close decoding — on v3 and,
+    /// for the departure columns, on v2.
     #[test]
     fn inconsistent_columns_are_rejected() {
         let snapshot = sample_snapshot(5, 20);
-        assert!(!snapshot.departures.lens.is_empty());
+        assert!(!snapshot.farm.job_due.is_empty());
         let rejects = |edit: &dyn Fn(&mut Snapshot), needle: &str| {
             let mut edited = snapshot.clone();
             edit(&mut edited);
@@ -840,11 +1045,15 @@ mod container_properties {
             &|s| s.farm.job_counts[0] = s.config.power.cores() + 1,
             "cores",
         );
-        rejects(&|s| s.departures.lens[0] += 1, "bucket lengths sum");
-        rejects(&|s| s.departures.lens.push(0), "bucket lengths for");
         rejects(&|s| s.farm.job_kinds[0] = 5, "workload kind");
         rejects(&|s| s.farm.inlet_c.push(22.0), "farm arrays");
-        rejects(&|s| s.departures.servers[0] = 2, "server 2");
+        rejects(&|s| s.farm.job_due.truncate(1), "due ticks");
+        let v2_rejects = |edit: fn(&mut V2Departures), needle: &str| {
+            assert_decode_rejects(&golden_v2_with_departures(edit), needle, needle);
+        };
+        v2_rejects(|d| d.lens[0] += 1, "bucket lengths sum");
+        v2_rejects(|d| d.lens.push(0), "bucket lengths for");
+        v2_rejects(|d| d.servers[0] = 4, "server 4 in a 4-server farm");
     }
 }
 
