@@ -2,8 +2,8 @@
 //!
 //! The production policies ([`crate::CoolestFirst`], [`crate::VmtTa`],
 //! [`crate::VmtWa`]) run on two fast paths: a [`ThermalBalancer`] heap
-//! that picks the coolest member in O(log n), and the engine's
-//! [`ClusterIndex`] flat arrays with per-tick scan cursors. This module
+//! that picks the coolest member in O(log n), and per-tick scan cursors
+//! over the farm's lanes. This module
 //! retains the *specification* those optimizations must honor: the same
 //! policies written the obvious way — a full linear argmin over the
 //! member set for every placement, every flag and core count read
@@ -20,7 +20,6 @@
 //! the result being compared.
 //!
 //! [`ThermalBalancer`]: crate::ThermalBalancer
-//! [`ClusterIndex`]: vmt_dcsim::ClusterIndex
 //! [`SimulationResult`]: vmt_dcsim::SimulationResult
 
 use crate::balance;

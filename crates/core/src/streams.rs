@@ -464,7 +464,7 @@ mod tests {
             let placed = policy.place_indexed(job, &farm, &index);
             if let Some(sid) = placed {
                 farm.start_job(sid.0, job);
-                index.record_starts(1);
+                index.record_start(job.kind());
             }
             outcomes.push(placed);
         }
@@ -493,7 +493,11 @@ mod tests {
             Some(&mut probe),
             stop,
         );
-        index.record_starts(outcomes.iter().flatten().count() as u64);
+        for (job, placed) in jobs.iter().zip(&outcomes) {
+            if placed.is_some() {
+                index.record_start(job.kind());
+            }
+        }
         (after(&policy, &farm, &index, outcomes), probe.seen)
     }
 

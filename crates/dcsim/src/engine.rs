@@ -51,12 +51,10 @@ pub struct Simulation {
     scheduler: Box<dyn Scheduler>,
     farm: ServerFarm,
     planner: ArrivalPlanner,
-    /// Occupied cores per workload, indexed by [`WorkloadKind::index`].
-    occupancy: [usize; 5],
     next_job_id: u64,
     /// Shuffles each tick's arrival order (seeded; deterministic).
     arrival_rng: rand::rngs::SmallRng,
-    /// Incremental per-server state handed to the scheduler.
+    /// The cluster's occupancy per workload, handed to the scheduler.
     index: ClusterIndex,
     /// The tick's planned arrivals in arrival order, as parallel
     /// duration and kind columns reused across ticks (9 bytes an
@@ -204,7 +202,6 @@ impl Simulation {
             scheduler,
             farm,
             planner,
-            occupancy: [0; 5],
             next_job_id: 0,
             arrival_rng,
             index,
@@ -505,9 +502,9 @@ impl Simulation {
         // Physics tick and metric accumulation in one sharded sweep
         // over the farm's arrays: per-shard partial sums (electrical,
         // heat into wax, temperature sums, stored energy) are folded
-        // in shard order, the index's reported-melt lane and the
-        // optional heatmap rows are written in place. The sweep is
-        // deterministic at any thread count — see `farm`.
+        // in shard order, and the optional heatmap rows are written in
+        // place. The sweep is deterministic at any thread count — see
+        // `farm`.
         let hot_size = self.hot_size();
         let sample_heatmaps = t.is_multiple_of(heatmap_stride);
         let (temp_row, melt_row) = if sample_heatmaps {
@@ -522,7 +519,6 @@ impl Simulation {
         let totals = self.farm.tick_physics_recorded(
             dt,
             hot_size.unwrap_or(0),
-            &mut self.index,
             temp_row,
             melt_row,
             sweep_timing.as_mut(),
@@ -609,17 +605,13 @@ impl Simulation {
             .trace
             .descriptor()
             .ok_or(SnapshotError::NotSnapshottable("trace"))?;
-        let mut occupancy = [0u64; 5];
-        for (slot, &used) in occupancy.iter_mut().zip(&self.occupancy) {
-            *slot = used as u64;
-        }
         Ok(Snapshot {
             config: self.config.clone(),
             trace,
             scheduler,
             tick: self.current_tick(),
             farm: self.farm.state_within(self.total_ticks()),
-            occupancy,
+            occupancy: self.index.occupancy(),
             next_job_id: self.next_job_id,
             arrival_rng: self.arrival_rng.state(),
             planner_rng: self.planner.rng_state(),
@@ -775,18 +767,12 @@ impl Simulation {
         let tick = snapshot.tick as usize;
         // Each departure decrements its kind's occupancy, so every kind
         // must count exactly the running jobs of that kind.
-        let mut running = [0u64; 5];
-        for &kind in &snapshot.farm.job_kinds {
-            running[kind as usize] += 1;
-        }
-        if running != snapshot.occupancy {
+        if sim.index.occupancy() != snapshot.occupancy {
             return Err(SnapshotError::Corrupt(format!(
-                "occupancy {:?} disagrees with the farm's running jobs {running:?}",
-                snapshot.occupancy
+                "occupancy {:?} disagrees with the farm's running jobs {:?}",
+                snapshot.occupancy,
+                sim.index.occupancy()
             )));
-        }
-        for (slot, &used) in sim.occupancy.iter_mut().zip(&running) {
-            *slot = used as usize;
         }
         sim.next_job_id = snapshot.next_job_id;
         sim.arrival_rng = rand::rngs::SmallRng::from_state(snapshot.arrival_rng);
@@ -868,7 +854,6 @@ impl Simulation {
             scheduler,
             farm: self.farm.clone(),
             planner: self.planner.clone(),
-            occupancy: self.occupancy,
             next_job_id: self.next_job_id,
             arrival_rng: self.arrival_rng.clone(),
             index: self.index.clone(),
@@ -887,11 +872,9 @@ impl Simulation {
         })
     }
 
-    /// The occupancy and report ledger, checked in builds with debug
-    /// assertions after departures and after placement: the index's used
-    /// total, the farm's per-server used cores and the per-kind
-    /// occupancy count the same jobs, and every reported melt in the
-    /// index is the farm's, bit for bit.
+    /// The occupancy ledger, checked in builds with debug assertions
+    /// after departures and after placement: the index's occupancy
+    /// counts the jobs the farm's per-server used cores do.
     fn debug_check_ledger(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -902,21 +885,11 @@ impl Simulation {
             .iter()
             .map(|&c| u64::from(c))
             .sum();
-        let occupied: usize = self.occupancy.iter().sum();
         assert_eq!(
             self.index.used_cores_total(),
             used,
-            "index used total vs farm"
+            "index occupancy vs farm"
         );
-        assert_eq!(occupied as u64, used, "occupancy vs farm");
-        for (i, report) in self.index.reported_melt().iter().enumerate() {
-            let farm = self.farm.reported_melt_fraction(i).get();
-            assert_eq!(
-                report.to_bits(),
-                farm.to_bits(),
-                "reported melt of server {i}: index {report}, farm {farm}"
-            );
-        }
     }
 
     /// The policy's hot-group size clamped to the farm. The physics
@@ -949,7 +922,6 @@ impl Simulation {
             tick_u32,
             self.hot_size().unwrap_or(0),
             &mut self.index,
-            &mut self.occupancy,
             flight.is_some().then_some(&mut self.departed),
             timing,
         );
@@ -992,7 +964,7 @@ impl Simulation {
             WorkloadKind::ALL.map(|kind| self.trace.target_cores(kind, now_hours, total_cores));
         self.planner.plan_tick(
             targets,
-            self.occupancy,
+            self.index.occupancy().map(|used| used as usize),
             &mut self.durations,
             &mut self.kinds,
         );
@@ -1108,15 +1080,14 @@ impl Simulation {
         // the common unrecorded run carries no per-job telemetry branch.
         // Departures need nothing here: each placed job's due tick went
         // into the job table with it. The engine is the index's only
-        // writer of starts: the chunk's placed jobs join its used total
-        // here, once, whatever the policy's batch body.
-        let placed_before = *placements;
+        // writer of starts: each placed job joins its workload's
+        // occupancy here, whatever the policy's batch body.
         let flight = telemetry.filter(|tel| tel.flight_armed());
         if let Some(tel) = flight {
             for (job, placed) in batch.iter().zip(&outcomes) {
                 match placed {
                     Some(sid) => {
-                        self.occupancy[job.kind().index()] += 1;
+                        self.index.record_start(job.kind());
                         *placements += 1;
                         tel.record_placement(
                             tick,
@@ -1136,14 +1107,13 @@ impl Simulation {
             for (job, placed) in batch.iter().zip(&outcomes) {
                 match placed {
                     Some(_) => {
-                        self.occupancy[job.kind().index()] += 1;
+                        self.index.record_start(job.kind());
                         *placements += 1;
                     }
                     None => *dropped += 1,
                 }
             }
         }
-        self.index.record_starts(*placements - placed_before);
         self.batch = batch;
         self.outcomes = outcomes;
     }

@@ -1340,9 +1340,9 @@ impl ServerFarm {
     /// outcomes are folded in shard order, so the result is the same at
     /// any thread count.
     ///
-    /// Returns the number of jobs ended. `occupancy` is decremented per
-    /// workload kind and the index's used total by the jobs ended. When
-    /// `log` is supplied it receives one
+    /// Returns the number of jobs ended, which leave the index's
+    /// occupancy of their workloads. When `log` is supplied it receives
+    /// one
     /// `(id − id_base) << 32 | server` word per ended job, in shard
     /// order and by ascending id within each server.
     pub(crate) fn end_due_jobs(
@@ -1350,7 +1350,6 @@ impl ServerFarm {
         tick: u32,
         hot_limit: usize,
         index: &mut ClusterIndex,
-        occupancy: &mut [usize; 5],
         log: Option<&mut Vec<u64>>,
         timing: Option<&mut SweepTiming>,
     ) -> u64 {
@@ -1420,9 +1419,7 @@ impl ServerFarm {
         let mut ended = 0u64;
         for out in &outs {
             ended += u64::from(out.ended);
-            for (slot, &count) in occupancy.iter_mut().zip(&out.kinds) {
-                *slot -= count as usize;
-            }
+            index.record_departures(&out.kinds);
         }
         if let Some(log) = log {
             log.clear();
@@ -1430,7 +1427,6 @@ impl ServerFarm {
                 log.append(shard);
             }
         }
-        index.record_ends(ended);
         ended
     }
 
@@ -1464,38 +1460,20 @@ impl ServerFarm {
     /// Advances every server's physics by `dt` (thermal response, wax
     /// exchange, estimator update) and returns the order-stable tick
     /// totals. Standalone form for tests and benches; the engine uses
-    /// the recording variant that also refreshes the [`ClusterIndex`]'s
-    /// reported melt and the heatmap rows.
+    /// the recording variant that also fills the heatmap rows.
     pub fn tick_physics(&mut self, dt: Seconds) -> FarmTickTotals {
-        self.sweep(dt, 0, None, None, None, None)
+        self.tick_physics_recorded(dt, 0, None, None, None)
     }
 
-    /// The engine's physics tick: advances all servers, writes the
-    /// index's reported-melt lane in place, and fills the optional
-    /// heatmap rows (physical air temperature and melt fraction per
-    /// server). When `timing` is supplied the sweep attributes its wall
-    /// time to the shard-run and fold sections; the `None` path takes no
-    /// timestamps.
+    /// The engine's physics tick: advances all servers and fills the
+    /// optional heatmap rows (physical air temperature and melt fraction
+    /// per server). When `timing` is supplied the sweep attributes its
+    /// wall time to the shard-run and fold sections; the `None` path
+    /// takes no timestamps.
     pub(crate) fn tick_physics_recorded(
         &mut self,
         dt: Seconds,
         hot_limit: usize,
-        index: &mut ClusterIndex,
-        temp_row: Option<&mut [f64]>,
-        melt_row: Option<&mut [f64]>,
-        timing: Option<&mut SweepTiming>,
-    ) -> FarmTickTotals {
-        let report = Some(index.reported_melt_mut());
-        self.sweep(dt, hot_limit, report, temp_row, melt_row, timing)
-    }
-
-    /// The sharded sweep behind both tick entry points. Every sink —
-    /// the reported-melt lane and the two heatmap rows — is optional.
-    fn sweep(
-        &mut self,
-        dt: Seconds,
-        hot_limit: usize,
-        report: Option<&mut [f64]>,
         temp_row: Option<&mut [f64]>,
         melt_row: Option<&mut [f64]>,
         timing: Option<&mut SweepTiming>,
@@ -1518,7 +1496,6 @@ impl ServerFarm {
                 estimator: &w.estimator,
                 substeps,
                 sub_dt_s,
-                oracle: self.oracle_wax_state,
             }
         });
         let params = TickParams {
@@ -1540,7 +1517,6 @@ impl ServerFarm {
             let mut enthalpy = self.enthalpy_j.as_mut_slice();
             let mut est_temp = self.est_temp_c.as_mut_slice();
             let mut est_frac = self.est_fraction.as_mut_slice();
-            let mut report = report;
             let mut temp_row = temp_row;
             let mut melt_row = melt_row;
             let mut outs_rest = outs.as_mut_slice();
@@ -1557,7 +1533,6 @@ impl ServerFarm {
                     enthalpy: split_front_mut(&mut enthalpy, len),
                     est_temp: split_front_mut(&mut est_temp, len),
                     est_frac: split_front_mut(&mut est_frac, len),
-                    report: split_front_opt(&mut report, len),
                     temp_row: split_front_opt(&mut temp_row, len),
                     melt_row: split_front_opt(&mut melt_row, len),
                     out: &mut out[0],
@@ -1745,7 +1720,6 @@ struct WaxTick<'a> {
     estimator: &'a WaxStateEstimator,
     substeps: usize,
     sub_dt_s: f64,
-    oracle: bool,
 }
 
 /// One shard's mutable window over the farm's state and sink arrays.
@@ -1758,8 +1732,6 @@ struct ShardView<'a> {
     enthalpy: &'a mut [f64],
     est_temp: &'a mut [f64],
     est_frac: &'a mut [f64],
-    /// The index's reported-melt lane, when the engine ticks.
-    report: Option<&'a mut [f64]>,
     temp_row: Option<&'a mut [f64]>,
     melt_row: Option<&'a mut [f64]>,
     out: &'a mut FarmTickTotals,
@@ -1872,7 +1844,6 @@ fn run_shard(task: ShardView<'_>, p: &TickParams<'_>) {
         enthalpy,
         est_temp,
         est_frac,
-        report,
         temp_row,
         melt_row,
         out,
@@ -1964,15 +1935,6 @@ fn run_shard(task: ShardView<'_>, p: &TickParams<'_>) {
         out.hot_sum_c += t;
     }
 
-    if let Some(report) = report {
-        // What the scheduler sees: the estimator's report, or the
-        // physical fraction under the oracle ablation (and zero without
-        // wax).
-        report.copy_from_slice(match &p.wax {
-            Some(w) if !w.oracle => &*est_frac,
-            _ => &*melt,
-        });
-    }
     if let Some(row) = temp_row {
         row.copy_from_slice(air);
     }
@@ -2230,19 +2192,17 @@ mod tests {
         let n = 4000;
         let mut farm = ServerFarm::from_config(&ClusterConfig::paper_default(n));
         farm.set_threads(8);
-        let mut occupancy = [0usize; 5];
         for i in 0..n {
             for core in 0..3 {
                 let mut j = job((i * 3 + core) as u64, WorkloadKind::WebSearch);
                 j.set_due_tick(7);
                 farm.start_job(i, &j);
-                occupancy[WorkloadKind::WebSearch.index()] += 1;
             }
         }
         let mut index = ClusterIndex::new(&farm);
-        let ended = farm.end_due_jobs(7, 0, &mut index, &mut occupancy, None, None);
+        let ended = farm.end_due_jobs(7, 0, &mut index, None, None);
         assert_eq!(ended, 3 * n as u64);
-        assert_eq!(occupancy, [0; 5]);
+        assert_eq!(index.occupancy(), [0; 5]);
         assert!((0..n).all(|i| farm.used_cores(i) == 0));
         assert!(farm.pool.is_none(), "sweep fanned out below the quantum");
     }
@@ -2280,7 +2240,6 @@ mod tests {
         }
         let mut manual = swept.clone();
         let mut index = ClusterIndex::new(&swept);
-        let mut occupancy = [usize::MAX / 2; 5];
         let mut log = Vec::new();
         for tick in 1..=4u32 {
             let mut want_log = Vec::new();
@@ -2297,7 +2256,7 @@ mod tests {
                     want_log.push(delta << 32 | i as u64);
                 }
             }
-            swept.end_due_jobs(tick, 0, &mut index, &mut occupancy, Some(&mut log), None);
+            swept.end_due_jobs(tick, 0, &mut index, Some(&mut log), None);
             let label = format!("{cores} cores, tick {tick}");
             assert_eq!(log, want_log, "{label}");
             assert_eq!(swept.state(), manual.state(), "{label}");
@@ -2307,8 +2266,8 @@ mod tests {
             assert_eq!(swept.job_heads, manual.job_heads, "{label}");
             assert_eq!(swept.job_tails, manual.job_tails, "{label}");
             assert_eq!(
-                index.used_cores_total(),
-                ClusterIndex::new(&manual).used_cores_total(),
+                index.occupancy(),
+                ClusterIndex::new(&manual).occupancy(),
                 "{label}"
             );
         }
@@ -2422,53 +2381,30 @@ mod tests {
         let n: usize = 4160;
         let drain = |farm: &mut ServerFarm, edge: usize| {
             let mut index = ClusterIndex::new(farm);
-            let mut occupancy = [usize::MAX / 2; 5];
             // Every job ends over the three due ticks.
             let mut logs = Vec::new();
             for tick in 1..=3 {
                 let mut log = Vec::new();
-                farm.end_due_jobs(tick, edge, &mut index, &mut occupancy, Some(&mut log), None);
+                farm.end_due_jobs(tick, edge, &mut index, Some(&mut log), None);
                 logs.push(log);
             }
-            (index.used_cores_total(), occupancy, logs)
+            (index.occupancy(), logs)
         };
         for edge in [0, 1, 2564, 4096, 4159, 4160] {
             let mut serial = loaded_farm(n);
             serial.set_threads(1);
-            let mut index = ClusterIndex::new(&serial);
             let want: Vec<_> = (0..3)
-                .map(|_| {
-                    serial.tick_physics_recorded(
-                        Seconds::new(60.0),
-                        edge,
-                        &mut index,
-                        None,
-                        None,
-                        None,
-                    )
-                })
+                .map(|_| serial.tick_physics_recorded(Seconds::new(60.0), edge, None, None, None))
                 .collect();
             let want_drain = drain(&mut serial, edge);
             for threads in [2, 8] {
                 let mut pooled = loaded_farm(n);
                 pooled.set_threads(threads);
-                let mut pooled_index = ClusterIndex::new(&pooled);
                 for (tick, want) in want.iter().enumerate() {
-                    let got = pooled.tick_physics_recorded(
-                        Seconds::new(60.0),
-                        edge,
-                        &mut pooled_index,
-                        None,
-                        None,
-                        None,
-                    );
+                    let got =
+                        pooled.tick_physics_recorded(Seconds::new(60.0), edge, None, None, None);
                     assert_eq!(&got, want, "edge {edge} threads {threads} tick {tick}");
                 }
-                assert_eq!(
-                    pooled_index.reported_melt(),
-                    index.reported_melt(),
-                    "edge {edge} threads {threads}"
-                );
                 assert_eq!(
                     drain(&mut pooled, edge),
                     want_drain,
@@ -2497,17 +2433,9 @@ mod tests {
     #[test]
     fn hot_limit_sums_leading_servers() {
         let mut farm = loaded_farm(10);
-        let mut index = ClusterIndex::new(&farm);
-        let totals =
-            farm.tick_physics_recorded(Seconds::new(60.0), 3, &mut index, None, None, None);
+        let totals = farm.tick_physics_recorded(Seconds::new(60.0), 3, None, None, None);
         let manual: f64 = (0..3).map(|i| farm.air_at_wax(i).get()).sum();
         assert!((totals.hot_sum_c - manual).abs() < 1e-9);
-        for i in 0..10 {
-            assert_eq!(
-                index.reported_melt()[i],
-                farm.reported_melt_fraction(i).get()
-            );
-        }
     }
 
     mod properties {

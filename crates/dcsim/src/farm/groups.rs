@@ -12,7 +12,6 @@
 
 use super::{append_job, prefetch, run_pair, tick_fan_out, JobPool, ServerFarm, SHARD};
 use crate::server::ServerId;
-use std::marker::PhantomData;
 use vmt_thermal::AirStream;
 use vmt_units::{Celsius, Watts};
 use vmt_workload::{Job, VmtClass};
@@ -30,22 +29,6 @@ struct DeferredAppend {
     /// Id delta, due tick and workload byte of the appended slot.
     entry: (u32, u32, u8),
 }
-
-/// Write access to the slots of the batch's outcome slice that belong
-/// to one group's jobs.
-///
-/// Both group views hold a copy; a view writes slot `pos` only after
-/// checking that job `pos` is of its own class, and the two views have
-/// different classes, so no slot is ever written by both.
-#[derive(Clone, Copy)]
-struct Outcomes<'a> {
-    ptr: *mut Option<ServerId>,
-    _out: PhantomData<&'a mut [Option<ServerId>]>,
-}
-
-// SAFETY: writes through `ptr` go to class-disjoint slots of an
-// exclusively borrowed slice (see the type docs).
-unsafe impl Send for Outcomes<'_> {}
 
 /// One thermal group's disjoint window over the farm: the hot
 /// group's servers `..edge` or the cold group's `edge..`, addressed by
@@ -75,12 +58,16 @@ pub struct GroupView<'a> {
     /// The edge shard both views touch (`usize::MAX` when the edge is
     /// shard-aligned); its appends go to `deferred`.
     shared_shard: usize,
-    /// The view and its deferred appends live on the stack of the
-    /// thread running the group, so the two groups never write a shared
-    /// cache line per job.
+    /// The view, its deferred appends and its starts live on the stack
+    /// of the thread running the group, so the two groups never write a
+    /// shared cache line per job.
     deferred: Vec<DeferredAppend>,
+    /// `(position, server)` of every job the view started, in start
+    /// order; [`ServerFarm::place_groups`] writes them into the batch's
+    /// outcomes once both groups ran. Both fit `u32` (8 B a start): no
+    /// batch or farm a run can hold reaches 2^32.
+    starts: Vec<(u32, u32)>,
     jobs: &'a [Job],
-    outcomes: Outcomes<'a>,
 }
 
 impl<'a> GroupView<'a> {
@@ -123,8 +110,8 @@ impl<'a> GroupView<'a> {
     }
 
     /// Starts job `pos` of [`GroupView::jobs`] on server `idx` — the
-    /// farm's `start_job` on the view's lanes — and records the outcome
-    /// in slot `pos`.
+    /// farm's `start_job` on the view's lanes — and lists the start as
+    /// job `pos`'s outcome.
     ///
     /// # Panics
     ///
@@ -172,10 +159,7 @@ impl<'a> GroupView<'a> {
         }
         self.job_counts[local] += 1;
         self.active_power_w[local] += job.core_power().get();
-        // SAFETY: `pos` is in bounds (`jobs[pos]` above, and the slice
-        // has one slot per job); the class check above makes the slot
-        // this view's alone.
-        unsafe { *self.outcomes.ptr.add(pos) = Some(ServerId(idx)) };
+        self.starts.push((pos as u32, idx as u32));
     }
 
     /// Hints the CPU to pull server `idx`'s placement lanes toward L1;
@@ -212,9 +196,9 @@ impl ServerFarm {
     /// farm ends exactly as if every started job had gone through
     /// [`ServerFarm::start_job`] in arrival order.
     ///
-    /// Each view writes its jobs' outcomes into `out` (one slot per job
-    /// of `jobs`) in place; slots of jobs a view does not start are left
-    /// as they are.
+    /// Each view lists the jobs it starts, and once both ran their
+    /// servers are written into `out` (one slot per job of `jobs`);
+    /// slots of jobs neither view started are left as they are.
     ///
     /// Returns `false` without running anything when an id of `jobs`
     /// falls outside the job table's 32-bit id window: starting it would
@@ -268,10 +252,6 @@ impl ServerFarm {
         let mut hot_done = None;
         let mut cold_done = None;
         {
-            let outcomes = Outcomes {
-                ptr: out.as_mut_ptr(),
-                _out: PhantomData,
-            };
             let (hot_inlet, cold_inlet) = self.inlet_c.split_at(edge);
             let (hot_power, cold_power) = self.active_power_w.split_at_mut(edge);
             let (hot_heads, cold_heads) = self.job_heads.split_at_mut(edge);
@@ -297,8 +277,8 @@ impl ServerFarm {
                 first_shard: 0,
                 shared_shard,
                 deferred: Vec::new(),
+                starts: Vec::new(),
                 jobs,
-                outcomes,
             };
             let mut cold_view = GroupView {
                 start: edge,
@@ -316,8 +296,8 @@ impl ServerFarm {
                 first_shard: cold_first_shard,
                 shared_shard,
                 deferred: Vec::new(),
+                starts: Vec::new(),
                 jobs,
-                outcomes,
             };
             let pool = if fan_out > 1 {
                 self.pool.as_ref()
@@ -329,16 +309,19 @@ impl ServerFarm {
                 pool,
                 move || {
                     hot(&mut hot_view);
-                    *hot_done = Some(hot_view.deferred);
+                    *hot_done = Some((hot_view.deferred, hot_view.starts));
                 },
                 move || {
                     cold(&mut cold_view);
-                    *cold_done = Some(cold_view.deferred);
+                    *cold_done = Some((cold_view.deferred, cold_view.starts));
                 },
             );
         }
-        let hot_deferred = hot_done.expect("the hot group ran");
-        let cold_deferred = cold_done.expect("the cold group ran");
+        let (hot_deferred, hot_starts) = hot_done.expect("the hot group ran");
+        let (cold_deferred, cold_starts) = cold_done.expect("the cold group ran");
+        for &(pos, server) in hot_starts.iter().chain(&cold_starts) {
+            out[pos as usize] = Some(ServerId(server as usize));
+        }
 
         // Replay the edge shard's appends in arrival order.
         let (mut h, mut c) = (

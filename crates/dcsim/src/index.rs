@@ -1,73 +1,58 @@
-//! The cluster state the engine keeps beside the farm.
+//! The cluster's occupancy, which the engine keeps beside the farm.
 
 use crate::farm::ServerFarm;
+use vmt_workload::WorkloadKind;
 
-/// What the engine keeps beside the [`ServerFarm`]: every server's
-/// reported wax state as one lane and the cluster's occupancy totals.
+/// The cluster's one count of busy cores: the cores each workload
+/// occupies, and the cluster's core count.
 ///
-/// The farm holds every server's physical state (air temperature, core
-/// counts, power, wax), and the index copies none of its lanes. It
-/// holds:
+/// The farm holds every server's state (air temperature, core counts,
+/// power, wax and its reported melt,
+/// [`ServerFarm::reported_melt_fraction`]), and the index copies none
+/// of its lanes. The per-kind counts are what the arrival planner tops
+/// up to each workload's target and what a snapshot carries; their sum
+/// makes utilization O(1). The engine is the only writer: the departure
+/// sweep subtracts the jobs it ends, and the placement loop adds each
+/// job a [`Scheduler::place_batch`] call started, after the call
+/// returns ([`ClusterIndex::record_start`]).
 ///
-/// * the *reported* melt fraction per server — the on-server
-///   estimator's report (or, under the `oracle_wax_state` ablation, the
-///   physical fraction), written by the physics sweep once a tick — as
-///   one contiguous lane telemetry, watchdogs and digests scan;
-/// * the used and total core counts of the whole cluster, so
-///   utilization is O(1). The engine is the only writer of the used
-///   total: the departure sweep subtracts the jobs it ends, and the
-///   placement loop adds the jobs each [`Scheduler::place_batch`] call
-///   started, after the call returns.
-///
-/// Between the engine's tick phases each report equals
-/// [`ServerFarm::reported_melt_fraction`] and the used total equals the
-/// sum of [`ServerFarm::used_cores`], bit for bit; the engine asserts
-/// both in builds with debug assertions.
+/// Between the engine's tick phases the total equals the sum of
+/// [`ServerFarm::used_cores`]; the engine asserts it in builds with
+/// debug assertions.
 ///
 /// [`Scheduler::place_batch`]: crate::Scheduler::place_batch
 #[derive(Debug, Clone)]
 pub struct ClusterIndex {
-    /// Reported melt fraction per server; equals
-    /// [`ServerFarm::reported_melt_fraction`] as of the last physics
-    /// tick.
-    reported_melt: Vec<f64>,
-    /// Cluster-wide occupied cores.
-    used_total: u64,
+    /// Occupied cores per workload, indexed by [`WorkloadKind::index`].
+    occupancy: [u64; 5],
     /// Cluster-wide core count (fixed).
     total_cores: u64,
 }
 
 impl ClusterIndex {
-    /// Builds the index from the farm's current state.
+    /// Counts the farm's running jobs by workload. Servers without jobs
+    /// are skipped, so indexing a fresh farm walks no job chain.
     pub fn new(farm: &ServerFarm) -> Self {
-        let n = farm.len();
+        let mut occupancy = [0; 5];
+        for i in (0..farm.len()).filter(|&i| farm.used_cores(i) > 0) {
+            for (slot, count) in occupancy.iter_mut().zip(farm.kind_counts(i)) {
+                *slot += u64::from(count);
+            }
+        }
         Self {
-            reported_melt: (0..n)
-                .map(|i| farm.reported_melt_fraction(i).get())
-                .collect(),
-            used_total: (0..n).map(|i| u64::from(farm.used_cores(i))).sum(),
-            total_cores: n as u64 * u64::from(farm.cores()),
+            occupancy,
+            total_cores: farm.len() as u64 * u64::from(farm.cores()),
         }
     }
 
-    /// Number of indexed servers.
-    pub fn len(&self) -> usize {
-        self.reported_melt.len()
-    }
-
-    /// True when the index covers no servers.
-    pub fn is_empty(&self) -> bool {
-        self.reported_melt.is_empty()
-    }
-
-    /// Per-server reported melt fraction.
-    pub fn reported_melt(&self) -> &[f64] {
-        &self.reported_melt
+    /// Occupied cores per workload, indexed by [`WorkloadKind::index`].
+    pub fn occupancy(&self) -> [u64; 5] {
+        self.occupancy
     }
 
     /// Cluster-wide occupied cores.
     pub fn used_cores_total(&self) -> u64 {
-        self.used_total
+        self.occupancy.iter().sum()
     }
 
     /// Cluster-wide core count.
@@ -80,27 +65,23 @@ impl ClusterIndex {
         if self.total_cores == 0 {
             return 0.0;
         }
-        self.used_total as f64 / self.total_cores as f64
+        self.used_cores_total() as f64 / self.total_cores as f64
     }
 
-    /// The reported-melt lane, written in bulk by the farm's sharded
-    /// physics sweep.
-    pub(crate) fn reported_melt_mut(&mut self) -> &mut [f64] {
-        &mut self.reported_melt
-    }
-
-    /// Records `count` job starts: the engine calls this once per
-    /// [`Scheduler::place_batch`] call with the number of jobs the call
-    /// placed, and so must a harness that drives `place_batch` itself.
+    /// Records a job of `kind` started: the engine calls this for each
+    /// job a [`Scheduler::place_batch`] call placed, and so must a
+    /// harness that drives `place_batch` itself.
     ///
     /// [`Scheduler::place_batch`]: crate::Scheduler::place_batch
-    pub fn record_starts(&mut self, count: u64) {
-        self.used_total += count;
+    pub fn record_start(&mut self, kind: WorkloadKind) {
+        self.occupancy[kind.index()] += 1;
     }
 
-    /// Records `count` job ends.
-    pub(crate) fn record_ends(&mut self, count: u64) {
-        self.used_total -= count;
+    /// Records `ended[k]` departures of workload `k`.
+    pub(crate) fn record_departures(&mut self, ended: &[u32; 5]) {
+        for (slot, &count) in self.occupancy.iter_mut().zip(ended) {
+            *slot -= u64::from(count);
+        }
     }
 }
 
@@ -109,26 +90,31 @@ mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use vmt_units::Seconds;
-    use vmt_workload::{Job, JobId, WorkloadKind};
+    use vmt_workload::{Job, JobId};
 
     fn farm(n: usize) -> ServerFarm {
         ServerFarm::from_config(&ClusterConfig::paper_default(n))
     }
 
     #[test]
-    fn mirrors_initial_server_state() {
-        let farm = farm(3);
+    fn counts_the_farm_occupancy() {
+        let mut farm = farm(3);
         let index = ClusterIndex::new(&farm);
-        assert_eq!(index.len(), 3);
         assert_eq!(index.total_cores(), 96);
-        assert_eq!(index.used_cores_total(), 0);
+        assert_eq!(index.occupancy(), [0; 5]);
         assert_eq!(index.utilization(), 0.0);
-        for i in 0..farm.len() {
-            assert_eq!(
-                index.reported_melt()[i],
-                farm.reported_melt_fraction(i).get()
-            );
+        let kinds = [
+            WorkloadKind::WebSearch,
+            WorkloadKind::VirusScan,
+            WorkloadKind::VirusScan,
+        ];
+        for (id, kind) in kinds.into_iter().enumerate() {
+            farm.start_job(id, &Job::new(JobId(id as u64), kind, Seconds::new(60.0)));
         }
+        let index = ClusterIndex::new(&farm);
+        assert_eq!(index.occupancy(), [1, 0, 0, 2, 0]);
+        assert_eq!(index.used_cores_total(), 3);
+        assert_eq!(index.utilization(), 3.0 / 96.0);
     }
 
     #[test]
@@ -138,42 +124,12 @@ mod tests {
         let mut job = Job::new(JobId(1), WorkloadKind::WebSearch, Seconds::new(300.0));
         job.set_due_tick(5);
         farm.start_job(0, &job);
-        index.record_starts(1);
+        index.record_start(job.kind());
         assert_eq!(index.used_cores_total(), 1);
         assert_eq!(index.utilization(), 1.0 / 64.0);
-        let mut occupancy = [1; 5];
-        assert_eq!(
-            farm.end_due_jobs(4, 0, &mut index, &mut occupancy, None, None),
-            0
-        );
-        assert_eq!(
-            farm.end_due_jobs(5, 0, &mut index, &mut occupancy, None, None),
-            1
-        );
-        assert_eq!(occupancy[WorkloadKind::WebSearch.index()], 0);
+        assert_eq!(farm.end_due_jobs(4, 0, &mut index, None, None), 0);
+        assert_eq!(farm.end_due_jobs(5, 0, &mut index, None, None), 1);
+        assert_eq!(index.occupancy(), [0; 5]);
         assert_eq!(farm.free_cores(0), 32);
-        assert_eq!(index.used_cores_total(), 0);
-    }
-
-    #[test]
-    fn tracks_physics_state() {
-        let mut farm = farm(1);
-        let mut index = ClusterIndex::new(&farm);
-        for i in 0..32 {
-            farm.start_job(
-                0,
-                &Job::new(JobId(i), WorkloadKind::VideoEncoding, Seconds::new(3600.0)),
-            );
-        }
-        index.record_starts(32);
-        for _ in 0..240 {
-            farm.tick_physics_recorded(Seconds::new(60.0), 0, &mut index, None, None, None);
-        }
-        assert!(farm.air_at_wax(0).get() > 22.0);
-        assert!(index.reported_melt()[0] > 0.0);
-        assert_eq!(
-            index.reported_melt()[0],
-            farm.reported_melt_fraction(0).get()
-        );
     }
 }

@@ -14,9 +14,9 @@ use vmt_telemetry::{SpanRecord, TelemetryConfig, TraceRecord};
 pub const MEMORY_CEILING: u64 = 16 << 30;
 
 /// Bytes of per-server state a simulation holds for its whole life: the
-/// farm's six `f64` lanes and three `u32` job-chain lanes, and the
-/// index's reported-melt lane.
-const BYTES_PER_SERVER: u64 = 7 * 8 + 3 * 4;
+/// farm's six `f64` lanes and three `u32` job-chain lanes. The cluster
+/// index beside it is a fixed handful of counts.
+const BYTES_PER_SERVER: u64 = 6 * 8 + 3 * 4;
 
 /// Bytes each tick appends to the result series: cooling and electrical
 /// load, mean and hot-group temperature, hot-group size, stored energy.
@@ -163,7 +163,7 @@ mod tests {
     fn buffers_that_fit_alone_can_overflow_together() {
         // Each heatmap row of 10M servers is 80 MB: 107 rows of both
         // maps are 17.1 GB, under the ceiling alone, over it with the
-        // farm's 0.7 GB.
+        // farm's 0.6 GB.
         let config = ClusterConfig::paper_default(10_000_000);
         let ticks = 107 * config.heatmap_stride as u64;
         let err = plan_memory(&config, ticks, None).unwrap_err();

@@ -34,9 +34,9 @@ use vmt_workload::Job;
 
 /// Digest of the scheduler-visible cluster state at the tick boundary
 /// (after departures, before placements) — exactly the state a policy's
-/// decisions depend on: the server count, every server's air at the wax
-/// and free cores (from the farm) and reported melt (from the index),
-/// and the used-core total, in that order.
+/// decisions depend on: the server count, every server's air at the
+/// wax, reported melt and free cores (from the farm), and the used-core
+/// total (from the index), in that order.
 ///
 /// Zone-cooling temperatures are deliberately *excluded*: they are
 /// derived, observational state (a deterministic function of the power
@@ -47,12 +47,12 @@ use vmt_workload::Job;
 /// tests.
 pub fn digest_index(farm: &ServerFarm, index: &ClusterIndex) -> u64 {
     let mut h = StateHasher::new();
-    h.write_u64(index.len() as u64);
+    h.write_u64(farm.len() as u64);
     for &v in farm.air_at_wax_lane() {
         h.write_f64(v);
     }
-    for &v in index.reported_melt() {
-        h.write_f64(v);
+    for i in 0..farm.len() {
+        h.write_f64(farm.reported_melt_fraction(i).get());
     }
     for &used in farm.used_cores_lane() {
         h.write_u64(u64::from(farm.cores() - used));

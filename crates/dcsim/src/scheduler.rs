@@ -113,13 +113,14 @@ pub trait Scheduler: SnapshotState {
 
     /// Index-aware variant of [`Scheduler::on_tick`].
     ///
-    /// The engine keeps a [`ClusterIndex`] beside the farm — every
-    /// server's reported melt as one lane and the cluster's occupancy
-    /// totals — and calls this instead of `on_tick`. The default ignores
-    /// the index and delegates. VMT-WA overrides it to take the cluster
-    /// utilization from the index's O(1) total rather than summing the
-    /// farm; the record and replay wrappers, to digest the state each
-    /// tick starts from.
+    /// The engine keeps a [`ClusterIndex`] beside the farm — the
+    /// cluster's busy cores per workload and its core count — and calls
+    /// this instead of `on_tick`. Every per-server value, the reported
+    /// melt included, stays in the farm. The default ignores the index
+    /// and delegates. VMT-WA overrides it to take the cluster
+    /// utilization from the index in O(1) rather than summing the farm;
+    /// the record and replay wrappers, to digest the state each tick
+    /// starts from.
     fn on_tick_indexed(&mut self, farm: &ServerFarm, index: &ClusterIndex, now: Seconds) {
         let _ = index;
         self.on_tick(farm, now);
@@ -143,10 +144,9 @@ pub trait Scheduler: SnapshotState {
 
     /// Places a batch of arrivals in order: every placed job is
     /// started on the farm before the next decision, and each job's
-    /// outcome is pushed onto `out`. The index is not written here: its
-    /// reports change only in the physics sweep, and the engine adds the
-    /// call's placed jobs to its used total after the call returns
-    /// ([`ClusterIndex::record_starts`]).
+    /// outcome is pushed onto `out`. The index is not written here: the
+    /// engine adds each placed job to its workload's occupancy after the
+    /// call returns ([`ClusterIndex::record_start`]).
     ///
     /// The default runs exactly the per-job sequence the engine used
     /// to run inline (the VMT policies override it to place their two

@@ -7,10 +7,10 @@
 //! all, so the disabled path stays bit-identical and allocation-free.
 //!
 //! All observation here is read-only: counters, gauges, and events are
-//! derived from state the engine already computes (the cluster index,
-//! the sweep totals), never fed back into placement or physics, so an
-//! instrumented run produces the same [`SimulationResult`]
-//! (crate::SimulationResult) as a bare one.
+//! derived from state the engine already computes (the farm, the
+//! cluster index, the sweep totals), never fed back into placement or
+//! physics, so an instrumented run produces the same
+//! [`SimulationResult`] (crate::SimulationResult) as a bare one.
 
 use crate::config::ClusterConfig;
 use crate::farm::ServerFarm;
@@ -163,6 +163,10 @@ pub(crate) struct EngineTelemetry {
     started: Instant,
     progress: Option<ProgressMeter>,
     progress_drawn: bool,
+    /// Each server's reported melt
+    /// ([`ServerFarm::reported_melt_fraction`]) as of the tick being
+    /// recorded: the lane the melt scan, zone gauges and watchdogs read.
+    melt_lane: Vec<f64>,
     /// Whether each server's reported melt was above
     /// [`MELT_EVENT_THRESHOLD`] last tick.
     melted: Vec<bool>,
@@ -369,6 +373,7 @@ impl EngineTelemetry {
             started: Instant::now(),
             progress,
             progress_drawn: false,
+            melt_lane: Vec::with_capacity(num_servers),
             melted: vec![false; num_servers],
             melted_count: 0,
             last_hot_size: None,
@@ -489,8 +494,7 @@ impl EngineTelemetry {
     }
 
     /// The engine's per-tick record step, called after physics with the
-    /// farm and the index's reported melt freshly updated. `tick` is
-    /// 1-based (the tick just ran).
+    /// farm freshly updated. `tick` is 1-based (the tick just ran).
     /// `cooling_w` is the tick's cooling load; `zones` is the freshly
     /// stepped zone model on zoned runs.
     #[allow(clippy::too_many_arguments)]
@@ -519,7 +523,10 @@ impl EngineTelemetry {
 
         // Threshold scan over the estimator-reported melt fractions —
         // the same signal the paper's schedulers act on.
-        let melt = index.reported_melt();
+        self.melt_lane.clear();
+        self.melt_lane
+            .extend((0..farm.len()).map(|i| farm.reported_melt_fraction(i).get()));
+        let melt = self.melt_lane.as_slice();
         let air = farm.air_at_wax_lane();
         for (i, was) in self.melted.iter_mut().enumerate() {
             let Some(direction) =

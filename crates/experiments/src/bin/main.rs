@@ -391,6 +391,11 @@ fn cmd_experiment(id: &str, rest: &[String]) {
         // the flag through every figure and sweep.
         std::env::set_var("VMT_THREADS", threads.to_string());
     }
+    // No run of a verb has more than `--servers` servers or a longer
+    // horizon than the paper trace's, so planning that run refuses a
+    // cluster too large to preallocate before any run starts.
+    let largest = Run::new(servers.unwrap_or(1000), vmt_core::PolicyKind::RoundRobin);
+    check_memory(&largest, None);
 
     if id == "all" {
         for id in EXPERIMENT_IDS {
@@ -910,24 +915,23 @@ fn cmd_resume(rest: &[String]) {
             std::process::exit(1);
         }
     };
+    // The run carries everything it needs; free the decoded columns and
+    // heatmaps before it steps.
+    let (tick, kind) = (snapshot.tick, snapshot.scheduler.kind.clone());
+    drop(snapshot);
     if let Some(threads) = threads {
         sim = sim.with_threads(threads);
     }
     let total = sim.total_ticks();
     let until: u64 = numeric(&flags, "--until").unwrap_or(total);
-    if until < snapshot.tick {
+    if until < tick {
         die(&format!(
-            "`--until {until}` precedes the snapshot tick {}",
-            snapshot.tick
+            "`--until {until}` precedes the snapshot tick {tick}"
         ));
     }
     let until = until.min(total);
     sim.run_until(until);
-    outln!(
-        "resumed {} at tick {}, ran to tick {until}/{total}",
-        snapshot.scheduler.kind,
-        snapshot.tick
-    );
+    outln!("resumed {kind} at tick {tick}, ran to tick {until}/{total}");
     outln!("state digest at tick {until}: {:#018x}", sim.state_digest());
     if until == total {
         let (result, end_farm) = sim.finish();

@@ -374,6 +374,20 @@ fn run_with_a_huge_flight_capacity_exits_2() {
     assert!(!dump.exists(), "nothing ran, so nothing was dumped");
 }
 
+/// An experiment verb plans its largest run before making any: a
+/// cluster too large to preallocate is a usage error (exit 2). The
+/// first value aborted on an 800 GB allocation, `u64::MAX` panicked on a
+/// capacity overflow.
+#[test]
+fn experiment_with_a_huge_cluster_exits_2() {
+    for servers in ["100000000000", "18446744073709551615"] {
+        assert_usage_error(
+            &["fig13", "--servers", servers],
+            "the farm state would take",
+        );
+    }
+}
+
 /// The full observability surface on one small zoned run: series,
 /// dashboard (degrading to plain lines on a pipe), and a bound metrics
 /// endpoint all come up and the run exits clean.

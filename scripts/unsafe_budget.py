@@ -7,8 +7,8 @@ Counts the lines containing `unsafe` in the Rust sources of
 crates/dcsim/src and crates/core/src, each file read up to its test
 module (the first line starting with `mod tests` or `pub(crate) mod
 tests`), lists them, and exits 1 when there are more than BUDGET: the
-prefetch helper's line, the group views' two outcome-slot lines and the
-tick pool's three. A change that moves the count edits BUDGET.
+prefetch helper's line and the tick pool's three. A change that moves
+the count edits BUDGET.
 """
 
 import pathlib
@@ -17,7 +17,7 @@ import sys
 
 ROOTS = ("crates/dcsim/src", "crates/core/src")
 TEST_MODULE = re.compile(r"^(pub(\([^)]*\))? )?mod tests\b")
-BUDGET = 6
+BUDGET = 4
 
 
 def unsafe_lines(repo: pathlib.Path):

@@ -380,6 +380,62 @@ fn final_state_digests_keep_their_pinned_values() {
     }
 }
 
+/// The tick-boundary state digest (`state_digest`: each server's air at
+/// the wax, reported melt and free cores, then the used-core total) of
+/// VMT-WA GV 22 on 20 servers over a day, pinned at ticks 1,200 and
+/// 1,440 in each branch of `ServerFarm::reported_melt_fraction`: the
+/// estimator's report, the physical fraction under `oracle_wax_state`,
+/// and zero without wax. The evening's melt crossings fall at ticks
+/// 1,168–1,197, so at tick 1,200 the wax modes hash reports strictly
+/// between 0 and 1, not only the 0s and 1s of a frozen or fully melted
+/// farm.
+#[test]
+fn state_digests_keep_their_pinned_values_while_wax_melts() {
+    const SERVERS: usize = 20;
+    let estimator = ClusterConfig::paper_default(SERVERS);
+    let oracle = ClusterConfig {
+        oracle_wax_state: true,
+        ..estimator.clone()
+    };
+    let trace = TraceConfig {
+        horizon: Hours::new(24.0),
+        ..TraceConfig::paper_default()
+    };
+    // VMT takes its PMT from the wax deployment, so the waxless run's
+    // policy is built for the paper's wax and sees only zero reports.
+    let policy = PolicyKind::vmt_wa(22.0).build(&estimator);
+    for (mode, cluster, pinned) in [
+        (
+            "estimator",
+            estimator,
+            [0xc76a_eb8d_b343_313f, 0xd332_f6ce_0132_88fc],
+        ),
+        (
+            "oracle",
+            oracle,
+            [0xa46b_4a8c_dff2_88ef, 0x2c91_845a_9ad5_e4dc],
+        ),
+        (
+            "waxless",
+            ClusterConfig::without_wax(SERVERS),
+            [0xa5c3_8d2a_b5d7_b10f, 0x5bb1_2d9d_aa5d_c3e9],
+        ),
+    ] {
+        let policy = policy.clone_box().expect("VMT-WA clones");
+        let mut sim = Simulation::new(cluster.clone(), DiurnalTrace::new(trace.clone()), policy);
+        sim.run_until(1_200);
+        let partly_melted = (0..SERVERS).any(|i| {
+            let report = sim.farm().reported_melt_fraction(i).get();
+            0.0 < report && report < 1.0
+        });
+        assert_eq!(partly_melted, cluster.wax.is_some(), "{mode}");
+        let at_1200 = sim.state_digest();
+        sim.run_until(1_440);
+        assert_eq!(sim.current_tick(), 1_440, "{mode}");
+        assert_eq!([at_1200, sim.state_digest()], pinned, "{mode}");
+    }
+}
+
 /// v1 and v2 archives transcode losslessly: decode, encode v3, decode
 /// that, and resume to the pinned state. The v3 bytes equal the v3
 /// fixture's, since all three describe the same run at the same tick.
