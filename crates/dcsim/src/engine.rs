@@ -338,8 +338,13 @@ impl Simulation {
         let num_servers = self.farm.len();
         let heatmap_rows = ticks.div_ceil(self.config.heatmap_stride.max(1));
         // Both heatmaps are preallocated in full and their rows written
-        // in place on sample ticks — no per-tick row allocations.
+        // in place on sample ticks — no per-tick row allocations. Each
+        // row is allocated zeroed on its own (`vec![row; rows]` would
+        // clone one zeroed row into every slot, writing every page at
+        // tick 0), so the allocator may hand out untouched pages and a
+        // row takes memory only once it is written.
         let row_interval = dt.get() * self.config.heatmap_stride as f64;
+        let zeroed = || (0..heatmap_rows).map(|_| vec![0.0; num_servers]).collect();
         let telemetry = self.telemetry.take().map(|config| {
             let tel = EngineTelemetry::new(config, num_servers, ticks as u64, self.zones.as_ref());
             tel.emit_run_config(
@@ -361,11 +366,11 @@ impl Simulation {
             stored_energy: Vec::with_capacity(ticks),
             temp_heatmap: Heatmap {
                 row_interval,
-                rows: vec![vec![0.0; num_servers]; heatmap_rows],
+                rows: zeroed(),
             },
             melt_heatmap: Heatmap {
                 row_interval,
-                rows: vec![vec![0.0; num_servers]; heatmap_rows],
+                rows: zeroed(),
             },
             dropped_jobs: 0,
             placements: 0,

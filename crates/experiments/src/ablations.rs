@@ -14,7 +14,7 @@
 //! * [`time_constant_sweep`] — sensitivity to the server's thermal lag.
 //! * [`duration_model`] — uniform vs exponential job service times.
 
-use crate::runner::reduction_percent;
+use crate::runner::{reduction_percent, without_heatmaps};
 use vmt_core::{GroupingValue, PolicyKind, VmtConfig, VmtWa, WaTuning};
 use vmt_dcsim::{ClusterConfig, Scheduler, Simulation, SimulationResult};
 use vmt_units::{Liters, Seconds};
@@ -29,13 +29,17 @@ pub struct AblationPoint {
     pub reduction_percent: f64,
 }
 
+/// A paper-trace run, heatmaps dropped: an ablation reads only its
+/// peak, and each holds its baseline while the variants run.
 fn run_with(cluster: ClusterConfig, scheduler: Box<dyn Scheduler>) -> SimulationResult {
-    Simulation::new(
-        cluster,
-        DiurnalTrace::new(TraceConfig::paper_default()),
-        scheduler,
+    without_heatmaps(
+        Simulation::new(
+            cluster,
+            DiurnalTrace::new(TraceConfig::paper_default()),
+            scheduler,
+        )
+        .run(),
     )
-    .run()
 }
 
 fn baseline(servers: usize) -> SimulationResult {

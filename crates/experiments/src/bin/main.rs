@@ -48,7 +48,7 @@
 
 use std::collections::HashMap;
 use vmt_experiments::heatmaps::HeatmapFigure;
-use vmt_experiments::runner::Run;
+use vmt_experiments::runner::{self, Run};
 use vmt_experiments::*;
 
 /// `print!` to stdout through [`write_stdout`].
@@ -119,6 +119,9 @@ const EXPERIMENT_IDS: [&str; 26] = [
     "preserve",
     "estimator",
 ];
+
+/// The figures that run one simulation and keep its heatmaps.
+const HEATMAP_IDS: [&str; 4] = ["fig9", "fig10", "fig11", "fig14"];
 
 fn print_help() {
     outln!("vmt-experiments — VMT paper reproduction harness");
@@ -392,10 +395,19 @@ fn cmd_experiment(id: &str, rest: &[String]) {
         std::env::set_var("VMT_THREADS", threads.to_string());
     }
     // No run of a verb has more than `--servers` servers or a longer
-    // horizon than the paper trace's, so planning that run refuses a
-    // cluster too large to preallocate before any run starts.
+    // horizon than the paper trace's, and a sweep holds at most one live
+    // run per worker (each is reduced on its worker), so planning that
+    // many of that run refuses a cluster too large to preallocate before
+    // any run starts. The heatmap figures run one run at a time.
     let largest = Run::new(servers.unwrap_or(1000), vmt_core::PolicyKind::RoundRobin);
-    check_memory(&largest, None);
+    let workers = if HEATMAP_IDS.contains(&id) {
+        1
+    } else {
+        runner::max_workers(&largest)
+    };
+    if let Err(err) = runner::plan_sweep(&largest, workers) {
+        die(&format!("the experiment is too large: {err}"));
+    }
 
     if id == "all" {
         for id in EXPERIMENT_IDS {

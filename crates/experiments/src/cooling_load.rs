@@ -6,7 +6,7 @@
 //! 12.8% at GV=22 for both VMT-TA and VMT-WA while the baselines get
 //! ≈0% — comes from these two figures.
 
-use crate::runner::{execute_all, reduction_percent, Run};
+use crate::runner::{execute_all, reduction_percent, without_heatmaps, Run};
 use vmt_core::PolicyKind;
 use vmt_dcsim::SimulationResult;
 
@@ -33,7 +33,10 @@ pub struct CoolingLoadFigure {
     /// Peak-reduction bars: (label, percent vs the round-robin peak).
     pub reductions: Vec<(String, f64)>,
     /// The raw results for downstream inspection, in the same order as
-    /// the runs: RR, CF, then the GVs.
+    /// the runs: RR, CF, then the GVs. Their heatmaps are empty: each
+    /// run's were dropped on the sweep worker that ran it
+    /// ([`without_heatmaps`]), so a figure holds its series and
+    /// counters, not rows × servers samples per run.
     pub results: Vec<SimulationResult>,
 }
 
@@ -72,7 +75,7 @@ pub fn cooling_load(wax_aware: bool, servers: usize) -> CoolingLoadFigure {
         };
         Run::new(servers, policy)
     }));
-    let results = execute_all(&runs);
+    let results = execute_all(&runs, without_heatmaps);
     let baseline = &results[0];
 
     let mut series = vec![LoadSeries {

@@ -73,7 +73,7 @@ pub fn emergency(servers: usize, outage: Outage) -> Vec<ExposurePoint> {
         Run::new(servers, PolicyKind::VmtTa { gv: 22.0 }),
         Run::new(servers, PolicyKind::vmt_wa(22.0)),
     ];
-    let results = crate::runner::execute_all(&runs);
+    let results = crate::runner::execute_all(&runs, crate::runner::without_heatmaps);
     // The cap is defined by the *baseline* plant sizing: what a
     // non-VMT datacenter would have installed.
     let healthy_peak = results[0].peak_cooling();

@@ -36,10 +36,13 @@ impl Fig7 {
 
 /// Runs the experiment on a cluster of `servers` servers.
 pub fn fig7(servers: usize) -> Fig7 {
-    let results = crate::runner::execute_all(&[
-        Run::new(servers, PolicyKind::RoundRobin),
-        Run::new(servers, PolicyKind::vmt_wa(22.0)),
-    ]);
+    let results = crate::runner::execute_all(
+        &[
+            Run::new(servers, PolicyKind::RoundRobin),
+            Run::new(servers, PolicyKind::vmt_wa(22.0)),
+        ],
+        crate::runner::without_heatmaps,
+    );
     let (rr, wa) = (&results[0], &results[1]);
 
     let rr_temp = mean(rr.avg_temp.iter().map(|t| t.get()));

@@ -6,7 +6,7 @@
 //! VMT-TA collapses (wax melts out before the peak) while VMT-WA
 //! degrades gracefully by extending the hot group.
 
-use crate::runner::{execute_all, reduction_percent, Run};
+use crate::runner::{execute_all, reduction_percent, without_heatmaps, Run};
 use vmt_core::PolicyKind;
 
 /// One GV's outcome for both algorithms.
@@ -27,7 +27,7 @@ pub fn gv_sweep(gvs: &[f64], servers: usize) -> Vec<GvPoint> {
         runs.push(Run::new(servers, PolicyKind::VmtTa { gv }));
         runs.push(Run::new(servers, PolicyKind::vmt_wa(gv)));
     }
-    let results = execute_all(&runs);
+    let results = execute_all(&runs, without_heatmaps);
     let baseline = &results[0];
     gvs.iter()
         .enumerate()

@@ -5,7 +5,7 @@
 //! there; Figure 15 (VMT-WA) shows the same plus the abrupt temperature
 //! drop when the original hot group saturates and the group is extended.
 
-use crate::runner::{execute_all, Run};
+use crate::runner::{execute_all, without_heatmaps, Run};
 use vmt_core::PolicyKind;
 
 /// One policy's hot-group temperature series.
@@ -53,7 +53,7 @@ pub fn hot_group_temps(wax_aware: bool, gvs: &[f64], servers: usize) -> HotGroup
         };
         Run::new(servers, policy)
     }));
-    let mut results = execute_all(&runs);
+    let mut results = execute_all(&runs, without_heatmaps);
     let rr = results.remove(0);
     HotGroupFigure {
         wax_aware,

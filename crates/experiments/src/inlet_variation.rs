@@ -7,7 +7,7 @@
 //! upward under variation ("better to miss high than miss low"), and
 //! even σ=2 still reaches ≈10.9% peak reduction with VMT-WA.
 
-use crate::runner::{execute_all, reduction_percent, Run};
+use crate::runner::{execute_all, reduction_percent, without_heatmaps, Run};
 use vmt_core::PolicyKind;
 use vmt_thermal::InletModel;
 use vmt_units::{Celsius, DegC};
@@ -81,7 +81,7 @@ pub fn inlet_variation(
             }
         }
     }
-    let results = execute_all(&runs);
+    let results = execute_all(&runs, without_heatmaps);
 
     // Stride through the results mirroring the construction order.
     let per_seed = 1 + gvs.len();

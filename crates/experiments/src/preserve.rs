@@ -46,26 +46,27 @@ pub fn preserve(servers: usize) -> Vec<PreservePoint> {
             run
         })
         .collect();
-    let results = crate::runner::execute_all(&runs);
+    // Each run keeps only the two numbers read from it: the melt row
+    // entering the evening and the plateau's final hour of cooling.
+    let outcomes = crate::runner::execute_all(&runs, |r| {
+        let evening = &r.melt_heatmap.rows[(17 * 60) / 5];
+        let melted = evening.iter().sum::<f64>() / evening.len() as f64;
+        let from = (20.5 * 60.0) as usize;
+        let to = (21.5 * 60.0) as usize;
+        let late = r.cooling.samples()[from..to]
+            .iter()
+            .map(|w| w.get())
+            .sum::<f64>()
+            / (to - from) as f64;
+        (melted, late / 1e3)
+    });
     policies
         .iter()
-        .zip(&results)
-        .map(|(policy, r)| {
-            let evening_row = (17 * 60) / 5;
-            let melted = r.melt_heatmap.rows[evening_row].iter().sum::<f64>()
-                / r.melt_heatmap.rows[evening_row].len() as f64;
-            let from = (20.5 * 60.0) as usize;
-            let to = (21.5 * 60.0) as usize;
-            let late = r.cooling.samples()[from..to]
-                .iter()
-                .map(|w| w.get())
-                .sum::<f64>()
-                / (to - from) as f64;
-            PreservePoint {
-                label: policy.label(),
-                melted_at_evening: melted,
-                late_plateau_kw: late / 1e3,
-            }
+        .zip(outcomes)
+        .map(|(policy, (melted, late_kw))| PreservePoint {
+            label: policy.label(),
+            melted_at_evening: melted,
+            late_plateau_kw: late_kw,
         })
         .collect()
 }

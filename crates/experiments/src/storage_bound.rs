@@ -71,10 +71,13 @@ pub fn ideal_shaved_peak_daily(series: &[f64], dt: Seconds, budget: Joules) -> W
 /// actually charged on day one, and compute the ideal shave of the
 /// round-robin cooling series with that same budget.
 pub fn storage_bound(servers: usize) -> StorageBound {
-    let results = crate::runner::execute_all(&[
-        Run::new(servers, PolicyKind::RoundRobin),
-        Run::new(servers, PolicyKind::VmtTa { gv: 22.0 }),
-    ]);
+    let results = crate::runner::execute_all(
+        &[
+            Run::new(servers, PolicyKind::RoundRobin),
+            Run::new(servers, PolicyKind::VmtTa { gv: 22.0 }),
+        ],
+        crate::runner::without_heatmaps,
+    );
     let (rr, ta) = (&results[0], &results[1]);
     let budget = ta.max_stored_energy();
     let rr_series: Vec<f64> = rr.cooling.samples().iter().map(|w| w.get()).collect();

@@ -24,7 +24,7 @@
 //! temperatures above the physical melt point indistinguishable
 //! ("the datacenter no longer melts wax").
 
-use crate::runner::{execute_all, reduction_percent, Run};
+use crate::runner::{execute_all, reduction_percent, without_heatmaps, Run};
 use vmt_core::PolicyKind;
 use vmt_units::Celsius;
 
@@ -75,7 +75,7 @@ pub fn table2_with_grid(servers: usize, gv_lo: f64, gv_hi: f64, gv_step: f64) ->
     for &gv in &gvs {
         runs.push(Run::new(servers, PolicyKind::VmtTa { gv }));
     }
-    let results = execute_all(&runs);
+    let results = execute_all(&runs, without_heatmaps);
     let baseline = &results[0];
     let ref_reductions: Vec<f64> = results[1..=DELTAS.len()]
         .iter()

@@ -5,7 +5,7 @@
 //! reduction flat above ≈0.95: the threshold only has to be high enough
 //! not to strand usable capacity.
 
-use crate::runner::{execute_all, reduction_percent, Run};
+use crate::runner::{execute_all, reduction_percent, without_heatmaps, Run};
 use vmt_core::PolicyKind;
 
 /// The paper's threshold sweep points.
@@ -32,7 +32,7 @@ pub fn fig17(servers: usize) -> Vec<ThresholdPoint> {
             },
         )
     }));
-    let results = execute_all(&runs);
+    let results = execute_all(&runs, without_heatmaps);
     let baseline = &results[0];
     THRESHOLDS
         .iter()

@@ -7,13 +7,14 @@
 //! fall). `EXPERIMENTS.md` records the exact numbers.
 
 use vmt::core::PolicyKind;
-use vmt::dcsim::{ClusterConfig, ServerFarm, Simulation};
-use vmt::experiments::runner::{execute_all, Run};
+use vmt::dcsim::{ClusterConfig, ServerFarm, Simulation, SimulationResult};
+use vmt::experiments::runner::{execute_all, reduction_percent, without_heatmaps, Run};
+use vmt::experiments::{cooling_load, gv_sweep};
 use vmt::workload::{DiurnalTrace, TraceConfig};
 
 const SERVERS: usize = 100;
 
-fn run(policy: PolicyKind) -> vmt::dcsim::SimulationResult {
+fn run(policy: PolicyKind) -> SimulationResult {
     Run::new(SERVERS, policy).execute()
 }
 
@@ -21,12 +22,15 @@ fn run(policy: PolicyKind) -> vmt::dcsim::SimulationResult {
 /// while round robin and coolest first achieve ≈0%.
 #[test]
 fn headline_peak_cooling_reduction() {
-    let results = execute_all(&[
-        Run::new(SERVERS, PolicyKind::RoundRobin),
-        Run::new(SERVERS, PolicyKind::CoolestFirst),
-        Run::new(SERVERS, PolicyKind::VmtTa { gv: 22.0 }),
-        Run::new(SERVERS, PolicyKind::vmt_wa(22.0)),
-    ]);
+    let results = execute_all(
+        &[
+            Run::new(SERVERS, PolicyKind::RoundRobin),
+            Run::new(SERVERS, PolicyKind::CoolestFirst),
+            Run::new(SERVERS, PolicyKind::VmtTa { gv: 22.0 }),
+            Run::new(SERVERS, PolicyKind::vmt_wa(22.0)),
+        ],
+        without_heatmaps,
+    );
     let rr = &results[0];
     let cf = results[1].compare_peak(rr).reduction_percent();
     let ta = results[2].compare_peak(rr).reduction_percent();
@@ -46,32 +50,88 @@ fn headline_peak_cooling_reduction() {
 /// first holds a tighter temperature distribution than round robin.
 #[test]
 fn baselines_do_not_melt_wax() {
-    let results = execute_all(&[
-        Run::new(SERVERS, PolicyKind::RoundRobin),
-        Run::new(SERVERS, PolicyKind::CoolestFirst),
-    ]);
-    for r in &results {
-        let melted_share = r.max_stored_energy().get() / (SERVERS as f64 * 786_480.0); // per-server latent capacity
+    // Each run is reduced on its worker to what is read from it: its
+    // name, its stored energy, and its temperature spread — the widest
+    // gap between servers at any sampled tick.
+    let results = execute_all(
+        &[
+            Run::new(SERVERS, PolicyKind::RoundRobin),
+            Run::new(SERVERS, PolicyKind::CoolestFirst),
+        ],
+        |r| {
+            let spread = r
+                .temp_heatmap
+                .rows
+                .iter()
+                .map(|row| {
+                    row.iter().cloned().fold(f64::MIN, f64::max)
+                        - row.iter().cloned().fold(f64::MAX, f64::min)
+                })
+                .fold(0.0, f64::max);
+            let stored = r.max_stored_energy();
+            (r.scheduler_name, stored, spread)
+        },
+    );
+    for (name, stored, _) in &results {
+        let melted_share = stored.get() / (SERVERS as f64 * 786_480.0); // per-server latent capacity
         assert!(
             melted_share < 0.05,
-            "{} stored {:.1}% of cluster capacity",
-            r.scheduler_name,
+            "{name} stored {:.1}% of cluster capacity",
             melted_share * 100.0
         );
     }
     // Temperature spread: coolest first < round robin at every sampled
     // tick's widest point.
-    let spread = |r: &vmt::dcsim::SimulationResult| {
-        r.temp_heatmap
-            .rows
+    assert!(results[1].2 < results[0].2);
+}
+
+/// A sweep keeps only what its figure reads: Figures 13 and 16 hold
+/// their results without heatmap rows but otherwise whole, and their
+/// bars and Figure 18's are bit for bit those of whole `Run::execute`
+/// results.
+#[test]
+fn sweeps_keep_no_heatmaps_and_the_same_bars() {
+    const SMALL: usize = 10;
+    let whole = |policy| Run::new(SMALL, policy).execute();
+    let bits = |bars: Vec<f64>| bars.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    for wax_aware in [false, true] {
+        let figure = cooling_load::cooling_load(wax_aware, SMALL);
+        let mut policies = vec![PolicyKind::RoundRobin, PolicyKind::CoolestFirst];
+        policies.extend(cooling_load::GVS.iter().map(|&gv| {
+            if wax_aware {
+                PolicyKind::vmt_wa(gv)
+            } else {
+                PolicyKind::VmtTa { gv }
+            }
+        }));
+        let results: Vec<SimulationResult> = policies.into_iter().map(whole).collect();
+        assert_eq!(figure.results.len(), results.len());
+        for (kept, whole) in figure.results.iter().zip(&results) {
+            assert!(kept.temp_heatmap.is_empty() && kept.melt_heatmap.is_empty());
+            assert!(!whole.temp_heatmap.is_empty() && !whole.melt_heatmap.is_empty());
+            let rest = SimulationResult {
+                temp_heatmap: whole.temp_heatmap.clone(),
+                melt_heatmap: whole.melt_heatmap.clone(),
+                ..kept.clone()
+            };
+            assert_eq!(&rest, whole, "everything but the heatmaps is kept");
+        }
+        let bars = figure.reductions.iter().map(|&(_, r)| r).collect();
+        let want = results
             .iter()
-            .map(|row| {
-                row.iter().cloned().fold(f64::MIN, f64::max)
-                    - row.iter().cloned().fold(f64::MAX, f64::min)
-            })
-            .fold(0.0, f64::max)
-    };
-    assert!(spread(&results[1]) < spread(&results[0]));
+            .map(|r| reduction_percent(r, &results[0]))
+            .collect();
+        assert_eq!(bits(bars), bits(want), "wax-aware {wax_aware}");
+    }
+
+    let points = gv_sweep::fig18(SMALL);
+    let rr = whole(PolicyKind::RoundRobin);
+    let bars = points.iter().flat_map(|p| [p.ta_percent, p.wa_percent]);
+    let want = points.iter().flat_map(|p| {
+        [PolicyKind::VmtTa { gv: p.gv }, PolicyKind::vmt_wa(p.gv)]
+            .map(|policy| reduction_percent(&whole(policy), &rr))
+    });
+    assert_eq!(bits(bars.collect()), bits(want.collect()));
 }
 
 /// Figure 11: VMT-TA melts wax in the hot group and only there.
@@ -137,15 +197,18 @@ fn determinism_and_seed_sensitivity() {
 /// datacenter would also run out of computational space".
 #[test]
 fn no_drops_under_any_policy() {
-    let results = execute_all(&[
-        Run::new(SERVERS, PolicyKind::RoundRobin),
-        Run::new(SERVERS, PolicyKind::CoolestFirst),
-        Run::new(SERVERS, PolicyKind::VmtTa { gv: 22.0 }),
-        Run::new(SERVERS, PolicyKind::vmt_wa(20.0)),
-    ]);
-    for r in &results {
-        assert_eq!(r.dropped_jobs, 0, "{} dropped jobs", r.scheduler_name);
-        assert!(r.placements > 100_000, "{} placements", r.scheduler_name);
+    let results = execute_all(
+        &[
+            Run::new(SERVERS, PolicyKind::RoundRobin),
+            Run::new(SERVERS, PolicyKind::CoolestFirst),
+            Run::new(SERVERS, PolicyKind::VmtTa { gv: 22.0 }),
+            Run::new(SERVERS, PolicyKind::vmt_wa(20.0)),
+        ],
+        |r| (r.scheduler_name, r.dropped_jobs, r.placements),
+    );
+    for (name, dropped, placements) in &results {
+        assert_eq!(*dropped, 0, "{name} dropped jobs");
+        assert!(*placements > 100_000, "{name} placements");
     }
 }
 
